@@ -21,8 +21,9 @@
 # byte-compares warm-started fleets against --no-ball-ship cold starts
 # across transports, worker counts and kill histories, and a
 # perf-regression gate that holds the Δ=12 adversary+validate chain within
-# 2x of the checked-in canonical-ball-engine baseline. All stages must be
-# green.
+# 2x of the checked-in canonical-ball-engine baseline, and the Δ=14 chain
+# with full (P2-on) validation within 2x of the factor-graph-kernel
+# baseline. All stages must be green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -322,6 +323,12 @@ run_suite build -DLDLB_WERROR=ON
 # `ldlb_perf_gate --measure` on a quiet machine after intentional changes.
 echo "== perf gate (delta 12 canonical ball engine) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
+# Same protocol with (P2) loopiness on at Δ=14: the factor-graph kernel
+# (cover/factor_graph) must keep full validation within 2x of its baseline.
+# The map-based refinement it replaced measured ~2.4x this baseline.
+echo "== perf gate (delta 14 full validation, P2 on) =="
+build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_p2_ms.txt \
+  --delta 14 --loopiness
 run_chaos build 25
 run_fleet_determinism build
 run_socket_fleet_determinism build

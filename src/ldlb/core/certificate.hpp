@@ -75,8 +75,11 @@ struct LevelValidation {
 };
 
 /// Independently validates a certificate against the algorithm, re-running
-/// it on every stored graph. `check_loopiness` may be disabled for speed on
-/// large chains (factor-graph computation dominates).
+/// it on every stored graph. `check_loopiness` adds (P2), one factor graph
+/// per stored graph: on one thread, full validation of the Δ=14 to Δ=18
+/// chains takes 2.0–2.3× as long as without it (docs/PERFORMANCE.md,
+/// "Factor-graph kernel"). Without it the certificate's loopiness claim
+/// goes unchecked.
 std::vector<LevelValidation> validate_certificate(
     const LowerBoundCertificate& cert, EcAlgorithm& algorithm,
     bool check_loopiness = true);

@@ -9,6 +9,11 @@
 // inside its own class becomes a loop of the quotient — an undirected
 // (half-)loop for EC graphs, a directed loop for PO graphs, matching the
 // degree conventions of Section 3.5 (cf. Figure 3).
+//
+// Both overloads run one flat refinement kernel: O(rounds · (nodes + ends))
+// time and O(nodes + ends) scratch, independent of colour values. Classes
+// are numbered by first occurrence in node order, so class_of and the
+// quotient are a pure function of the input graph.
 #pragma once
 
 #include <vector>

@@ -29,13 +29,13 @@ bool Digraph::has_proper_po_coloring() const {
     std::unordered_set<Color> out_colors;
     for (EdgeId e : out_arcs(v)) {
       Color c = arc(e).color;
-      if (c == kUncoloured) return false;
+      if (c < 0) return false;  // uncoloured, or not a colour at all
       if (!out_colors.insert(c).second) return false;
     }
     std::unordered_set<Color> in_colors;
     for (EdgeId e : in_arcs(v)) {
       Color c = arc(e).color;
-      if (c == kUncoloured) return false;
+      if (c < 0) return false;  // uncoloured, or not a colour at all
       if (!in_colors.insert(c).second) return false;
     }
   }

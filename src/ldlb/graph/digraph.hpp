@@ -110,8 +110,9 @@ class Digraph {
     arcs_[static_cast<std::size_t>(e)].color = color;
   }
 
-  /// True iff every arc is coloured, outgoing arcs at each node have
-  /// distinct colours, and incoming arcs at each node have distinct colours.
+  /// True iff every arc carries a non-negative colour, outgoing arcs at
+  /// each node have distinct colours, and incoming arcs at each node have
+  /// distinct colours.
   [[nodiscard]] bool has_proper_po_coloring() const;
 
   /// Number of distinct colours used (0 when uncoloured arcs exist).

@@ -93,25 +93,38 @@ int Multigraph::loop_count(NodeId v) const {
 }
 
 bool Multigraph::has_proper_edge_coloring() const {
-  // One stamp array over the colour range instead of a hash set per node:
-  // this predicate guards every simulator run, so it must not allocate per
-  // node. seen[c] holds the last node at which colour c appeared.
-  Color max_color = kUncoloured;
+  Color max_color = 0;
   for (const Edge& e : edges_) {
-    if (e.color == kUncoloured) return false;
+    if (e.color < 0) return false;  // uncoloured, or not a colour at all
     max_color = std::max(max_color, e.color);
   }
-  // One stamp array over the colour range instead of a hash set per node:
-  // this predicate guards every simulator run, so it must not allocate per
-  // node. seen[c] holds the last node at which colour c appeared.
-  std::vector<NodeId> seen(static_cast<std::size_t>(max_color) + 1, kNoNode);
-  for (NodeId v = 0; v < node_count(); ++v) {
-    for (EdgeId e : incident_edges(v)) {
-      auto& slot = seen[static_cast<std::size_t>(
-          edges_[static_cast<std::size_t>(e)].color)];
-      if (slot == v) return false;
-      slot = v;
+  if (static_cast<std::size_t>(max_color) <
+      static_cast<std::size_t>(node_count()) + edges_.size()) {
+    // One stamp array over the colour range instead of a hash set per node:
+    // this predicate guards every simulator run, so it must not allocate
+    // per node. seen[c] holds the last node at which colour c appeared.
+    std::vector<NodeId> seen(static_cast<std::size_t>(max_color) + 1, kNoNode);
+    for (NodeId v = 0; v < node_count(); ++v) {
+      for (EdgeId e : incident_edges(v)) {
+        auto& slot = seen[static_cast<std::size_t>(
+            edges_[static_cast<std::size_t>(e)].color)];
+        if (slot == v) return false;
+        slot = v;
+      }
     }
+    return true;
+  }
+  // Colour values beyond the graph's size would make that array as large as
+  // the colour itself (8 GiB for 2^31 - 2), so sort each node's colours
+  // instead.
+  std::vector<Color> at;
+  for (NodeId v = 0; v < node_count(); ++v) {
+    at.clear();
+    for (EdgeId e : incident_edges(v)) {
+      at.push_back(edges_[static_cast<std::size_t>(e)].color);
+    }
+    std::sort(at.begin(), at.end());
+    if (std::adjacent_find(at.begin(), at.end()) != at.end()) return false;
   }
   return true;
 }

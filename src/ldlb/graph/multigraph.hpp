@@ -190,8 +190,9 @@ class Multigraph {
     edges_[static_cast<std::size_t>(e)].color = color;
   }
 
-  /// True iff every edge is coloured and adjacent edges have distinct
-  /// colours (the EC-graph requirement).
+  /// True iff every edge carries a non-negative colour and adjacent edges
+  /// have distinct colours (the EC-graph requirement). Scratch memory is
+  /// O(nodes + edges) whatever the colour values.
   [[nodiscard]] bool has_proper_edge_coloring() const;
 
   /// Number of distinct colours used (0 when uncoloured edges exist).

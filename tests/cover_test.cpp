@@ -1,7 +1,21 @@
 // Tests for covering maps, lifts, universal covers, factor graphs, and
 // loopiness (Sections 3.4–3.5, Figure 3, Definition 1).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "ldlb/core/adversary.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/cover/covering_map.hpp"
 #include "ldlb/cover/factor_graph.hpp"
 #include "ldlb/cover/lift.hpp"
@@ -9,6 +23,10 @@
 #include "ldlb/cover/universal_cover.hpp"
 #include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
+#include "ldlb/graph/graph_io.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
+#include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/rng.hpp"
 
 namespace ldlb {
@@ -220,6 +238,381 @@ TEST(Loopiness, VertexTransitiveCycleIsLoopyDespiteSimplicity) {
 TEST(Loopiness, DirectedLoopCounting) {
   Digraph g = make_directed_cycle(4);
   EXPECT_EQ(loopiness(g), 1);
+}
+
+// --- Differential test of the factor-graph kernel -------------------------
+//
+// The reference oracle is the map-based colour refinement the library used
+// before its flat kernel: each round rebuilds a std::map from sorted
+// signatures to class ids, numbered by first occurrence, until the
+// labelling repeats. Both must produce the same class_of and the same
+// quotient edge list, edge for edge.
+
+template <typename SignatureFn>
+std::vector<NodeId> reference_refine(NodeId n, SignatureFn signature) {
+  std::vector<NodeId> cls(static_cast<std::size_t>(n), 0);
+  for (;;) {
+    std::map<decltype(signature(NodeId{0}, cls)), NodeId> index;
+    std::vector<NodeId> next(static_cast<std::size_t>(n));
+    for (NodeId v = 0; v < n; ++v) {
+      auto sig = signature(v, cls);
+      auto [it, inserted] =
+          index.insert({std::move(sig), static_cast<NodeId>(index.size())});
+      next[static_cast<std::size_t>(v)] = it->second;
+    }
+    if (next == cls) return cls;
+    cls = std::move(next);
+  }
+}
+
+// First node of each class, in class order.
+std::vector<NodeId> reference_representatives(const std::vector<NodeId>& cls) {
+  NodeId class_count = 0;
+  for (NodeId c : cls) class_count = std::max(class_count, c + 1);
+  std::vector<NodeId> rep(static_cast<std::size_t>(class_count), kNoNode);
+  for (std::size_t v = 0; v < cls.size(); ++v) {
+    NodeId& r = rep[static_cast<std::size_t>(cls[v])];
+    if (r == kNoNode) r = static_cast<NodeId>(v);
+  }
+  return rep;
+}
+
+FactorGraph reference_factor_graph(const Multigraph& g) {
+  auto signature = [&](NodeId v, const std::vector<NodeId>& cls) {
+    std::vector<std::pair<Color, NodeId>> sig;
+    for (EdgeId e : g.incident_edges(v)) {
+      sig.emplace_back(g.edge(e).color,
+                       cls[static_cast<std::size_t>(g.other_endpoint(e, v))]);
+    }
+    std::sort(sig.begin(), sig.end());
+    return sig;
+  };
+  FactorGraph out;
+  out.class_of = reference_refine(g.node_count(), signature);
+  const std::vector<NodeId> rep = reference_representatives(out.class_of);
+  const auto class_count = static_cast<NodeId>(rep.size());
+  out.graph.add_nodes(class_count);
+  for (NodeId c = 0; c < class_count; ++c) {
+    NodeId v = rep[static_cast<std::size_t>(c)];
+    for (EdgeId e : g.incident_edges(v)) {
+      NodeId d = out.class_of[static_cast<std::size_t>(g.other_endpoint(e, v))];
+      if (d == c) {
+        out.graph.add_edge(c, c, g.edge(e).color);
+      } else if (c < d) {
+        out.graph.add_edge(c, d, g.edge(e).color);
+      }
+    }
+  }
+  return out;
+}
+
+DiFactorGraph reference_factor_graph(const Digraph& g) {
+  auto signature = [&](NodeId v, const std::vector<NodeId>& cls) {
+    std::vector<std::tuple<int, Color, NodeId>> sig;
+    for (EdgeId a : g.out_arcs(v)) {
+      sig.emplace_back(0, g.arc(a).color,
+                       cls[static_cast<std::size_t>(g.arc(a).head)]);
+    }
+    for (EdgeId a : g.in_arcs(v)) {
+      sig.emplace_back(1, g.arc(a).color,
+                       cls[static_cast<std::size_t>(g.arc(a).tail)]);
+    }
+    std::sort(sig.begin(), sig.end());
+    return sig;
+  };
+  DiFactorGraph out;
+  out.class_of = reference_refine(g.node_count(), signature);
+  const std::vector<NodeId> rep = reference_representatives(out.class_of);
+  const auto class_count = static_cast<NodeId>(rep.size());
+  out.graph.add_nodes(class_count);
+  for (NodeId c = 0; c < class_count; ++c) {
+    for (EdgeId a : g.out_arcs(rep[static_cast<std::size_t>(c)])) {
+      NodeId d = out.class_of[static_cast<std::size_t>(g.arc(a).head)];
+      out.graph.add_arc(c, d, g.arc(a).color);
+    }
+  }
+  return out;
+}
+
+using EdgeList = std::vector<std::tuple<NodeId, NodeId, Color>>;
+
+EdgeList edge_list(const Multigraph& g) {
+  EdgeList out;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    out.emplace_back(g.edge(e).u, g.edge(e).v, g.edge(e).color);
+  }
+  return out;
+}
+
+EdgeList edge_list(const Digraph& g) {
+  EdgeList out;
+  for (EdgeId a = 0; a < g.arc_count(); ++a) {
+    out.emplace_back(g.arc(a).tail, g.arc(a).head, g.arc(a).color);
+  }
+  return out;
+}
+
+template <typename Graph>
+void expect_matches_reference(const Graph& g, const std::string& what) {
+  const auto want = reference_factor_graph(g);
+  const auto got = factor_graph(g);
+  EXPECT_EQ(got.class_of, want.class_of) << what;
+  EXPECT_EQ(edge_list(got.graph), edge_list(want.graph)) << what;
+}
+
+struct ChainSubject {
+  std::unique_ptr<EcAlgorithm> alg;
+  std::unique_ptr<PoAlgorithm> inner;  // keeps the PO algorithm alive
+};
+
+ChainSubject make_chain_subject(const std::string& kind, int delta) {
+  ChainSubject s;
+  if (kind == "seq") {
+    s.alg = std::make_unique<SeqColorPacking>(delta);
+  } else if (kind == "two") {
+    s.alg = std::make_unique<TwoPhasePacking>(delta);
+  } else {
+    s.inner = std::make_unique<ProposalPacking>();
+    s.alg = std::make_unique<EcFromPo>(*s.inner);
+  }
+  return s;
+}
+
+void expect_chain_matches_reference(const std::string& kind, int delta) {
+  ChainSubject s = make_chain_subject(kind, delta);
+  AdversaryOptions opts;
+  opts.max_rounds = 40000;
+  LowerBoundCertificate cert = run_adversary(*s.alg, delta, opts);
+  ASSERT_EQ(cert.certified_radius(), delta - 2) << kind << " Δ=" << delta;
+  for (const CertificateLevel& lv : cert.levels) {
+    const std::string at = kind + " Δ=" + std::to_string(delta) + " level " +
+                           std::to_string(lv.level);
+    expect_matches_reference(lv.g, at + " G");
+    expect_matches_reference(lv.h, at + " H");
+  }
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnAdversaryChains) {
+  for (const char* kind : {"seq", "two", "po"}) {
+    for (int delta = 4; delta <= 11; ++delta) {
+      expect_chain_matches_reference(kind, delta);
+    }
+  }
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnSeqChainDelta14) {
+  expect_chain_matches_reference("seq", 14);
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnLoopyTreesAndLifts) {
+  Rng rng{67};
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto n = static_cast<NodeId>(rng.next_in(1, 40));
+    const int degree = static_cast<int>(rng.next_in(3, 8));
+    Multigraph g = make_loopy_tree(n, degree, rng);
+    const std::string at = "loopy tree trial " + std::to_string(trial);
+    expect_matches_reference(g, at);
+    Lift lifted = involution_lift(g, 2 * degree);
+    if (lifted.graph.is_connected()) {
+      expect_matches_reference(lifted.graph, at + " involution lift");
+    }
+    Lift random = random_permutation_lift(g, 4, rng);
+    if (random.graph.is_connected()) {
+      expect_matches_reference(random.graph, at + " random lift");
+    }
+  }
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnFigure3Graphs) {
+  // Figure 3's shapes: an alternating even cycle (one node, two half-loops),
+  // K2 (one half-loop), a distinct-colour path (its own factor graph), a
+  // loop star, and a directed cycle (one directed loop).
+  Multigraph c6(6);
+  for (NodeId v = 0; v < 6; ++v) c6.add_edge(v, (v + 1) % 6, v % 2);
+  expect_matches_reference(c6, "alternating C6");
+  Multigraph k2(2);
+  k2.add_edge(0, 1, 0);
+  expect_matches_reference(k2, "K2");
+  Multigraph path(3);
+  path.add_edge(0, 1, 0);
+  path.add_edge(1, 2, 1);
+  expect_matches_reference(path, "coloured path");
+  expect_matches_reference(make_loop_star(6), "loop star");
+  expect_matches_reference(make_directed_cycle(6), "directed C6");
+  // The Figure 3 bench's lift-invariance rows.
+  Rng rng{21};
+  for (int k : {2, 4, 8}) {
+    Multigraph g = make_loopy_tree(5, 5, rng);
+    expect_matches_reference(g, "fig3 base");
+    expect_matches_reference(involution_lift(g, std::max(k, 8)).graph,
+                             "fig3 lift");
+  }
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnColouredRegularGraphs) {
+  Rng rng{22};
+  for (NodeId n : {8, 64, 256}) {
+    Multigraph g = greedy_edge_coloring(make_random_regular(n, 4, rng));
+    if (g.is_connected()) expect_matches_reference(g, "regular");
+  }
+  expect_matches_reference(greedy_edge_coloring(make_cycle(9)), "odd cycle");
+  expect_matches_reference(greedy_edge_coloring(make_complete(6)), "K6");
+}
+
+// A random k-lift of a PO digraph: arc (t, h, c) becomes k arcs
+// (t, i) -> (h, π(i)) of colour c for a random permutation π per arc, so
+// every copy keeps one out-end and one in-end per base end (a directed loop
+// lifts to a permutation of its node's copies).
+Digraph po_lift(const Digraph& base, NodeId k, Rng& rng) {
+  Digraph out(base.node_count() * k);
+  std::vector<NodeId> perm(static_cast<std::size_t>(k));
+  for (EdgeId a = 0; a < base.arc_count(); ++a) {
+    std::iota(perm.begin(), perm.end(), 0);
+    rng.shuffle(perm);
+    const Digraph::Arc& arc = base.arc(a);
+    for (NodeId i = 0; i < k; ++i) {
+      out.add_arc(arc.tail * k + i,
+                  arc.head * k + perm[static_cast<std::size_t>(i)], arc.color);
+    }
+  }
+  return out;
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnPoDigraphs) {
+  for (NodeId n : {1, 2, 5, 12}) {
+    expect_matches_reference(make_directed_cycle(n), "directed cycle");
+  }
+  Rng rng{68};
+  int checked = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Digraph base = make_random_po_graph(
+        static_cast<NodeId>(rng.next_in(2, 12)), 0.4, rng);
+    if (!base.underlying_multigraph().is_connected()) continue;
+    expect_matches_reference(base, "random PO graph");
+    Digraph lifted = po_lift(base, 3, rng);
+    if (lifted.underlying_multigraph().is_connected()) {
+      expect_matches_reference(lifted, "random PO lift");
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 5);
+  // A node with directed loops of two colours and its lifts.
+  Digraph loops(1);
+  loops.add_arc(0, 0, 0);
+  loops.add_arc(0, 0, 1);
+  expect_matches_reference(loops, "two directed loops");
+  for (int trial = 0; trial < 8; ++trial) {
+    Digraph lifted = po_lift(loops, 6, rng);
+    if (lifted.underlying_multigraph().is_connected()) {
+      expect_matches_reference(lifted, "two directed loops lift");
+    }
+  }
+}
+
+TEST(FactorGraphKernel, MatchesReferenceOnSingleNode) {
+  expect_matches_reference(Multigraph(1), "bare node");
+  expect_matches_reference(Digraph(1), "bare PO node");
+  FactorGraph fg = factor_graph(Multigraph(1));
+  EXPECT_EQ(fg.graph.node_count(), 1);
+  EXPECT_EQ(fg.graph.edge_count(), 0);
+}
+
+TEST(FactorGraphKernel, RejectsImproperOrDisconnectedInput) {
+  Multigraph clash(3);
+  clash.add_edge(0, 1, 0);
+  clash.add_edge(1, 2, 0);
+  EXPECT_THROW((void)factor_graph(clash), ContractViolation);
+  Multigraph uncoloured(2);
+  uncoloured.add_edge(0, 1);
+  EXPECT_THROW((void)factor_graph(uncoloured), ContractViolation);
+  Multigraph negative(2);
+  negative.add_edge(0, 1, -7);
+  EXPECT_THROW((void)factor_graph(negative), ContractViolation);
+  EXPECT_THROW((void)factor_graph(Multigraph(2)), ContractViolation);
+
+  Digraph out_clash(3);
+  out_clash.add_arc(0, 1, 0);
+  out_clash.add_arc(0, 2, 0);
+  EXPECT_THROW((void)factor_graph(out_clash), ContractViolation);
+  EXPECT_THROW((void)factor_graph(Digraph(2)), ContractViolation);
+}
+
+// --- Colour values ----------------------------------------------------------
+//
+// Both parsers accept any colour up to 2^31 - 1, so scratch memory of the
+// colouring checks must be bounded by the graph, not by colour values.
+
+// Caps the address space at its current size plus `headroom` bytes, so an
+// allocation sized by a colour value (8 GiB for 2^31 - 2) fails.
+void cap_address_space(std::size_t headroom) {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  statm >> pages;
+  rlimit limit{};
+  limit.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+                   headroom;
+  limit.rlim_max = limit.rlim_cur;
+  setrlimit(RLIMIT_AS, &limit);
+}
+
+TEST(ColourValues, HugeColourNeedsNoColourSizedMemory) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{256} << 20);
+        const Multigraph k2 =
+            multigraph_from_string("multigraph 2 1\ne 0 1 2147483646\n");
+        Multigraph loop(1);
+        loop.add_edge(0, 0, 2147483646);
+        Multigraph other_colour(1);
+        other_colour.add_edge(0, 0, 2147483645);
+        const bool ok = k2.has_proper_edge_coloring() &&
+                        is_covering_map(k2, loop, {0, 0}) &&
+                        !is_covering_map(k2, other_colour, {0, 0}) &&
+                        factor_graph(k2).graph.loop_count(0) == 1 &&
+                        loopiness(k2) == 1;
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ColourValues, NegativeColoursAreImproper) {
+  // Any negative colour, not just kUncoloured, is not a colour at all.
+  for (Color c : {-1, -2, -1000, -2147483647 - 1}) {
+    Multigraph g(2);
+    g.add_edge(0, 1, c);
+    EXPECT_FALSE(g.has_proper_edge_coloring()) << c;
+    EXPECT_FALSE(is_covering_map(g, g, {0, 1})) << c;
+    Digraph d(2);
+    d.add_arc(0, 1, c);
+    EXPECT_FALSE(d.has_proper_po_coloring()) << c;
+  }
+}
+
+TEST(ColourValues, SparseColoursStillCheckedExactly) {
+  // Colours far above the edge count take the sort-based path, which must
+  // agree with the stamp path on properness and coverings.
+  Multigraph clash(3);
+  clash.add_edge(0, 1, 1000000);
+  clash.add_edge(1, 2, 1000000);
+  EXPECT_FALSE(clash.has_proper_edge_coloring());
+  Multigraph path(3);
+  path.add_edge(0, 1, 1000000);
+  path.add_edge(1, 2, 7);
+  EXPECT_TRUE(path.has_proper_edge_coloring());
+  Multigraph c6(6);
+  for (NodeId v = 0; v < 6; ++v) {
+    c6.add_edge(v, (v + 1) % 6, v % 2 == 0 ? 5000000 : 3);
+  }
+  Multigraph base(1);
+  base.add_edge(0, 0, 5000000);
+  base.add_edge(0, 0, 3);
+  EXPECT_TRUE(is_covering_map(c6, base, std::vector<NodeId>(6, 0)));
+  EXPECT_EQ(loopiness(c6), 2);
+  Multigraph wrong(1);
+  wrong.add_edge(0, 0, 5000000);
+  wrong.add_edge(0, 0, 4);
+  EXPECT_FALSE(is_covering_map(c6, wrong, std::vector<NodeId>(6, 0)));
 }
 
 }  // namespace

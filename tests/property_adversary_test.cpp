@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "ldlb/core/adversary.hpp"
+#include "ldlb/core/certificate.hpp"
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/cover/loopiness.hpp"
@@ -82,12 +83,10 @@ TEST_P(AdversaryProperty, ChainCompletesWithPaperInvariants) {
     // (P3) trees with loops.
     EXPECT_TRUE(lv.g.is_forest_ignoring_loops());
     EXPECT_TRUE(lv.h.is_forest_ignoring_loops());
-    // (P2) loopiness (only cheap at small sizes).
-    if (lv.g.node_count() <= 16) {
-      int need = delta - 1 - lv.level;
-      EXPECT_GE(loopiness(lv.g), need);
-      EXPECT_GE(loopiness(lv.h), need);
-    }
+    // (P2) (Δ-1-i)-loopiness, at every level.
+    const int need = delta - 1 - lv.level;
+    EXPECT_GE(loopiness(lv.g), need);
+    EXPECT_GE(loopiness(lv.h), need);
     // (P1) isomorphic neighbourhoods, differing outputs.
     EXPECT_TRUE(balls_isomorphic(extract_ball(lv.g, lv.g_node, lv.level),
                                  extract_ball(lv.h, lv.h_node, lv.level)));
@@ -107,6 +106,17 @@ TEST_P(AdversaryProperty, CertificateSurvivesSerialisation) {
       certificate_from_string(certificate_to_string(cert));
   EXPECT_TRUE(certificate_is_valid(reloaded, *subject.alg,
                                    /*check_loopiness=*/false));
+}
+
+// Full validation, (P2) included, at the size the chain-d14 benchmark
+// workload certifies: 4096-node graphs at the last level.
+TEST(AdversaryFullValidation, SeqColorDelta14) {
+  const int delta = 14;
+  SeqColorPacking alg{delta};
+  LowerBoundCertificate cert = run_adversary(alg, delta);
+  ASSERT_EQ(cert.certified_radius(), delta - 2);
+  EXPECT_EQ(cert.levels.back().g.node_count(), NodeId{1} << (delta - 2));
+  EXPECT_TRUE(certificate_is_valid(cert, alg, /*check_loopiness=*/true));
 }
 
 INSTANTIATE_TEST_SUITE_P(

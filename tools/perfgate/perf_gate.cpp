@@ -12,11 +12,15 @@
 //
 // Usage:
 //   ldlb_perf_gate <baseline-file> [--delta N] [--reps N] [--factor F]
-//   ldlb_perf_gate --measure [--delta N] [--reps N]
+//                  [--loopiness]
+//   ldlb_perf_gate --measure [--delta N] [--reps N] [--loopiness]
 //
 // The baseline file holds one number: the reference min wall time in
 // milliseconds (regenerate with --measure on a quiet machine). The gate
 // fails when measured > factor * baseline (default factor 2.0).
+// --loopiness validates with (P2) on, so the timed chain also covers the
+// factor-graph kernel (cover/factor_graph) behind loopiness; without it
+// validation checks (P1) and (P3) only.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -30,13 +34,13 @@
 
 namespace {
 
-double run_once_ms(int delta) {
+double run_once_ms(int delta, bool check_loopiness) {
   ldlb::clear_ball_encoding_cache();  // cold cache, like a fresh process
   ldlb::SeqColorPacking alg{delta};
   const auto t0 = std::chrono::steady_clock::now();
   ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
   const bool valid =
-      ldlb::certificate_is_valid(cert, alg, /*check_loopiness=*/false);
+      ldlb::certificate_is_valid(cert, alg, check_loopiness);
   const auto t1 = std::chrono::steady_clock::now();
   if (!valid || cert.certified_radius() != delta - 2) {
     std::cerr << "perf gate: delta " << delta
@@ -50,8 +54,9 @@ double run_once_ms(int delta) {
 
 int usage() {
   std::cerr << "usage: ldlb_perf_gate <baseline-file> [--delta N] [--reps N]"
-               " [--factor F]\n"
-               "       ldlb_perf_gate --measure [--delta N] [--reps N]\n";
+               " [--factor F] [--loopiness]\n"
+               "       ldlb_perf_gate --measure [--delta N] [--reps N]"
+               " [--loopiness]\n";
   return 2;
 }
 
@@ -63,10 +68,13 @@ int main(int argc, char** argv) {
   int delta = 12;
   int reps = 3;
   double factor = 2.0;
+  bool check_loopiness = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--measure") {
       measure = true;
+    } else if (arg == "--loopiness") {
+      check_loopiness = true;
     } else if (arg == "--delta" && i + 1 < argc) {
       delta = std::atoi(argv[++i]);
     } else if (arg == "--reps" && i + 1 < argc) {
@@ -84,7 +92,7 @@ int main(int argc, char** argv) {
 
   double best = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    const double ms = run_once_ms(delta);
+    const double ms = run_once_ms(delta, check_loopiness);
     if (rep == 0 || ms < best) best = ms;
   }
 
@@ -100,13 +108,16 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  std::cout << "perf gate: delta " << delta << " adversary+validate min-of-"
-            << reps << " = " << best << " ms (baseline " << baseline
+  std::cout << "perf gate: delta " << delta << " adversary+validate"
+            << (check_loopiness ? " (P2 on)" : "") << " min-of-" << reps
+            << " = " << best << " ms (baseline " << baseline
             << " ms, tolerance " << factor << "x)\n";
   if (best > factor * baseline) {
     std::cerr << "perf gate: REGRESSION — " << best << " ms exceeds "
-              << factor << " x " << baseline << " ms; the canonical ball "
-              << "engine's speedup has been lost (see docs/PERFORMANCE.md)\n";
+              << factor << " x " << baseline << " ms; the "
+              << (check_loopiness ? "factor-graph kernel's"
+                                  : "canonical ball engine's")
+              << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
   }
   return 0;
