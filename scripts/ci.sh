@@ -21,9 +21,10 @@
 # byte-compares warm-started fleets against --no-ball-ship cold starts
 # across transports, worker counts and kill histories, and a
 # perf-regression gate that holds the Δ=12 adversary+validate chain within
-# 2x of the checked-in canonical-ball-engine baseline, and the Δ=14 chain
+# 2x of the checked-in canonical-ball-engine baseline, the Δ=14 chain
 # with full (P2-on) validation within 2x of the factor-graph-kernel
-# baseline. All stages must be green.
+# baseline, and the Δ=14 log render + streaming verify within 2x of the
+# text-codec baseline. All stages must be green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -329,6 +330,16 @@ build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
 echo "== perf gate (delta 14 full validation, P2 on) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_p2_ms.txt \
   --delta 14 --loopiness
+# The certificate-log path at Δ=14: the chain and its log are built once,
+# untimed; each rep times CertificateLog::serialize plus
+# validate_certificate_log over that log (no fsync in the timed region).
+# The allocation-free text codec (util/line_reader) must keep it within 2x
+# of its baseline (it measured 48-76 ms with --measure); the
+# istringstream/ostream codec it replaced measured 134-185 ms on the same
+# box, 2.6-3.6x the baseline.
+echo "== perf gate (delta 14 log render + stream verify) =="
+build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_stream_ms.txt \
+  --delta 14 --stream
 run_chaos build 25
 run_fleet_determinism build
 run_socket_fleet_determinism build

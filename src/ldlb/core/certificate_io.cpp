@@ -2,8 +2,8 @@
 
 #include <limits>
 #include <ostream>
-#include <sstream>
 
+#include "ldlb/graph/graph_io.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
 
@@ -13,18 +13,18 @@ namespace {
 
 constexpr long long kMaxId = std::numeric_limits<NodeId>::max();
 
-void write_graph(std::ostream& os, const char* tag, const Multigraph& g) {
-  os << tag << " " << g.node_count() << " " << g.edge_count() << "\n";
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const auto& ed = g.edge(e);
-    os << "e " << ed.u << " " << ed.v << " " << ed.color << "\n";
-  }
-}
-
-Multigraph read_graph(LineReader& r, const std::string& tag) {
+Multigraph read_graph(LineReader& r, std::string_view tag) {
   r.expect(tag, "graph header");
   const NodeId nodes = static_cast<NodeId>(r.integer("node count", 0, kMaxId));
   const EdgeId edges = static_cast<EdgeId>(r.integer("edge count", 0, kMaxId));
+  // Every certificate graph must be connected (LevelValidation::shape_ok),
+  // so it has at most edges + 1 nodes. Rejecting a larger count here keeps
+  // the validator from sizing per-node arrays by an arbitrary number.
+  if (nodes > static_cast<long long>(edges) + 1) {
+    r.fail("node count exceeds edge count + 1, so the graph cannot be "
+           "connected",
+           std::to_string(nodes));
+  }
   Multigraph g(nodes);
   for (EdgeId e = 0; e < edges; ++e) {
     r.expect("e", "edge line");
@@ -37,7 +37,7 @@ Multigraph read_graph(LineReader& r, const std::string& tag) {
 }
 
 Rational read_rational(LineReader& r, const char* what) {
-  std::string tok = r.token(what);
+  const std::string_view tok = r.token(what);
   try {
     return Rational::from_string(tok);
   } catch (const Error&) {
@@ -47,7 +47,7 @@ Rational read_rational(LineReader& r, const char* what) {
 
 }  // namespace
 
-void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
+void append_certificate_level(std::string& out, const CertificateLevel& lv) {
   // A sentinel in a witness field means the level was never certified; the
   // parser range-rejects such values, so refuse to emit them in the first
   // place rather than writing a file no reader will accept.
@@ -56,12 +56,29 @@ void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
                        lv.c != kUncoloured,
                    "level " << lv.level
                             << " carries unpopulated witness sentinels");
-  os << "level " << lv.level << "\n";
-  write_graph(os, "g", lv.g);
-  write_graph(os, "h", lv.h);
-  os << "witness " << lv.g_node << " " << lv.h_node << " " << lv.c << " "
-     << lv.g_loop << " " << lv.h_loop << " " << lv.g_weight.to_string() << " "
-     << lv.h_weight.to_string() << " " << lv.propagation_steps << "\n";
+  out += "level ";
+  append_int(out, lv.level);
+  out += '\n';
+  append_graph(out, lv.g, "g");
+  append_graph(out, lv.h, "h");
+  out += "witness";
+  for (long long field : {lv.g_node, lv.h_node, lv.c, lv.g_loop, lv.h_loop}) {
+    out += ' ';
+    append_int(out, field);
+  }
+  out += ' ';
+  lv.g_weight.append_to(out);
+  out += ' ';
+  lv.h_weight.append_to(out);
+  out += ' ';
+  append_int(out, lv.propagation_steps);
+  out += '\n';
+}
+
+void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {
+  std::string out;
+  append_certificate_level(out, lv);
+  os << out;
 }
 
 CertificateLevel read_certificate_level(LineReader& r) {
@@ -88,17 +105,12 @@ CertificateLevel read_certificate_level(LineReader& r) {
 }
 
 void write_certificate(std::ostream& os, const LowerBoundCertificate& cert) {
-  os << "ldlb-certificate 1\n";
-  os << "delta " << cert.delta << "\n";
-  os << "algorithm " << cert.algorithm_name << "\n";
-  for (const auto& lv : cert.levels) {
-    write_certificate_level(os, lv);
-  }
-  os << "end\n";
+  os << certificate_to_string(cert);
 }
 
-LowerBoundCertificate read_certificate(std::istream& is) {
-  LineReader r{is};
+namespace {
+
+LowerBoundCertificate read_certificate_body(LineReader& r) {
   r.expect("ldlb-certificate", "certificate magic");
   const long long version = r.integer("format version", 1, 1);
   (void)version;
@@ -108,24 +120,36 @@ LowerBoundCertificate read_certificate(std::istream& is) {
   r.expect("algorithm", "algorithm line");
   cert.algorithm_name = r.token("algorithm name");
   for (;;) {
-    std::string word = r.token("'level' or 'end'");
+    const std::string_view word = r.token("'level' or 'end'");
     if (word == "end") break;
     if (word != "level") r.fail("expected 'level' or 'end'", word);
-    r.push_back(std::move(word));
+    r.push_back(word);
     cert.levels.push_back(read_certificate_level(r));
   }
   return cert;
 }
 
-std::string certificate_to_string(const LowerBoundCertificate& cert) {
-  std::ostringstream os;
-  write_certificate(os, cert);
-  return os.str();
+}  // namespace
+
+LowerBoundCertificate read_certificate(std::istream& is) {
+  LineReader r{is};
+  return read_certificate_body(r);
 }
 
-LowerBoundCertificate certificate_from_string(const std::string& text) {
-  std::istringstream is{text};
-  return read_certificate(is);
+std::string certificate_to_string(const LowerBoundCertificate& cert) {
+  std::string out = "ldlb-certificate 1\ndelta ";
+  append_int(out, cert.delta);
+  out += "\nalgorithm ";
+  out += cert.algorithm_name;
+  out += '\n';
+  for (const auto& lv : cert.levels) append_certificate_level(out, lv);
+  out += "end\n";
+  return out;
+}
+
+LowerBoundCertificate certificate_from_string(std::string_view text) {
+  LineReader r{text};
+  return read_certificate_body(r);
 }
 
 void write_certificate_file(const std::string& path,

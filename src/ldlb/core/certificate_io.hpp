@@ -22,6 +22,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "ldlb/core/certificate.hpp"
 #include "ldlb/util/line_reader.hpp"
@@ -35,19 +36,24 @@ void write_certificate(std::ostream& os, const LowerBoundCertificate& cert);
 /// and the offending token) on malformed input.
 LowerBoundCertificate read_certificate(std::istream& is);
 
-/// Writes one level in the chain format ("level" through "witness" lines).
-/// Requires the witness fields to be populated — a level still carrying the
-/// kNoNode / kNoEdge sentinels is not serialisable evidence.
+/// Appends one level in the chain format ("level" through "witness" lines)
+/// to `out`. Requires the witness fields to be populated — a level still
+/// carrying the kNoNode / kNoEdge sentinels is not serialisable evidence.
+void append_certificate_level(std::string& out, const CertificateLevel& lv);
+
+/// append_certificate_level onto a stream.
 void write_certificate_level(std::ostream& os, const CertificateLevel& lv);
 
 /// Reads one level, starting at its "level" keyword; throws ParseError on
-/// malformed input. Shared by read_certificate and the snapshot store
-/// (recover/snapshot_store.hpp), so the two formats cannot drift apart.
+/// malformed input, including a graph whose node count exceeds its edge
+/// count + 1 (it cannot be connected). Shared by read_certificate, the
+/// certificate log, the snapshot store and the fleet's validate verb, so
+/// the formats cannot drift apart.
 CertificateLevel read_certificate_level(LineReader& r);
 
-/// Convenience round-trips through strings.
+/// Convenience round-trips through strings; the reader parses in place.
 std::string certificate_to_string(const LowerBoundCertificate& cert);
-LowerBoundCertificate certificate_from_string(const std::string& text);
+LowerBoundCertificate certificate_from_string(std::string_view text);
 
 /// Atomically replaces `path` with the serialised certificate (temp file +
 /// fsync + rename, see util/atomic_file.hpp): a crash mid-write leaves the

@@ -1,5 +1,6 @@
 #include "ldlb/fault/fleet.hpp"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <deque>
@@ -48,18 +49,24 @@ namespace {
 // ---------------------------------------------------------------------------
 
 std::string run_request(int id, int rounds, const Multigraph& g) {
-  std::ostringstream os;
-  os << "run " << id << " " << rounds << "\n" << graph_to_string(g);
-  return os.str();
+  std::string out = "run ";
+  append_int(out, id);
+  out += ' ';
+  append_int(out, rounds);
+  out += '\n';
+  append_graph(out, g);
+  return out;
 }
 
 std::string validate_request(int id, int delta, bool check_loopiness,
                              const CertificateLevel& lv) {
-  std::ostringstream os;
-  os << "validate " << id << " " << delta << " " << (check_loopiness ? 1 : 0)
-     << "\n";
-  write_certificate_level(os, lv);
-  return os.str();
+  std::string out = "validate ";
+  append_int(out, id);
+  out += ' ';
+  append_int(out, delta);
+  out += check_loopiness ? " 1\n" : " 0\n";
+  append_certificate_level(out, lv);
+  return out;
 }
 
 std::string error_reply(long long id, RunStatus status, int env_errno,
@@ -90,8 +97,9 @@ std::optional<Reply> parse_reply(const std::string& payload,
   const auto nl = payload.find('\n');
   const std::string header =
       payload.substr(0, nl == std::string::npos ? payload.size() : nl);
-  const std::string body =
-      nl == std::string::npos ? std::string() : payload.substr(nl + 1);
+  const std::string_view body =
+      nl == std::string::npos ? std::string_view()
+                              : std::string_view(payload).substr(nl + 1);
 
   std::istringstream hs(header);
   std::string verb;
@@ -101,21 +109,12 @@ std::optional<Reply> parse_reply(const std::string& payload,
   Reply reply;
   if (verb == "ok") {
     long long edges = -1;
-    if (!(hs >> edges) || edges < 0) return std::nullopt;
-    std::istringstream bs(body);
-    std::vector<Rational> weights;
-    weights.reserve(static_cast<std::size_t>(edges));
-    std::string tok;
-    for (long long e = 0; e < edges; ++e) {
-      if (!(bs >> tok)) return std::nullopt;
-      try {
-        weights.push_back(Rational::from_string(tok));
-      } catch (const Error&) {
-        return std::nullopt;
-      }
-    }
+    if (!(hs >> edges)) return std::nullopt;
+    std::optional<std::vector<Rational>> weights =
+        detail::read_weight_list(body, edges);
+    if (!weights) return std::nullopt;
     reply.ok = true;
-    reply.matching = FractionalMatching(std::move(weights));
+    reply.matching = FractionalMatching(std::move(*weights));
     return reply;
   }
   if (verb == "valid" || verb == "balls") {
@@ -131,7 +130,7 @@ std::optional<Reply> parse_reply(const std::string& payload,
     if (!run_status_from_string(status_token, reply.status)) {
       return std::nullopt;
     }
-    reply.error = body;
+    reply.error = std::string(body);
     return reply;
   }
   return std::nullopt;
@@ -176,8 +175,9 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
   const auto nl = payload.find('\n');
   const std::string header =
       payload.substr(0, nl == std::string::npos ? payload.size() : nl);
-  const std::string body =
-      nl == std::string::npos ? std::string() : payload.substr(nl + 1);
+  const std::string_view body =
+      nl == std::string::npos ? std::string_view()
+                              : std::string_view(payload).substr(nl + 1);
 
   std::istringstream hs(header);
   std::string verb;
@@ -204,13 +204,7 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
         return error_reply(id, outcome.status, outcome.env_errno,
                            outcome.error);
       }
-      const FractionalMatching& y = outcome.run->matching;
-      std::ostringstream os;
-      os << "ok " << id << " " << y.edge_count() << "\n";
-      for (EdgeId e = 0; e < y.edge_count(); ++e) {
-        os << y.weight(e) << "\n";
-      }
-      return os.str();
+      return detail::run_reply(id, outcome.run->matching);
     }
     if (verb == "validate") {
       long long delta = 0, loopiness_flag = 0;
@@ -218,8 +212,7 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
         throw ContractViolation("malformed validate request header: " +
                                 header);
       }
-      std::istringstream bs(body);
-      LineReader reader(bs);
+      LineReader reader{body};
       LowerBoundCertificate one;
       one.delta = static_cast<int>(delta);
       one.algorithm_name = algorithm.name();
@@ -303,6 +296,42 @@ int serve_connection(EcAlgorithm& algorithm, net::FrameChannel& channel,
 }
 
 }  // namespace
+
+namespace detail {
+
+std::string run_reply(long long id, const FractionalMatching& y) {
+  std::string out = "ok ";
+  append_int(out, id);
+  out += ' ';
+  append_int(out, y.edge_count());
+  out += '\n';
+  for (const Rational& w : y.weights()) {
+    w.append_to(out);
+    out += '\n';
+  }
+  return out;
+}
+
+std::optional<std::vector<Rational>> read_weight_list(std::string_view body,
+                                                      long long count) {
+  if (count < 0) return std::nullopt;
+  // n weights take at least 2n - 1 bytes (a digit each, separated), so a
+  // count the body cannot hold fails below without reserving for it.
+  std::vector<Rational> weights;
+  weights.reserve(static_cast<std::size_t>(
+      std::min<long long>(count, static_cast<long long>(body.size() / 2) + 1)));
+  LineReader reader{body};
+  try {
+    for (long long e = 0; e < count; ++e) {
+      weights.push_back(Rational::from_string(reader.token("weight")));
+    }
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  return weights;
+}
+
+}  // namespace detail
 
 std::uint64_t fleet_fingerprint(int delta,
                                 const std::string& algorithm_name) {

@@ -57,12 +57,15 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/fault/transport.hpp"
+#include "ldlb/matching/fractional_matching.hpp"
 #include "ldlb/recover/checkpoint.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
 #include "ldlb/recover/supervisor.hpp"
@@ -205,6 +208,21 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
 /// `in_fd`, write replies to `out_fd`, return the exit code. Exposed so the
 /// protocol can be exercised against a worker in isolation (ipc_test).
 int fleet_worker_main(const AlgorithmFactory& factory, int in_fd, int out_fd);
+
+namespace detail {
+
+/// The worker's reply to a run request: "ok <id> <edge_count>", then one
+/// exact weight ("num/den", or an integer) per line.
+[[nodiscard]] std::string run_reply(long long id, const FractionalMatching& y);
+
+/// Reads `count` whitespace-separated weights from a run reply's body;
+/// nullopt when the body holds fewer or one is malformed, which the
+/// coordinator treats as a corrupt frame. Reserves no more entries than the
+/// body can hold, so a lying count cannot force a large allocation.
+[[nodiscard]] std::optional<std::vector<Rational>> read_weight_list(
+    std::string_view body, long long count);
+
+}  // namespace detail
 
 /// The handshake fingerprint of a fleet job: FNV-1a over the delta and the
 /// algorithm name. A coordinator only ever shards work to daemons serving

@@ -1,8 +1,8 @@
 #include "ldlb/graph/graph_io.hpp"
 
+#include <charconv>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/line_reader.hpp"
@@ -27,7 +27,7 @@ Multigraph read_multigraph_body(LineReader& r) {
   const EdgeId edges = static_cast<EdgeId>(r.integer("edge count", 0, kMaxId));
   Multigraph g(nodes);
   for (EdgeId e = 0; e < edges; ++e) {
-    std::string tag = r.token("edge line");
+    const std::string_view tag = r.token("edge line");
     if (tag != "e") {
       r.fail(tag == "multigraph" ? "duplicated header inside edge list"
                                  : "expected edge line 'e <u> <v> <colour>'",
@@ -46,7 +46,7 @@ Digraph read_digraph_body(LineReader& r) {
   const EdgeId arcs = static_cast<EdgeId>(r.integer("arc count", 0, kMaxId));
   Digraph g(nodes);
   for (EdgeId a = 0; a < arcs; ++a) {
-    std::string tag = r.token("arc line");
+    const std::string_view tag = r.token("arc line");
     if (tag != "a") {
       r.fail(tag == "digraph" ? "duplicated header inside arc list"
                               : "expected arc line 'a <tail> <head> <colour>'",
@@ -59,22 +59,58 @@ Digraph read_digraph_body(LineReader& r) {
   return g;
 }
 
+// Appends "<tag> <a> <b> <c>\n", one edge or arc line, with a single
+// append.
+void append_item(std::string& out, char tag, long long a, long long b,
+                 long long c) {
+  char line[72];  // the tag, three " <long long>" and the newline
+  char* const end = line + sizeof line;
+  char* p = line;
+  *p++ = tag;
+  for (long long value : {a, b, c}) {
+    *p++ = ' ';
+    p = std::to_chars(p, end, value).ptr;
+  }
+  *p++ = '\n';
+  out.append(line, p);
+}
+
+// Appends "<tag> <nodes> <items>\n".
+void append_header(std::string& out, std::string_view tag, long long nodes,
+                   long long items) {
+  out += tag;
+  out += ' ';
+  append_int(out, nodes);
+  out += ' ';
+  append_int(out, items);
+  out += '\n';
+}
+
 }  // namespace
 
-void write_graph(std::ostream& os, const Multigraph& g) {
-  os << "multigraph " << g.node_count() << " " << g.edge_count() << "\n";
+void append_graph(std::string& out, const Multigraph& g,
+                  std::string_view tag) {
+  append_header(out, tag, g.node_count(), g.edge_count());
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const auto& ed = g.edge(e);
-    os << "e " << ed.u << " " << ed.v << " " << ed.color << "\n";
+    append_item(out, 'e', ed.u, ed.v, ed.color);
   }
 }
 
-void write_graph(std::ostream& os, const Digraph& g) {
-  os << "digraph " << g.node_count() << " " << g.arc_count() << "\n";
+void append_graph(std::string& out, const Digraph& g) {
+  append_header(out, "digraph", g.node_count(), g.arc_count());
   for (EdgeId a = 0; a < g.arc_count(); ++a) {
     const auto& arc = g.arc(a);
-    os << "a " << arc.tail << " " << arc.head << " " << arc.color << "\n";
+    append_item(out, 'a', arc.tail, arc.head, arc.color);
   }
+}
+
+void write_graph(std::ostream& os, const Multigraph& g) {
+  os << graph_to_string(g);
+}
+
+void write_graph(std::ostream& os, const Digraph& g) {
+  os << graph_to_string(g);
 }
 
 Multigraph read_multigraph(std::istream& is) {
@@ -88,28 +124,26 @@ Digraph read_digraph(std::istream& is) {
 }
 
 std::string graph_to_string(const Multigraph& g) {
-  std::ostringstream os;
-  write_graph(os, g);
-  return os.str();
+  std::string out;
+  append_graph(out, g);
+  return out;
 }
 
 std::string graph_to_string(const Digraph& g) {
-  std::ostringstream os;
-  write_graph(os, g);
-  return os.str();
+  std::string out;
+  append_graph(out, g);
+  return out;
 }
 
-Multigraph multigraph_from_string(const std::string& text) {
-  std::istringstream is{text};
-  LineReader r{is};
+Multigraph multigraph_from_string(std::string_view text) {
+  LineReader r{text};
   Multigraph g = read_multigraph_body(r);
   if (!r.at_end()) r.fail("trailing garbage after graph", r.token("?"));
   return g;
 }
 
-Digraph digraph_from_string(const std::string& text) {
-  std::istringstream is{text};
-  LineReader r{is};
+Digraph digraph_from_string(std::string_view text) {
+  LineReader r{text};
   Digraph g = read_digraph_body(r);
   if (!r.at_end()) r.fail("trailing garbage after graph", r.token("?"));
   return g;

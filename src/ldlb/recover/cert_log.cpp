@@ -1,5 +1,6 @@
 #include "ldlb/recover/cert_log.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -59,9 +60,11 @@ bool parse_fields(const std::string& line, const std::string& tag,
 // checksum: chain_i = fnv1a_128("<i> <self_i>", chain_{i-1}).
 Checksum128 chain_step(int index, const Checksum128& self,
                        const Checksum128& previous) {
-  std::ostringstream os;
-  os << index << " " << checksum_to_hex(self);
-  return fnv1a_128(os.str(), previous);
+  std::string step;
+  append_int(step, index);
+  step += ' ';
+  step += checksum_to_hex(self);
+  return fnv1a_128(step, previous);
 }
 
 using OnLevel =
@@ -209,14 +212,8 @@ CertLogReport walk_log(const std::string& path,
     // here means the record was *written* damaged, not flipped.
     bool bad_record = false;
     CertificateLevel lv;
-    bool have_level = false;
     try {
-      // Move the payload text into the stream and let both die before the
-      // consumer runs: `on_level` may re-validate the level (graphs, ball
-      // table), and the streaming-footprint promise is O(one level), not
-      // O(one level + two copies of its text).
-      std::istringstream payload_is{std::move(payload)};
-      LineReader reader{payload_is};
+      LineReader reader{std::string_view(payload)};
       lv = read_certificate_level(reader);
       if (!reader.at_end()) {
         classify(LogDamage::kBadRecord, rep.levels_intact,
@@ -226,16 +223,18 @@ CertLogReport walk_log(const std::string& path,
         classify(LogDamage::kBadRecord, rep.levels_intact,
                  "payload level index disagrees with the record index");
         bad_record = true;
-      } else {
-        have_level = true;
       }
     } catch (const ParseError& e) {
       classify(LogDamage::kBadRecord, rep.levels_intact,
                std::string("checksum-valid payload unparsable: ") + e.what());
       bad_record = true;
     }
+    // Free the text before the consumer runs: `on_level` may re-validate
+    // the level (graphs, ball table), and the streaming-footprint promise
+    // is O(one level), not O(one level + its text).
+    std::string().swap(payload);
     if (bad_record) break;
-    if (have_level && on_level) {
+    if (on_level) {
       CertLogRecordInfo info;
       info.index = static_cast<int>(index);
       info.payload_lines = static_cast<int>(lines);
@@ -350,17 +349,16 @@ LowerBoundCertificate CertificateLog::load(RecoveryReport* report) {
 
 namespace {
 
-// Serialises the header / one record, advancing `geom` as if the text had
-// been appended — the single source of truth for writer-side bytes, shared
-// by checkpoint() and serialize().
+// Serialises the header / appends one record, advancing `geom` as if the
+// text had been appended to the file — the single source of truth for
+// writer-side bytes, shared by checkpoint() and serialize().
 std::string render_header(const LowerBoundCertificate& chain,
                           detail::CertLogGeometry& geom) {
-  std::ostringstream os;
-  os << "ldlb-cert-log 1\n";
-  os << "delta " << chain.delta << "\n";
-  os << "algorithm "
-     << (chain.algorithm_name.empty() ? "-" : chain.algorithm_name) << "\n";
-  const std::string text = os.str();
+  std::string text = "ldlb-cert-log 1\ndelta ";
+  append_int(text, chain.delta);
+  text += "\nalgorithm ";
+  text += chain.algorithm_name.empty() ? "-" : chain.algorithm_name;
+  text += '\n';
   geom.delta = chain.delta;
   geom.algorithm_name = chain.algorithm_name;
   geom.genesis = fnv1a_128(text);
@@ -368,27 +366,33 @@ std::string render_header(const LowerBoundCertificate& chain,
   return text;
 }
 
-std::string render_record(const CertificateLevel& lv, int index,
-                          detail::CertLogGeometry& geom) {
-  std::ostringstream payload_os;
-  write_certificate_level(payload_os, lv);
-  const std::string payload = payload_os.str();
-  long long lines = 0;
-  for (char ch : payload) {
-    if (ch == '\n') ++lines;
-  }
+void append_record(std::string& out, const CertificateLevel& lv, int index,
+                   detail::CertLogGeometry& geom) {
+  // The payload is rendered in place and its header inserted in front of
+  // it once the counts and checksums are known.
+  const std::size_t record_start = out.size();
+  append_certificate_level(out, lv);
+  const std::string_view payload = std::string_view(out).substr(record_start);
+  const auto lines = std::count(payload.begin(), payload.end(), '\n');
   const Checksum128 self = fnv1a_128(payload);
   const Checksum128 previous =
       geom.records.empty() ? geom.genesis : geom.records.back().chain;
   const Checksum128 chain = chain_step(index, self, previous);
-  std::ostringstream os;
-  os << "record " << index << " " << lines << " " << payload.size() << " "
-     << checksum_to_hex(self) << " " << checksum_to_hex(chain) << "\n"
-     << payload;
+  std::string header = "record ";
+  append_int(header, index);
+  header += ' ';
+  append_int(header, lines);
+  header += ' ';
+  append_int(header, static_cast<long long>(payload.size()));
+  header += ' ';
+  header += checksum_to_hex(self);
+  header += ' ';
+  header += checksum_to_hex(chain);
+  header += '\n';
+  out.insert(record_start, header);
   const std::uint64_t start =
       geom.records.empty() ? geom.header_end : geom.records.back().end;
-  geom.records.push_back({start + os.str().size(), chain});
-  return os.str();
+  geom.records.push_back({start + (out.size() - record_start), chain});
 }
 
 }  // namespace
@@ -399,7 +403,7 @@ std::string CertificateLog::serialize(const LowerBoundCertificate& chain) {
   detail::CertLogGeometry geom;
   std::string text = render_header(chain, geom);
   for (std::size_t i = 0; i < chain.levels.size(); ++i) {
-    text += render_record(chain.levels[i], static_cast<int>(i), geom);
+    append_record(text, chain.levels[i], static_cast<int>(i), geom);
   }
   return text;
 }
@@ -421,7 +425,7 @@ void CertificateLog::checkpoint(const LowerBoundCertificate& chain) {
     detail::CertLogGeometry fresh;
     std::string text = render_header(chain, fresh);
     for (std::size_t i = 0; i < chain.levels.size(); ++i) {
-      text += render_record(chain.levels[i], static_cast<int>(i), fresh);
+      append_record(text, chain.levels[i], static_cast<int>(i), fresh);
     }
     write_file_atomic(path_, text);
     fresh.file_found = true;
@@ -453,9 +457,11 @@ void CertificateLog::checkpoint(const LowerBoundCertificate& chain) {
     truncate_file(path_, end);
   }
 
+  std::string record;
   for (std::size_t i = geom_.records.size(); i < chain.levels.size(); ++i) {
-    append_file_durable(
-        path_, render_record(chain.levels[i], static_cast<int>(i), geom_));
+    record.clear();
+    append_record(record, chain.levels[i], static_cast<int>(i), geom_);
+    append_file_durable(path_, record);
   }
   geometry_fresh_ = true;
 }

@@ -1,5 +1,6 @@
 #include "ldlb/recover/snapshot_store.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -77,25 +78,28 @@ bool SnapshotStore::exists() const {
 std::string SnapshotStore::serialize(const LowerBoundCertificate& chain) {
   LDLB_REQUIRE_MSG(chain.levels.empty() || !chain.algorithm_name.empty(),
                    "a snapshot with levels needs an algorithm name");
-  std::ostringstream os;
-  os << "ldlb-snapshot 1\n";
-  os << "delta " << chain.delta << "\n";
-  os << "algorithm "
-     << (chain.algorithm_name.empty() ? "-" : chain.algorithm_name) << "\n";
+  std::string out = "ldlb-snapshot 1\ndelta ";
+  append_int(out, chain.delta);
+  out += "\nalgorithm ";
+  out += chain.algorithm_name.empty() ? "-" : chain.algorithm_name;
+  out += '\n';
+  std::string payload;
   for (std::size_t i = 0; i < chain.levels.size(); ++i) {
-    std::ostringstream payload_os;
-    write_certificate_level(payload_os, chain.levels[i]);
-    const std::string payload = payload_os.str();
-    long long lines = 0;
-    for (char ch : payload) {
-      if (ch == '\n') ++lines;
-    }
-    os << "record " << i << " " << lines << " "
-       << checksum_to_hex(fnv1a_64(payload)) << "\n"
-       << payload;
+    payload.clear();
+    append_certificate_level(payload, chain.levels[i]);
+    out += "record ";
+    append_int(out, static_cast<long long>(i));
+    out += ' ';
+    append_int(out, std::count(payload.begin(), payload.end(), '\n'));
+    out += ' ';
+    out += checksum_to_hex(fnv1a_64(payload));
+    out += '\n';
+    out += payload;
   }
-  os << "end " << chain.levels.size() << "\n";
-  return os.str();
+  out += "end ";
+  append_int(out, static_cast<long long>(chain.levels.size()));
+  out += '\n';
+  return out;
 }
 
 void SnapshotStore::save(const LowerBoundCertificate& chain) {
@@ -191,8 +195,7 @@ LowerBoundCertificate SnapshotStore::load(RecoveryReport* report) {
         // The checksum passed, so the payload is byte-exact; a parse failure
         // here means the record was *written* damaged — drop it and stop.
         try {
-          std::istringstream payload_is{payload};
-          LineReader r{payload_is};
+          LineReader r{std::string_view(payload)};
           CertificateLevel lv = read_certificate_level(r);
           if (!r.at_end()) {
             drop_tail("record payload has trailing content");

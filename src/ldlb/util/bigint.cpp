@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <limits>
 #include <ostream>
 
@@ -65,7 +66,7 @@ void BigInt::set_magnitude(std::vector<std::uint32_t> limbs) {
   if (is_zero()) negative_ = false;
 }
 
-BigInt BigInt::from_string(const std::string& text) {
+BigInt BigInt::from_string(std::string_view text) {
   LDLB_REQUIRE_MSG(!text.empty(), "empty string is not a number");
   std::size_t i = 0;
   bool neg = false;
@@ -394,6 +395,17 @@ std::string BigInt::to_string() const {
     }
   }
   return negative_ ? "-" + digits : digits;
+}
+
+void BigInt::append_to(std::string& out) const {
+  if (!is_small()) {
+    out += to_string();
+    return;
+  }
+  if (negative_) out += '-';
+  char digits[20];
+  const auto result = std::to_chars(digits, digits + sizeof digits, small_);
+  out.append(digits, result.ptr);
 }
 
 bool BigInt::fits_int64() const {

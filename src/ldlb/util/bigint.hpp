@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ldlb {
@@ -52,7 +53,7 @@ class BigInt {
 
   /// Parses a decimal string, optionally signed ("-123", "+7", "0").
   /// Throws ContractViolation on malformed input.
-  static BigInt from_string(const std::string& text);
+  static BigInt from_string(std::string_view text);
 
   /// True iff the value is zero.
   [[nodiscard]] bool is_zero() const { return small_ == 0 && limbs_.empty(); }
@@ -102,6 +103,8 @@ class BigInt {
 
   /// Decimal representation.
   [[nodiscard]] std::string to_string() const;
+  /// Appends the decimal representation to `out`.
+  void append_to(std::string& out) const;
 
   /// Value as int64 if it fits; throws ContractViolation otherwise.
   [[nodiscard]] std::int64_t to_int64() const;

@@ -58,7 +58,8 @@ struct Checksum128 {
 
 namespace detail {
 
-/// 64×64→128 schoolbook multiply (portable: no __int128 in public headers).
+/// 64×64→128 multiply: one widening machine multiply (GCC and Clang, the
+/// compilers this POSIX-only tree builds with, both provide __int128).
 struct U128Product {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -66,18 +67,9 @@ struct U128Product {
 
 [[nodiscard]] constexpr U128Product mul_64x64(std::uint64_t a,
                                               std::uint64_t b) {
-  const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
-  const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
-  const std::uint64_t ll = a_lo * b_lo;
-  const std::uint64_t lh = a_lo * b_hi;
-  const std::uint64_t hl = a_hi * b_lo;
-  const std::uint64_t hh = a_hi * b_hi;
-  const std::uint64_t mid = (ll >> 32) + (lh & 0xffffffffULL) +
-                            (hl & 0xffffffffULL);
-  U128Product out;
-  out.lo = (mid << 32) | (ll & 0xffffffffULL);
-  out.hi = hh + (lh >> 32) + (hl >> 32) + (mid >> 32);
-  return out;
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return U128Product{static_cast<std::uint64_t>(product >> 64),
+                     static_cast<std::uint64_t>(product)};
 }
 
 /// One FNV-1a-128 step: hash = (hash ^ byte) * prime mod 2^128, with the
@@ -87,7 +79,7 @@ struct U128Product {
   hash.lo ^= byte;
   // hash * (2^88 + 0x13b) mod 2^128:
   //   2^88 term: only lo contributes below 2^128, landing in hi << 24;
-  //   0x13b term: full 128x64 schoolbook.
+  //   0x13b term: lo widens to 128 bits, hi only needs its low word.
   const std::uint64_t shifted_hi = hash.lo << 24;
   const U128Product lo_p = mul_64x64(hash.lo, 0x13bULL);
   const std::uint64_t small_hi = hash.hi * 0x13bULL + lo_p.hi;

@@ -1,34 +1,69 @@
-// Line-tracking tokenizer for the text parsers (graph_io, certificate_io).
+// The text codec behind every line-oriented format: graph_io, certificate_io,
+// the certificate log (recover/cert_log), the snapshot store and the fleet
+// wire protocol.
 //
-// The formats are line-oriented; reading through LineReader lets a parser
-// attribute every defect to a 1-based line number and the offending token,
-// which ParseError then carries to the caller. Tokens are whitespace
-// separated and never span lines.
+// Reading. LineReader splits its input into lines and whitespace-separated
+// tokens itself, so a parser can attribute every defect to a 1-based line
+// number and the offending token, which ParseError then carries to the
+// caller. It has two sources:
+//
+//   * a std::string_view, parsed in place — the text must outlive the
+//     reader, and nothing is copied or allocated per line or per token;
+//   * a std::istream, read one line at a time into one reused buffer. The
+//     reader consumes nothing after the line holding the last token it
+//     handed out (or probed with at_end), so several objects can share a
+//     stream.
+//
+// Tokens are views into the current line: valid until the reader moves to
+// the next line. Whitespace is exactly the six bytes " \t\n\v\f\r", the set
+// `std::istream >> std::string` skips in the classic locale, and tokens
+// never span lines. Integers are parsed with std::from_chars in base 10
+// with an optional leading '+'; a value beyond the long long range is
+// clamped to it before the range check, so messages quote the same number
+// strtoll would have produced. A token is an integer only when all of it
+// converts — a NUL byte inside a token is an ordinary non-digit.
+//
+// Writing. append_int renders an integer with std::to_chars onto the end of
+// a std::string; the writers of every format append to one string this way
+// instead of going through an ostream.
 #pragma once
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
 #include <istream>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <utility>
 
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
 
+/// Appends the decimal digits of `value` to `out`.
+inline void append_int(std::string& out, long long value) {
+  char digits[24];
+  const auto result = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, result.ptr);
+}
+
 class LineReader {
  public:
-  explicit LineReader(std::istream& is) : is_(is) {}
+  /// Parses `text` in place; `text` must outlive the reader.
+  explicit LineReader(std::string_view text) : rest_(text) {}
+  /// Reads `is` one line at a time into a reused buffer.
+  explicit LineReader(std::istream& is) : is_(&is) {}
+
+  // Tokens point into the reader's own line buffer in stream mode.
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
 
   /// Next token; `what` names the expected item for the error message when
-  /// the input ends instead.
-  std::string token(const char* what) {
-    if (!pushed_back_.empty()) {
-      std::string tok = std::move(pushed_back_);
-      pushed_back_.clear();
-      return tok;
-    }
-    std::string tok;
-    while (!(line_stream_ >> tok)) {
+  /// the input ends instead. The view is valid until the next line is read.
+  std::string_view token(const char* what) {
+    if (!pushed_back_.empty()) return std::exchange(pushed_back_, {});
+    std::string_view tok;
+    while (!next_token(tok)) {
       if (!next_line()) {
         fail(std::string("unexpected end of input — expected ") + what);
       }
@@ -38,44 +73,49 @@ class LineReader {
 
   /// Next token parsed as an integer in [lo, hi].
   long long integer(const char* what, long long lo, long long hi) {
-    std::string tok = token(what);
-    char* end = nullptr;
-    const long long value = std::strtoll(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0') {
+    const std::string_view tok = token(what);
+    long long value = 0;
+    if (!parse_integer(tok, value)) {
       fail(std::string("expected integer ") + what, tok);
     }
     if (value < lo || value > hi) {
-      std::ostringstream os;
-      os << what << " " << value << " out of range [" << lo << ", " << hi
-         << "]";
-      fail(os.str(), tok);
+      std::string msg = what;
+      msg += ' ';
+      append_int(msg, value);
+      msg += " out of range [";
+      append_int(msg, lo);
+      msg += ", ";
+      append_int(msg, hi);
+      msg += ']';
+      fail(msg, tok);
     }
     return value;
   }
 
   /// Consumes the next token and requires it to equal `expected`.
-  void expect(const std::string& expected, const char* what) {
-    std::string tok = token(what);
+  void expect(std::string_view expected, const char* what) {
+    const std::string_view tok = token(what);
     if (tok != expected) {
-      fail("expected '" + expected + "' (" + what + ")", tok);
+      fail("expected '" + std::string(expected) + "' (" + what + ")", tok);
     }
   }
 
-  /// Returns a token to the reader; the next token() call yields it again.
-  /// At most one token can be pushed back at a time (parsers use this for
-  /// one-token lookahead, e.g. 'level' vs 'end').
-  void push_back(std::string tok) {
+  /// Returns the token just read to the reader; the next token() call
+  /// yields it again. At most one token can be pushed back at a time
+  /// (parsers use this for one-token lookahead, e.g. 'level' vs 'end').
+  void push_back(std::string_view tok) {
     LDLB_REQUIRE_MSG(pushed_back_.empty(),
                      "LineReader holds at most one pushed-back token");
-    pushed_back_ = std::move(tok);
+    pushed_back_ = tok;
   }
 
   /// True when only whitespace remains. A probed token is pushed back and
   /// returned by the next token() call.
   bool at_end() {
-    std::string probe;
+    if (!pushed_back_.empty()) return false;
+    std::string_view probe;
     for (;;) {
-      if (line_stream_ >> probe) {
+      if (next_token(probe)) {
         pushed_back_ = probe;
         return false;
       }
@@ -88,26 +128,79 @@ class LineReader {
 
   /// Throws ParseError anchored at the current line.
   [[noreturn]] void fail(const std::string& msg,
-                         const std::string& tok = "") const {
-    std::ostringstream os;
-    os << "line " << line_ << ": " << msg;
-    if (!tok.empty()) os << ", got '" << tok << "'";
-    throw ParseError(os.str(), line_, tok);
+                         std::string_view tok = {}) const {
+    std::string text = "line ";
+    append_int(text, line_);
+    text += ": ";
+    text += msg;
+    if (!tok.empty()) {
+      text += ", got '";
+      text += tok;
+      text += '\'';
+    }
+    throw ParseError(text, line_, std::string(tok));
   }
 
  private:
-  bool next_line() {
-    std::string buf;
-    if (!std::getline(is_, buf)) return false;
-    ++line_;
-    line_stream_.clear();
-    line_stream_.str(buf);
+  // A whole token as a base-10 integer under the rules in the header
+  // comment; false when any byte of it does not convert.
+  static bool parse_integer(std::string_view tok, long long& value) {
+    const char* first = tok.data();
+    const char* const last = first + tok.size();
+    if (first != last && *first == '+') {
+      ++first;
+      if (first != last && *first == '-') return false;  // "+-5"
+    }
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::invalid_argument || ptr != last) return false;
+    if (ec == std::errc::result_out_of_range) {
+      value = *first == '-' ? LLONG_MIN : LLONG_MAX;
+    }
     return true;
   }
 
-  std::istream& is_;
-  std::istringstream line_stream_;
-  std::string pushed_back_;
+  static bool is_space(char ch) {
+    return ch == ' ' || (ch >= '\t' && ch <= '\r');
+  }
+
+  // Next token of the current line; false (line exhausted) when none.
+  bool next_token(std::string_view& tok) {
+    const char* p = cur_;
+    while (p != end_ && is_space(*p)) ++p;
+    const char* const start = p;
+    while (p != end_ && !is_space(*p)) ++p;
+    cur_ = p;
+    if (start == p) return false;
+    tok = std::string_view(start, static_cast<std::size_t>(p - start));
+    return true;
+  }
+
+  // Makes the next line current; false at the end of the input. A final
+  // line without its newline still counts, as with std::getline.
+  bool next_line() {
+    std::string_view line;
+    if (is_ != nullptr) {
+      if (!std::getline(*is_, buf_)) return false;
+      line = buf_;
+    } else {
+      if (rest_.empty()) return false;
+      const std::size_t nl = rest_.find('\n');
+      line = rest_.substr(0, nl);
+      rest_.remove_prefix(nl == std::string_view::npos ? rest_.size()
+                                                       : nl + 1);
+    }
+    cur_ = line.data();
+    end_ = cur_ + line.size();
+    ++line_;
+    return true;
+  }
+
+  std::istream* is_ = nullptr;  // stream mode when set
+  std::string buf_;             // stream mode: the current line
+  std::string_view rest_;       // in-place mode: text after the current line
+  const char* cur_ = nullptr;   // unread part of the current line
+  const char* end_ = nullptr;
+  std::string_view pushed_back_;
   int line_ = 0;
 };
 

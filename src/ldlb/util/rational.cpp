@@ -31,7 +31,7 @@ void Rational::reduce() {
   }
 }
 
-Rational Rational::from_string(const std::string& text) {
+Rational Rational::from_string(std::string_view text) {
   auto slash = text.find('/');
   if (slash == std::string::npos) {
     return Rational{BigInt::from_string(text), BigInt{1}};
@@ -82,6 +82,13 @@ std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) {
 std::string Rational::to_string() const {
   if (den_ == BigInt{1}) return num_.to_string();
   return num_.to_string() + "/" + den_.to_string();
+}
+
+void Rational::append_to(std::string& out) const {
+  num_.append_to(out);
+  if (den_ == BigInt{1}) return;
+  out += '/';
+  den_.append_to(out);
 }
 
 double Rational::to_double() const {

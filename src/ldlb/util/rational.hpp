@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "ldlb/util/bigint.hpp"
 
@@ -30,7 +31,7 @@ class Rational {
       : Rational(BigInt{num}, BigInt{den}) {}
 
   /// Parses "a/b" or "a"; throws on malformed input.
-  static Rational from_string(const std::string& text);
+  static Rational from_string(std::string_view text);
 
   [[nodiscard]] const BigInt& num() const { return num_; }
   [[nodiscard]] const BigInt& den() const { return den_; }
@@ -75,6 +76,8 @@ class Rational {
 
   /// "a/b", or just "a" when the denominator is 1.
   [[nodiscard]] std::string to_string() const;
+  /// Appends the to_string() form to `out`.
+  void append_to(std::string& out) const;
 
   /// Approximate double value (for display / benchmarks only).
   [[nodiscard]] double to_double() const;

@@ -40,10 +40,15 @@ std::string certificate_bytes(const LowerBoundCertificate& cert) {
   return os.str();
 }
 
-int tmp_files_in(const std::string& dir) {
+// Temp files write_file_atomic left beside `path` ("<path>.tmp.XXXXXX").
+// Only the target's own count: other test binaries run in parallel and
+// write through the same temp directory.
+int tmp_files_for(const std::string& path) {
+  const std::string prefix = path + ".tmp.";
   int n = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().string().find(".tmp.") != std::string::npos) ++n;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(path).parent_path())) {
+    if (entry.path().string().rfind(prefix, 0) == 0) ++n;
   }
   return n;
 }
@@ -85,7 +90,7 @@ TEST(EnvFaultPlan, ShortWriteAcceptsHalfThenFailsWithEnospc) {
   // The first call accepted half, the retry failed: two write observations.
   EXPECT_EQ(plan.observed(FsOp::kWrite), 2);
   EXPECT_FALSE(fs::exists(path));
-  EXPECT_EQ(tmp_files_in(::testing::TempDir()), 0) << "torn temp file left";
+  EXPECT_EQ(tmp_files_for(path), 0) << "torn temp file left";
 }
 
 TEST(EnvFaultPlan, DirFsyncFaultLeavesContentInPlace) {

@@ -4,24 +4,37 @@
 // silent acceptance — and the error must point at the right line. A
 // randomised mutation sweep then hammers the parsers with corrupted
 // round-trip text: any outcome other than "parsed" or "typed ldlb::Error"
-// is a bug.
+// is a bug. The text codec (util/line_reader) is then checked against the
+// istringstream tokenizer and ostream writers it replaced: same tokens,
+// integers and ParseErrors, same bytes, and a pinned digest of a Δ=14 log.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
+#include "ldlb/fault/fleet.hpp"
 #include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
 #include "ldlb/graph/graph_io.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/atomic_file.hpp"
+#include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
+#include "ldlb/util/line_reader.hpp"
 #include "ldlb/util/rng.hpp"
 
 namespace ldlb {
@@ -569,6 +582,709 @@ TEST(IoFuzz, RandomMutationsNeverEscapeTheTaxonomy) {
   // The sweep must exercise both outcomes to be meaningful.
   EXPECT_GT(rejected, 0);
   EXPECT_GT(parsed + rejected, 499);
+}
+
+// --- certificate graphs must be connectable --------------------------------
+
+// Caps the address space at its current size plus `headroom` bytes, so an
+// allocation sized by a hostile count fails instead of succeeding slowly.
+void cap_address_space(std::size_t headroom) {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  statm >> pages;
+  rlimit limit{};
+  limit.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+                   headroom;
+  limit.rlim_max = limit.rlim_cur;
+  setrlimit(RLIMIT_AS, &limit);
+}
+
+// A certificate whose level-0 G claims 2^31 - 1 nodes on two edges.
+const char kWideGraphCertificate[] =
+    "ldlb-certificate 1\n"
+    "delta 2\n"
+    "algorithm SeqColorPacking\n"
+    "level 0\n"
+    "g 2147483647 2\n"
+    "e 0 0 0\n"
+    "e 0 0 1\n"
+    "h 1 2\n"
+    "e 0 0 0\n"
+    "e 0 0 1\n"
+    "witness 0 0 0 0 0 1/2 1/2 0\n"
+    "end\n";
+
+TEST(IoFuzz, UnconnectableNodeCountRejectedBeforeAnyPerNodeMemory) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{256} << 20);
+        try {
+          const LowerBoundCertificate cert =
+              certificate_from_string(kWideGraphCertificate);
+          SeqColorPacking alg{2};
+          std::exit(certificate_is_valid(cert, alg) ? 2 : 3);
+        } catch (const ParseError&) {
+          std::exit(0);
+        }
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(IoFuzz, UnconnectableNodeCountIsSitedOnTheGraphHeader) {
+  try {
+    (void)certificate_from_string(kWideGraphCertificate);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 5);
+    EXPECT_EQ(e.token(), "2147483647");
+    EXPECT_NE(std::string(e.what()).find("cannot be connected"),
+              std::string::npos)
+        << e.what();
+  }
+  // One node more than edges + 1 is already too many; edges + 1 is fine.
+  std::string text = valid_certificate_text();
+  text.replace(text.find("g 1 2"), 5, "g 4 2");
+  EXPECT_THROW((void)certificate_from_string(text), ParseError);
+  text.replace(text.find("g 4 2"), 5, "g 3 2");
+  EXPECT_NO_THROW((void)certificate_from_string(text));
+}
+
+TEST(IoFuzz, UnconnectableNodeCountInALogIsABadRecord) {
+  SeqColorPacking alg{4};
+  LowerBoundCertificate chain = run_adversary(alg, 4);
+  Multigraph wide(2147483647);
+  for (EdgeId e = 0; e < chain.levels[1].g.edge_count(); ++e) {
+    const auto& ed = chain.levels[1].g.edge(e);
+    wide.add_edge(ed.u, ed.v, ed.color);
+  }
+  chain.levels[1].g = std::move(wide);
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "io_wide.log").string();
+  write_file_atomic(path, CertificateLog::serialize(chain));
+  CertificateLog log{path};
+  const CertLogReport report = log.scan();
+  EXPECT_EQ(report.damage, LogDamage::kBadRecord);
+  EXPECT_EQ(report.defect_level, 1);
+  EXPECT_EQ(report.levels_intact, 1);
+  EXPECT_NE(report.detail.find("cannot be connected"), std::string::npos)
+      << report.detail;
+  log.remove();
+}
+
+// --- fleet run replies -----------------------------------------------------
+
+TEST(IoFuzz, RunReplyWeightListRoundTripsAndRejectsShortBodies) {
+  const std::vector<Rational> weights = {Rational(1, 2), Rational(0),
+                                         Rational(1), Rational(3, 7)};
+  const std::string reply = detail::run_reply(5, FractionalMatching(weights));
+  EXPECT_EQ(reply, "ok 5 4\n1/2\n0\n1\n3/7\n");
+  const std::string_view body = std::string_view(reply).substr(7);
+  EXPECT_EQ(detail::read_weight_list(body, 4), weights);
+  // Weights past the count are left unread.
+  EXPECT_EQ(detail::read_weight_list(body, 3)->size(), 3u);
+  EXPECT_FALSE(detail::read_weight_list(body, 5).has_value());
+  EXPECT_FALSE(detail::read_weight_list(body, -1).has_value());
+  EXPECT_FALSE(detail::read_weight_list("1/2\nx\n", 2).has_value());
+  EXPECT_FALSE(detail::read_weight_list("1/0\n", 1).has_value());
+  EXPECT_TRUE(detail::read_weight_list("", 0)->empty());
+}
+
+TEST(IoFuzz, LyingRunReplyCountIsMalformedWithoutALargeAllocation) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{256} << 20);
+        const auto weights =
+            detail::read_weight_list("1/2\n1/3\n", 1000000000000LL);
+        std::exit(weights.has_value() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// --- reference codec -------------------------------------------------------
+//
+// The istringstream tokenizer and ostream writers that util/line_reader's
+// codec replaced, kept as the oracle for the differential tests below.
+
+class LegacyLineReader {
+ public:
+  explicit LegacyLineReader(std::istream& is) : is_(is) {}
+
+  std::string token(const char* what) {
+    if (!pushed_back_.empty()) {
+      std::string tok = std::move(pushed_back_);
+      pushed_back_.clear();
+      return tok;
+    }
+    std::string tok;
+    while (!(line_stream_ >> tok)) {
+      if (!next_line()) {
+        fail(std::string("unexpected end of input — expected ") + what);
+      }
+    }
+    return tok;
+  }
+
+  long long integer(const char* what, long long lo, long long hi) {
+    std::string tok = token(what);
+    char* end = nullptr;
+    const long long value = std::strtoll(tok.c_str(), &end, 10);
+    if (end == tok.c_str() || *end != '\0') {
+      fail(std::string("expected integer ") + what, tok);
+    }
+    if (value < lo || value > hi) {
+      std::ostringstream os;
+      os << what << " " << value << " out of range [" << lo << ", " << hi
+         << "]";
+      fail(os.str(), tok);
+    }
+    return value;
+  }
+
+  void expect(const std::string& expected, const char* what) {
+    std::string tok = token(what);
+    if (tok != expected) {
+      fail("expected '" + expected + "' (" + what + ")", tok);
+    }
+  }
+
+  void push_back(std::string tok) { pushed_back_ = std::move(tok); }
+
+  bool at_end() {
+    std::string probe;
+    for (;;) {
+      if (line_stream_ >> probe) {
+        pushed_back_ = probe;
+        return false;
+      }
+      if (!next_line()) return true;
+    }
+  }
+
+  [[noreturn]] void fail(const std::string& msg,
+                         const std::string& tok = "") const {
+    std::ostringstream os;
+    os << "line " << line_ << ": " << msg;
+    if (!tok.empty()) os << ", got '" << tok << "'";
+    throw ParseError(os.str(), line_, tok);
+  }
+
+ private:
+  bool next_line() {
+    std::string buf;
+    if (!std::getline(is_, buf)) return false;
+    ++line_;
+    line_stream_.clear();
+    line_stream_.str(buf);
+    return true;
+  }
+
+  std::istream& is_;
+  std::istringstream line_stream_;
+  std::string pushed_back_;
+  int line_ = 0;
+};
+
+void legacy_write_graph(std::ostream& os, const char* tag,
+                        const Multigraph& g) {
+  os << tag << " " << g.node_count() << " " << g.edge_count() << "\n";
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& ed = g.edge(e);
+    os << "e " << ed.u << " " << ed.v << " " << ed.color << "\n";
+  }
+}
+
+void legacy_write_digraph(std::ostream& os, const Digraph& g) {
+  os << "digraph " << g.node_count() << " " << g.arc_count() << "\n";
+  for (EdgeId a = 0; a < g.arc_count(); ++a) {
+    const auto& arc = g.arc(a);
+    os << "a " << arc.tail << " " << arc.head << " " << arc.color << "\n";
+  }
+}
+
+void legacy_write_level(std::ostream& os, const CertificateLevel& lv) {
+  os << "level " << lv.level << "\n";
+  legacy_write_graph(os, "g", lv.g);
+  legacy_write_graph(os, "h", lv.h);
+  os << "witness " << lv.g_node << " " << lv.h_node << " " << lv.c << " "
+     << lv.g_loop << " " << lv.h_loop << " " << lv.g_weight.to_string() << " "
+     << lv.h_weight.to_string() << " " << lv.propagation_steps << "\n";
+}
+
+std::string legacy_level(const CertificateLevel& lv) {
+  std::ostringstream os;
+  legacy_write_level(os, lv);
+  return os.str();
+}
+
+std::string legacy_certificate(const LowerBoundCertificate& cert) {
+  std::ostringstream os;
+  os << "ldlb-certificate 1\n";
+  os << "delta " << cert.delta << "\n";
+  os << "algorithm " << cert.algorithm_name << "\n";
+  for (const auto& lv : cert.levels) legacy_write_level(os, lv);
+  os << "end\n";
+  return os.str();
+}
+
+long long count_lines(const std::string& text) {
+  return std::count(text.begin(), text.end(), '\n');
+}
+
+std::string legacy_cert_log(const LowerBoundCertificate& chain) {
+  std::ostringstream header;
+  header << "ldlb-cert-log 1\n";
+  header << "delta " << chain.delta << "\n";
+  header << "algorithm "
+         << (chain.algorithm_name.empty() ? "-" : chain.algorithm_name)
+         << "\n";
+  std::string text = header.str();
+  Checksum128 state = fnv1a_128(text);
+  for (std::size_t i = 0; i < chain.levels.size(); ++i) {
+    const std::string payload = legacy_level(chain.levels[i]);
+    const Checksum128 self = fnv1a_128(payload);
+    std::ostringstream step;
+    step << i << " " << checksum_to_hex(self);
+    state = fnv1a_128(step.str(), state);
+    std::ostringstream os;
+    os << "record " << i << " " << count_lines(payload) << " "
+       << payload.size() << " " << checksum_to_hex(self) << " "
+       << checksum_to_hex(state) << "\n"
+       << payload;
+    text += os.str();
+  }
+  return text;
+}
+
+std::string legacy_snapshot(const LowerBoundCertificate& chain) {
+  std::ostringstream os;
+  os << "ldlb-snapshot 1\n";
+  os << "delta " << chain.delta << "\n";
+  os << "algorithm "
+     << (chain.algorithm_name.empty() ? "-" : chain.algorithm_name) << "\n";
+  for (std::size_t i = 0; i < chain.levels.size(); ++i) {
+    const std::string payload = legacy_level(chain.levels[i]);
+    os << "record " << i << " " << count_lines(payload) << " "
+       << checksum_to_hex(fnv1a_64(payload)) << "\n"
+       << payload;
+  }
+  os << "end " << chain.levels.size() << "\n";
+  return os.str();
+}
+
+std::string legacy_run_reply(long long id, const FractionalMatching& y) {
+  std::ostringstream os;
+  os << "ok " << id << " " << y.edge_count() << "\n";
+  for (EdgeId e = 0; e < y.edge_count(); ++e) os << y.weight(e) << "\n";
+  return os.str();
+}
+
+// --- (a) same parse outcomes -----------------------------------------------
+
+// One parse, recorded: every token and integer the grammar consumed, in
+// order, then success or the ParseError's line, token and message.
+struct ParseTrace {
+  std::string items;  // each item followed by '\x01'
+  bool ok = false;
+  int line = 0;
+  std::string token;
+  std::string message;
+  friend bool operator==(const ParseTrace&, const ParseTrace&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ParseTrace& t) {
+  return os << std::count(t.items.begin(), t.items.end(), '\x01')
+            << " items" << (t.ok ? ", ok" : ", failed: ") << t.message;
+}
+
+// kLevel is one level on its own, as a certificate-log record holds it.
+enum class Format { kCertificate, kLevel, kMultigraph, kDigraph };
+
+constexpr long long kMaxId = 2147483647;
+
+// Drives the graph_io and certificate_io grammars rule for rule over any
+// reader with LineReader's interface, recording what it consumes.
+template <class Reader>
+class GrammarWalk {
+ public:
+  explicit GrammarWalk(Reader& r) : r_(r) {}
+
+  ParseTrace run(Format format) {
+    try {
+      if (format == Format::kCertificate) {
+        certificate();
+      } else if (format == Format::kLevel) {
+        level();
+        record(r_.at_end() ? "at end" : "trailing content");
+      } else {
+        graph_file(format);
+      }
+      trace_.ok = true;
+    } catch (const ParseError& e) {
+      trace_.line = e.line();
+      trace_.token = e.token();
+      trace_.message = e.what();
+    }
+    return std::move(trace_);
+  }
+
+ private:
+  void record(std::string_view item) {
+    trace_.items += item;
+    trace_.items += '\x01';
+  }
+
+  auto token(const char* what) {
+    auto tok = r_.token(what);
+    record(tok);
+    return tok;
+  }
+
+  long long integer(const char* what, long long lo, long long hi) {
+    const long long value = r_.integer(what, lo, hi);
+    record(std::to_string(value));
+    return value;
+  }
+
+  void expect(const char* expected, const char* what) {
+    r_.expect(expected, what);
+    record(expected);
+  }
+
+  // graph_io: a multigraph or digraph, then nothing but whitespace.
+  void graph_file(Format format) {
+    const bool multi = format == Format::kMultigraph;
+    const char* const header = multi ? "multigraph" : "digraph";
+    expect(header, "header");
+    const long long nodes = integer("node count", 0, kMaxId);
+    const long long items =
+        integer(multi ? "edge count" : "arc count", 0, kMaxId);
+    for (long long i = 0; i < items; ++i) {
+      const auto tag = token(multi ? "edge line" : "arc line");
+      if (tag != (multi ? "e" : "a")) {
+        r_.fail(tag == header ? (multi ? "duplicated header inside edge list"
+                                       : "duplicated header inside arc list")
+                : multi ? "expected edge line 'e <u> <v> <colour>'"
+                        : "expected arc line 'a <tail> <head> <colour>'",
+                tag);
+      }
+      integer(multi ? "edge endpoint u" : "arc tail", 0, nodes - 1);
+      integer(multi ? "edge endpoint v" : "arc head", 0, nodes - 1);
+      integer("colour", -1, kMaxId);
+    }
+    if (!r_.at_end()) r_.fail("trailing garbage after graph", r_.token("?"));
+  }
+
+  // certificate_io: one G_i or H_i block; returns {nodes, edges}.
+  std::pair<long long, long long> graph(const char* tag) {
+    expect(tag, "graph header");
+    const long long nodes = integer("node count", 0, kMaxId);
+    const long long edges = integer("edge count", 0, kMaxId);
+    if (nodes > edges + 1) {
+      r_.fail("node count exceeds edge count + 1, so the graph cannot be "
+              "connected",
+              std::to_string(nodes));
+    }
+    for (long long e = 0; e < edges; ++e) {
+      expect("e", "edge line");
+      integer("edge endpoint u", 0, nodes - 1);
+      integer("edge endpoint v", 0, nodes - 1);
+      integer("colour", -1, kMaxId);
+    }
+    return {nodes, edges};
+  }
+
+  void rational(const char* what) {
+    const auto tok = token(what);
+    try {
+      (void)Rational::from_string(tok);
+    } catch (const Error&) {
+      r_.fail(std::string("malformed rational ") + what, tok);
+    }
+  }
+
+  void level() {
+    expect("level", "level line");
+    integer("level index", 0, kMaxId);
+    const auto [g_nodes, g_edges] = graph("g");
+    const auto [h_nodes, h_edges] = graph("h");
+    expect("witness", "witness line");
+    integer("witness g node", 0, g_nodes - 1);
+    integer("witness h node", 0, h_nodes - 1);
+    integer("witness colour", 0, kMaxId);
+    integer("witness g loop", 0, g_edges - 1);
+    integer("witness h loop", 0, h_edges - 1);
+    rational("witness g weight");
+    rational("witness h weight");
+    integer("propagation steps", 0, kMaxId);
+  }
+
+  void certificate() {
+    expect("ldlb-certificate", "certificate magic");
+    integer("format version", 1, 1);
+    expect("delta", "delta line");
+    integer("delta", 0, kMaxId);
+    expect("algorithm", "algorithm line");
+    token("algorithm name");
+    for (;;) {
+      const auto word = token("'level' or 'end'");
+      if (word == "end") break;
+      if (word != "level") r_.fail("expected 'level' or 'end'", word);
+      r_.push_back(word);
+      level();
+    }
+  }
+
+  Reader& r_;
+  ParseTrace trace_;
+};
+
+// The library parser's verdict on `text`: success, or the ParseError.
+template <class Parse>
+ParseTrace library_verdict(Parse parse) {
+  ParseTrace out;
+  try {
+    parse();
+    out.ok = true;
+  } catch (const ParseError& e) {
+    out.line = e.line();
+    out.token = e.token();
+    out.message = e.what();
+  }
+  return out;
+}
+
+// Parses `text` with the reference tokenizer and with the codec in both its
+// modes, expects identical traces, and expects the library's parsers (every
+// entry point for the format) to reach the same verdict.
+void expect_same_parse(const std::string& text, Format format) {
+  std::istringstream legacy_in{text};
+  LegacyLineReader legacy{legacy_in};
+  const ParseTrace want = GrammarWalk<LegacyLineReader>{legacy}.run(format);
+
+  std::istringstream stream_in{text};
+  LineReader stream_reader{stream_in};
+  EXPECT_EQ(GrammarWalk<LineReader>{stream_reader}.run(format), want)
+      << "istream mode on: " << text;
+  LineReader view_reader{std::string_view(text)};
+  EXPECT_EQ(GrammarWalk<LineReader>{view_reader}.run(format), want)
+      << "string_view mode on: " << text;
+
+  const auto check = [&](auto parse, const char* entry) {
+    const ParseTrace got = library_verdict(parse);
+    EXPECT_TRUE(got.ok == want.ok && got.line == want.line &&
+                got.token == want.token && got.message == want.message)
+        << entry << " gave " << got << " where the reference gave " << want
+        << " on: " << text;
+  };
+  switch (format) {
+    case Format::kCertificate:
+      check([&] { (void)certificate_from_string(text); },
+            "certificate_from_string");
+      check(
+          [&] {
+            std::istringstream is{text};
+            (void)read_certificate(is);
+          },
+          "read_certificate");
+      break;
+    case Format::kLevel:
+      // The library's verdict on trailing content is the walk's last item.
+      check(
+          [&] {
+            LineReader r{std::string_view(text)};
+            (void)read_certificate_level(r);
+          },
+          "read_certificate_level");
+      break;
+    case Format::kMultigraph:
+      check([&] { (void)multigraph_from_string(text); },
+            "multigraph_from_string");
+      break;
+    case Format::kDigraph:
+      check([&] { (void)digraph_from_string(text); }, "digraph_from_string");
+      break;
+  }
+}
+
+// Every byte-prefix, and every position overwritten with probe bytes:
+// whitespace of every kind, digits, signs, a slash, letters, a high byte.
+// `every_probe` tries them all at each position; otherwise position i gets
+// probe i mod 14, which keeps the sweep of a large text affordable.
+void sweep(const std::string& text, Format format, bool every_probe) {
+  static const char kProbes[] = {' ', '\n', '\t', '\r', '\v', '\f', '0',
+                                 '9', '-',  '+',  '/',  'e',  'x',  '\xa0'};
+  constexpr std::size_t kProbeCount = sizeof kProbes;
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    expect_same_parse(text.substr(0, cut), format);
+  }
+  std::string mutated = text;
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (std::size_t i = 0; i < kProbeCount; ++i) {
+      const char probe = kProbes[every_probe ? i : (at + i) % kProbeCount];
+      if (probe == text[at]) continue;
+      mutated[at] = probe;
+      expect_same_parse(mutated, format);
+      if (!every_probe) break;
+    }
+    mutated[at] = text[at];
+  }
+}
+
+Digraph orient(const Multigraph& g) {
+  Digraph d(g.node_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    d.add_arc(g.edge(e).u, g.edge(e).v, g.edge(e).color);
+  }
+  return d;
+}
+
+TEST(TextCodec, CorpusParsesLikeTheReference) {
+  for (const auto& bad : kBadMultigraphs) {
+    expect_same_parse(bad.text, Format::kMultigraph);
+  }
+  for (const auto& bad : kBadDigraphs) {
+    expect_same_parse(bad.text, Format::kDigraph);
+  }
+  for (const auto& bad : kBadCertificates) {
+    expect_same_parse(bad.text, Format::kCertificate);
+  }
+  expect_same_parse(valid_certificate_text(), Format::kCertificate);
+  expect_same_parse(kWideGraphCertificate, Format::kCertificate);
+  // Integer edge cases: signs, leading zeros, values past 64 bits.
+  for (const char* colour :
+       {"+5", "-1", "+-5", "-+5", "+", "-", "007", "-0", "5x", "1e3",
+        "99999999999999999999", "-99999999999999999999",
+        "+99999999999999999999", "9223372036854775807",
+        "-9223372036854775808", "99999999999999999999x"}) {
+    expect_same_parse(std::string("multigraph 2 1\ne 0 1 ") + colour + "\n",
+                      Format::kMultigraph);
+  }
+}
+
+TEST(TextCodec, MutatedSmallTextsParseLikeTheReference) {
+  SeqColorPacking alg{4};
+  sweep(certificate_to_string(run_adversary(alg, 4)), Format::kCertificate,
+        true);
+  const Multigraph g = greedy_edge_coloring(make_cycle(7));
+  sweep(graph_to_string(g), Format::kMultigraph, true);
+  sweep(graph_to_string(orient(g)), Format::kDigraph, true);
+}
+
+// The Δ=8 certificate is swept one level at a time, each level as the
+// payload of its certificate-log record (how verify --stream reads it), so
+// the sweep costs the sum of the squared level sizes, not the square of the
+// whole certificate's.
+TEST(TextCodec, MutatedDelta8LevelsParseLikeTheReference) {
+  SeqColorPacking alg{8};
+  const LowerBoundCertificate chain = run_adversary(alg, 8);
+  const std::string whole = certificate_to_string(chain);
+  expect_same_parse(whole, Format::kCertificate);
+  for (const CertificateLevel& lv : chain.levels) {
+    std::string payload;
+    append_certificate_level(payload, lv);
+    SCOPED_TRACE("level " + std::to_string(lv.level));
+    sweep(payload, Format::kLevel, false);
+  }
+}
+
+// strtoll stopped at a NUL byte and accepted the digits before it; the codec
+// reads the whole token, so such a token is not an integer.
+TEST(TextCodec, NulInsideAnIntegerTokenIsRejected) {
+  const std::string text("multigraph 2 1\ne 0 1\0009 0\n", 25);
+  std::istringstream legacy_in{text};
+  LegacyLineReader legacy{legacy_in};
+  const ParseTrace old = GrammarWalk<LegacyLineReader>{legacy}.run(
+      Format::kMultigraph);
+  EXPECT_TRUE(old.ok);  // endpoint v read as 1
+  try {
+    (void)multigraph_from_string(text);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.token(), std::string("1\0009", 3));
+    EXPECT_NE(std::string(e.what()).find("expected integer edge endpoint v"),
+              std::string::npos);
+  }
+}
+
+// --- (b) same written bytes ------------------------------------------------
+
+void expect_same_bytes(const LowerBoundCertificate& chain) {
+  SCOPED_TRACE(chain.algorithm_name + " delta " +
+               std::to_string(chain.delta));
+  for (const CertificateLevel& lv : chain.levels) {
+    std::string appended;
+    append_certificate_level(appended, lv);
+    EXPECT_EQ(appended, legacy_level(lv)) << "level " << lv.level;
+    std::ostringstream streamed;
+    write_certificate_level(streamed, lv);
+    EXPECT_EQ(streamed.str(), appended) << "level " << lv.level;
+    for (const Multigraph* g : {&lv.g, &lv.h}) {
+      std::ostringstream graph_os, digraph_os;
+      legacy_write_graph(graph_os, "multigraph", *g);
+      EXPECT_EQ(graph_to_string(*g), graph_os.str());
+      legacy_write_digraph(digraph_os, orient(*g));
+      EXPECT_EQ(graph_to_string(orient(*g)), digraph_os.str());
+    }
+  }
+  EXPECT_EQ(certificate_to_string(chain), legacy_certificate(chain));
+  EXPECT_EQ(CertificateLog::serialize(chain), legacy_cert_log(chain));
+  EXPECT_EQ(SnapshotStore::serialize(chain), legacy_snapshot(chain));
+}
+
+TEST(TextCodec, WritersMatchTheReferenceOnEveryChainLevel) {
+  AdversaryOptions options;
+  options.max_rounds = 40000;
+  for (int delta = 4; delta <= 11; ++delta) {
+    SeqColorPacking seq{delta};
+    expect_same_bytes(run_adversary(seq, delta, options));
+    TwoPhasePacking two{delta};
+    expect_same_bytes(run_adversary(two, delta, options));
+    ProposalPacking proposal;
+    EcFromPo po{proposal};
+    expect_same_bytes(run_adversary(po, delta, options));
+  }
+  SeqColorPacking seq{14};
+  expect_same_bytes(run_adversary(seq, 14, options));
+}
+
+TEST(TextCodec, WideWeightsAndRunRepliesMatchTheReference) {
+  SeqColorPacking alg{4};
+  CertificateLevel lv = run_adversary(alg, 4).levels[0];
+  const BigInt wide = BigInt::pow2(70) + BigInt{1};
+  lv.g_weight = Rational(wide, BigInt::pow2(71));
+  lv.h_weight = Rational(-wide * wide, BigInt{3});
+  std::string appended;
+  append_certificate_level(appended, lv);
+  EXPECT_EQ(appended, legacy_level(lv));
+  EXPECT_NE(appended.find("1180591620717411303425/2361183241434822606848"),
+            std::string::npos);
+
+  const std::vector<Rational> weights = {
+      Rational(0),        Rational(1),       Rational(1, 2),
+      Rational(-3, 7),    lv.g_weight,       lv.h_weight,
+      Rational(wide, BigInt{1}), Rational(BigInt{1}, wide)};
+  const FractionalMatching y{weights};
+  const std::string reply = detail::run_reply(42, y);
+  EXPECT_EQ(reply, legacy_run_reply(42, y));
+  const std::size_t nl = reply.find('\n');
+  EXPECT_EQ(detail::read_weight_list(std::string_view(reply).substr(nl + 1),
+                                     y.edge_count()),
+            weights);
+}
+
+// --- (c) pinned bytes ------------------------------------------------------
+
+// The Δ=14 log as the ostream writers produced it: any byte the codec moves
+// changes this digest.
+TEST(TextCodec, Delta14LogDigestIsPinned) {
+  SeqColorPacking alg{14};
+  const std::string text = CertificateLog::serialize(run_adversary(alg, 14));
+  EXPECT_EQ(text.size(), 2656756u);
+  EXPECT_EQ(checksum_to_hex(fnv1a_128(text)),
+            "e262b2c099c8b872eef82a63c9eb2b3e");
 }
 
 }  // namespace

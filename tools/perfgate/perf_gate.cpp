@@ -12,8 +12,8 @@
 //
 // Usage:
 //   ldlb_perf_gate <baseline-file> [--delta N] [--reps N] [--factor F]
-//                  [--loopiness]
-//   ldlb_perf_gate --measure [--delta N] [--reps N] [--loopiness]
+//                  [--loopiness] [--stream]
+//   ldlb_perf_gate --measure [--delta N] [--reps N] [--loopiness] [--stream]
 //
 // The baseline file holds one number: the reference min wall time in
 // milliseconds (regenerate with --measure on a quiet machine). The gate
@@ -21,8 +21,16 @@
 // --loopiness validates with (P2) on, so the timed chain also covers the
 // factor-graph kernel (cover/factor_graph) behind loopiness; without it
 // validation checks (P1) and (P3) only.
+// --stream times the certificate-log path instead: the chain is built and
+// its log written once, untimed, and each rep times
+// CertificateLog::serialize plus validate_certificate_log over that log —
+// the text codec (render, checksum, parse) and streaming validation, with
+// no fsync inside the timed region.
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -30,6 +38,8 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
+#include "ldlb/util/atomic_file.hpp"
 #include "ldlb/view/isomorphism.hpp"
 
 namespace {
@@ -52,11 +62,48 @@ double run_once_ms(int delta, bool check_loopiness) {
       .count();
 }
 
+double elapsed_ms(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Min-of-`reps` wall time of render + streaming verify of the delta chain.
+double stream_best_ms(int delta, int reps, bool check_loopiness) {
+  ldlb::SeqColorPacking alg{delta};
+  const ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ldlb_perf_gate_" + std::to_string(::getpid()) + ".log"))
+          .string();
+  ldlb::CertificateLog log{path};
+  log.checkpoint(cert);
+  double best = 0.0;
+  bool ok = true;
+  for (int rep = 0; rep < reps; ++rep) {
+    ldlb::clear_ball_encoding_cache();
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string text = ldlb::CertificateLog::serialize(cert);
+    const ldlb::CertLogValidation v =
+        ldlb::validate_certificate_log(path, alg, check_loopiness);
+    const double ms = elapsed_ms(t0);
+    ok = ok && v.ok() && v.delta == delta && text == ldlb::read_file(path);
+    if (rep == 0 || ms < best) best = ms;
+  }
+  log.remove();
+  if (!ok) {
+    std::cerr << "perf gate: delta " << delta
+              << " certificate log did not verify — timing is meaningless\n";
+    std::exit(2);
+  }
+  return best;
+}
+
 int usage() {
   std::cerr << "usage: ldlb_perf_gate <baseline-file> [--delta N] [--reps N]"
-               " [--factor F] [--loopiness]\n"
+               " [--factor F] [--loopiness] [--stream]\n"
                "       ldlb_perf_gate --measure [--delta N] [--reps N]"
-               " [--loopiness]\n";
+               " [--loopiness] [--stream]\n";
   return 2;
 }
 
@@ -69,10 +116,13 @@ int main(int argc, char** argv) {
   int reps = 3;
   double factor = 2.0;
   bool check_loopiness = false;
+  bool stream = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--measure") {
       measure = true;
+    } else if (arg == "--stream") {
+      stream = true;
     } else if (arg == "--loopiness") {
       check_loopiness = true;
     } else if (arg == "--delta" && i + 1 < argc) {
@@ -91,9 +141,13 @@ int main(int argc, char** argv) {
   if (!measure && baseline_file.empty()) return usage();
 
   double best = 0.0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const double ms = run_once_ms(delta, check_loopiness);
-    if (rep == 0 || ms < best) best = ms;
+  if (stream) {
+    best = stream_best_ms(delta, reps, check_loopiness);
+  } else {
+    for (int rep = 0; rep < reps; ++rep) {
+      const double ms = run_once_ms(delta, check_loopiness);
+      if (rep == 0 || ms < best) best = ms;
+    }
   }
 
   if (measure) {
@@ -108,15 +162,17 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  std::cout << "perf gate: delta " << delta << " adversary+validate"
+  std::cout << "perf gate: delta " << delta
+            << (stream ? " log render+stream verify" : " adversary+validate")
             << (check_loopiness ? " (P2 on)" : "") << " min-of-" << reps
             << " = " << best << " ms (baseline " << baseline
             << " ms, tolerance " << factor << "x)\n";
   if (best > factor * baseline) {
     std::cerr << "perf gate: REGRESSION — " << best << " ms exceeds "
               << factor << " x " << baseline << " ms; the "
-              << (check_loopiness ? "factor-graph kernel's"
-                                  : "canonical ball engine's")
+              << (stream            ? "text codec's"
+                  : check_loopiness ? "factor-graph kernel's"
+                                    : "canonical ball engine's")
               << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
   }
