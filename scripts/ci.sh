@@ -23,8 +23,10 @@
 # perf-regression gate that holds the Δ=12 adversary+validate chain within
 # 2x of the checked-in canonical-ball-engine baseline, the Δ=14 chain
 # with full (P2-on) validation within 2x of the factor-graph-kernel
-# baseline, and the Δ=14 log render + streaming verify within 2x of the
-# text-codec baseline. All stages must be green.
+# baseline, the Δ=14 log render + streaming verify within 2x of the
+# text-codec baseline, and the Δ=11 simulated-PO chain with full
+# validation within 2x of the closed-form baseline. All stages must be
+# green.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -340,6 +342,15 @@ build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_p2_ms.txt \
 echo "== perf gate (delta 14 log render + stream verify) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_stream_ms.txt \
   --delta 14 --stream
+# The simulated-PO subject, EcFromPo(ProposalPacking), at Δ=11: chain plus
+# full (P2-on) validation. Its closed form (EcFromPo::evaluate_direct over
+# ProposalPacking's flat offer/grant loop) must keep it within 2x of its
+# baseline (it measured 30-45 ms with --measure); the message-passing
+# interpreter it replaced measured 153-163 ms on the same box, 4x the
+# baseline.
+echo "== perf gate (delta 11 po closed form, P2 on) =="
+build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta11_po_ms.txt \
+  --delta 11 --loopiness --algorithm po
 run_chaos build 25
 run_fleet_determinism build
 run_socket_fleet_determinism build

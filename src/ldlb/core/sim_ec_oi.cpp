@@ -2,26 +2,6 @@
 
 namespace ldlb {
 
-DoubledGraph double_ec_graph(const Multigraph& g) {
-  LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
-                   "the §5.1 doubling needs a proper EC colouring");
-  DoubledGraph out;
-  out.digraph.add_nodes(g.node_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const auto& ed = g.edge(e);
-    if (ed.is_loop()) {
-      EdgeId a = out.digraph.add_arc(ed.u, ed.u, ed.color);
-      out.arc_of_edge.push_back({a, kNoEdge});
-    } else {
-      EdgeId a1 = out.digraph.add_arc(ed.u, ed.v, ed.color);
-      EdgeId a2 = out.digraph.add_arc(ed.v, ed.u, ed.color);
-      out.arc_of_edge.push_back({a1, a2});
-    }
-  }
-  LDLB_ENSURE(out.digraph.has_proper_po_coloring());
-  return out;
-}
-
 FractionalMatching simulate_oi_on_ec(const Multigraph& g,
                                      OiViewAlgorithm& aoi) {
   DoubledGraph doubled = double_ec_graph(g);

@@ -10,22 +10,11 @@
 // (OI ⇐ ID) is IdAsOi from sim_oi_id.hpp.
 #pragma once
 
+#include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/core/sim_po_oi.hpp"
 #include "ldlb/graph/multigraph.hpp"
 
 namespace ldlb {
-
-/// The §5.1 doubling: every EC edge {u,v} of colour c becomes arcs (u,v)
-/// and (v,u) of colour c (arc ids 2e and 2e+1); an EC loop becomes a single
-/// directed loop (arc id 2e; arc id 2e+1 is not created — the mapping is
-/// recorded in `arc_of_edge`).
-struct DoubledGraph {
-  Digraph digraph;
-  /// arc ids (first, second) per EC edge; second == kNoEdge for loops.
-  std::vector<std::pair<EdgeId, EdgeId>> arc_of_edge;
-};
-
-DoubledGraph double_ec_graph(const Multigraph& g);
 
 /// Runs an OI algorithm on an EC graph through the full §5.1 + §5.3 chain.
 FractionalMatching simulate_oi_on_ec(const Multigraph& g,

@@ -6,6 +6,26 @@
 
 namespace ldlb {
 
+DoubledGraph double_ec_graph(const Multigraph& g) {
+  LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
+                   "the §5.1 doubling needs a proper EC colouring");
+  DoubledGraph out;
+  out.digraph.add_nodes(g.node_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& ed = g.edge(e);
+    if (ed.is_loop()) {
+      EdgeId a = out.digraph.add_arc(ed.u, ed.u, ed.color);
+      out.arc_of_edge.push_back({a, kNoEdge});
+    } else {
+      EdgeId a1 = out.digraph.add_arc(ed.u, ed.v, ed.color);
+      EdgeId a2 = out.digraph.add_arc(ed.v, ed.u, ed.color);
+      out.arc_of_edge.push_back({a1, a2});
+    }
+  }
+  LDLB_ENSURE(out.digraph.has_proper_po_coloring());
+  return out;
+}
+
 Message encode_message_pair(const Message* out_part, const Message* in_part) {
   auto chunk = [](const Message* m) {
     if (m == nullptr) return std::string("-");
@@ -98,6 +118,54 @@ MessagePair decode_message_pair(const Message& packed) {
   pair.has_in = parse_chunk(packed, pos, pair.in);
   LDLB_REQUIRE_MSG(pos == packed.size(), "trailing bytes in message pair");
   return pair;
+}
+
+std::optional<EcDirectRun> EcFromPo::evaluate_direct(
+    const Multigraph& g) const {
+  const DoubledGraph doubled = double_ec_graph(g);
+  std::vector<EdgeId> edge_of_arc(
+      static_cast<std::size_t>(doubled.digraph.arc_count()));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto [a1, a2] = doubled.arc_of_edge[static_cast<std::size_t>(e)];
+    edge_of_arc[static_cast<std::size_t>(a1)] = e;
+    if (a2 != kNoEdge) edge_of_arc[static_cast<std::size_t>(a2)] = e;
+  }
+  // Node::send packs the out-half and in-half of one EC end — slot 2e for
+  // edge e's end at its endpoint u, 2e+1 at v — into one message,
+  // "<len>:<body>" per present half and "-" per absent one. The first send
+  // of a round on a slot opens its message with the other half counted
+  // absent; a second send on it fills that half in.
+  EcDirectRun run;
+  std::vector<int> last_round(static_cast<std::size_t>(2 * g.edge_count()), 0);
+  auto framed = [](std::size_t body) {
+    long long digits = 1;
+    for (std::size_t rest = body / 10; rest != 0; rest /= 10) ++digits;
+    return digits + 1 + static_cast<long long>(body);
+  };
+  const PoSendObserver on_send = [&](const PoSend& send) {
+    const EdgeId e = edge_of_arc[static_cast<std::size_t>(send.arc)];
+    const auto slot =
+        static_cast<std::size_t>(2 * e + (send.node == g.edge(e).u ? 0 : 1));
+    if (last_round[slot] == send.round) {
+      run.message_bytes += framed(send.bytes) - 1;
+    } else {
+      last_round[slot] = send.round;
+      ++run.messages;
+      run.message_bytes += framed(send.bytes) + 1;
+    }
+  };
+  std::optional<PoDirectRun> po =
+      inner_->evaluate_direct(doubled.digraph, on_send);
+  if (!po) return std::nullopt;
+  run.rounds = po->rounds;
+  run.edge_weights.resize(static_cast<std::size_t>(g.edge_count()));
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto [a1, a2] = doubled.arc_of_edge[static_cast<std::size_t>(e)];
+    Rational& w = run.edge_weights[static_cast<std::size_t>(e)];
+    w = po->arc_weights[static_cast<std::size_t>(a1)];
+    w += po->arc_weights[static_cast<std::size_t>(a2 == kNoEdge ? a1 : a2)];
+  }
+  return run;
 }
 
 std::unique_ptr<EcNodeState> EcFromPo::make_node(const EcNodeContext& ctx) {

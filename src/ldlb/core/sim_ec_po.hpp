@@ -17,11 +17,33 @@
 // semantics. Because the wrapper is itself an EcAlgorithm, the Section-4
 // adversary can be run against any PO algorithm directly (see §5.5 of the
 // paper, where the chain of simulations ends in exactly this position).
+//
+// That node-local simulation is the same run as the inner algorithm on the
+// doubled digraph itself, so when the inner algorithm has a closed form the
+// wrapper has one too (EcFromPo::evaluate_direct): evaluate on
+// double_ec_graph(g), fold the weights back, and frame the inner sends into
+// the EC messages the wrapper would have sent.
 #pragma once
 
+#include <utility>
+#include <vector>
+
+#include "ldlb/graph/digraph.hpp"
+#include "ldlb/graph/multigraph.hpp"
 #include "ldlb/local/algorithm.hpp"
 
 namespace ldlb {
+
+/// The §5.1 doubling: every EC edge {u,v} of colour c becomes arcs (u,v)
+/// and (v,u) of colour c; an EC loop becomes a single directed loop. Arcs
+/// are numbered in edge order; `arc_of_edge` records the mapping.
+struct DoubledGraph {
+  Digraph digraph;
+  /// arc ids (first, second) per EC edge; second == kNoEdge for loops.
+  std::vector<std::pair<EdgeId, EdgeId>> arc_of_edge;
+};
+
+DoubledGraph double_ec_graph(const Multigraph& g);
 
 /// Wraps a PO algorithm as an EC algorithm per Section 5.1. The wrapped
 /// algorithm must outlive the wrapper.
@@ -33,6 +55,15 @@ class EcFromPo : public EcAlgorithm {
   [[nodiscard]] std::string name() const override {
     return "EcFromPo(" + inner_->name() + ")";
   }
+
+  /// Closed form whenever the inner algorithm has one: runs the inner
+  /// PoAlgorithm::evaluate_direct on double_ec_graph(g), folds the arc
+  /// weights back as y(u,v) + y(v,u) (twice a directed loop's weight), and
+  /// frames the reported sends exactly as Node::send would: one EC message
+  /// per (round, node, colour) with a send on either half, of size
+  /// encode_message_pair(out, in). Declines when the inner one does.
+  [[nodiscard]] std::optional<EcDirectRun> evaluate_direct(
+      const Multigraph& g) const override;
 
  private:
   PoAlgorithm* inner_;

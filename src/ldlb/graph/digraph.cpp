@@ -4,7 +4,6 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <unordered_set>
 
 namespace ldlb {
 
@@ -25,18 +24,41 @@ int Digraph::max_degree() const {
 }
 
 bool Digraph::has_proper_po_coloring() const {
-  for (NodeId v = 0; v < node_count(); ++v) {
-    std::unordered_set<Color> out_colors;
-    for (EdgeId e : out_arcs(v)) {
-      Color c = arc(e).color;
-      if (c < 0) return false;  // uncoloured, or not a colour at all
-      if (!out_colors.insert(c).second) return false;
+  Color max_color = 0;
+  for (const Arc& a : arcs_) {
+    if (a.color < 0) return false;  // uncoloured, or not a colour at all
+    max_color = std::max(max_color, a.color);
+  }
+  // As in Multigraph::has_proper_edge_coloring: this guards every PO run and
+  // every §5.1 doubling, so no hash set per node. Stamp arrays over the
+  // colour range (seen[c] = last node with an arc end of colour c on that
+  // side) while colours fit the graph's size; past that, sort each node's
+  // colours so a colour near 2^31 costs no colour-sized memory.
+  const bool stamp = static_cast<std::size_t>(max_color) <
+                     static_cast<std::size_t>(node_count()) + arcs_.size();
+  std::vector<NodeId> seen_out(stamp ? max_color + 1 : 0, kNoNode);
+  std::vector<NodeId> seen_in(seen_out);
+  std::vector<Color> at;
+  auto distinct = [&](const std::vector<EdgeId>& ids, std::vector<NodeId>& seen,
+                      NodeId v) {
+    if (stamp) {
+      for (EdgeId e : ids) {
+        auto& slot = seen[static_cast<std::size_t>(
+            arcs_[static_cast<std::size_t>(e)].color)];
+        if (slot == v) return false;
+        slot = v;
+      }
+      return true;
     }
-    std::unordered_set<Color> in_colors;
-    for (EdgeId e : in_arcs(v)) {
-      Color c = arc(e).color;
-      if (c < 0) return false;  // uncoloured, or not a colour at all
-      if (!in_colors.insert(c).second) return false;
+    at.clear();
+    for (EdgeId e : ids) at.push_back(arcs_[static_cast<std::size_t>(e)].color);
+    std::sort(at.begin(), at.end());
+    return std::adjacent_find(at.begin(), at.end()) == at.end();
+  };
+  for (NodeId v = 0; v < node_count(); ++v) {
+    if (!distinct(out_[static_cast<std::size_t>(v)], seen_out, v) ||
+        !distinct(in_[static_cast<std::size_t>(v)], seen_in, v)) {
+      return false;
     }
   }
   return true;

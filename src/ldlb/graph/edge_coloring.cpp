@@ -1,5 +1,6 @@
 #include "ldlb/graph/edge_coloring.hpp"
 
+#include <algorithm>
 #include <set>
 #include <unordered_set>
 
@@ -53,6 +54,31 @@ int colors_used(const Multigraph& g) {
     colors.insert(g.edge(e).color);
   }
   return static_cast<int>(colors.size());
+}
+
+std::optional<ColorClasses> color_classes(const Multigraph& g,
+                                          int num_colors) {
+  LDLB_REQUIRE(num_colors >= 0);
+  // The histogram spans the whole colour budget, so the range check and the
+  // count share one pass with no prior max_color scan.
+  ColorClasses out;
+  out.offsets.assign(static_cast<std::size_t>(num_colors) + 1, 0);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Color c = g.edge(e).color;
+    if (c < 0 || c >= num_colors) return std::nullopt;
+    ++out.offsets[static_cast<std::size_t>(c) + 1];
+    out.max_color = std::max(out.max_color, c);
+  }
+  for (std::size_t c = 1; c < out.offsets.size(); ++c) {
+    out.offsets[c] += out.offsets[c - 1];
+  }
+  out.edges.resize(static_cast<std::size_t>(g.edge_count()));
+  std::vector<std::int32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    out.edges[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(g.edge(e).color)]++)] = e;
+  }
+  return out;
 }
 
 }  // namespace ldlb

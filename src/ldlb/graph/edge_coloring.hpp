@@ -15,6 +15,10 @@
 // `Multigraph::has_proper_edge_coloring` / `Digraph::has_proper_po_coloring`.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "ldlb/graph/digraph.hpp"
 #include "ldlb/graph/multigraph.hpp"
 
@@ -33,5 +37,21 @@ Digraph greedy_po_coloring(const Digraph& g);
 /// Number of colours a colouring uses; requires the graph to be fully
 /// coloured.
 int colors_used(const Multigraph& g);
+
+/// Edge ids grouped by colour (a counting sort): class c is
+/// `edges[offsets[c] .. offsets[c + 1])`, ids ascending within a class.
+struct ColorClasses {
+  std::vector<std::int32_t> offsets;  ///< num_colors + 1 prefix sums
+  std::vector<EdgeId> edges;
+  Color max_color = -1;  ///< largest colour present; -1 when edgeless
+};
+
+/// Colour classes of `g` under a colour budget of `num_colors`, in one pass
+/// over the edges; nullopt when some edge colour lies outside
+/// [0, num_colors). The colour-sweep closed forms (SeqColorPacking,
+/// TwoPhasePacking) settle one class per round, and decline, via nullopt,
+/// exactly the input their node machines reject.
+std::optional<ColorClasses> color_classes(const Multigraph& g,
+                                          int num_colors);
 
 }  // namespace ldlb

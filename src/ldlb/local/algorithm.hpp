@@ -22,7 +22,9 @@
 // into global state).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -106,7 +108,11 @@ class EcAlgorithm {
   /// would fail, so errors keep surfacing from the real execution path. The
   /// simulator only consults this on unobserved runs (no hooks, no
   /// diagnostics, no message/wall budgets) and enforces the round budget on
-  /// the returned count itself.
+  /// the returned count itself. An evaluation is not interruptible; the
+  /// simulator polls the run's cancellation token before and after it.
+  /// Under `slow_checks_enabled()` it re-runs the interpreter after every
+  /// evaluation and requires all four fields to match, so an evaluator that
+  /// drifts from its state machine fails loudly.
   [[nodiscard]] virtual std::optional<EcDirectRun> evaluate_direct(
       const Multigraph& g) const {
     (void)g;
@@ -147,6 +153,30 @@ class PoNodeState {
   [[nodiscard]] virtual std::map<PoEnd, Rational> output() const = 0;
 };
 
+/// One message of a closed-form PO run (see PoAlgorithm::evaluate_direct):
+/// in round `round`, `node` sent `bytes` payload bytes through its end `end`
+/// of arc `arc`.
+struct PoSend {
+  int round = 0;
+  NodeId node = kNoNode;
+  PoEnd end;
+  EdgeId arc = kNoEdge;
+  std::size_t bytes = 0;
+};
+
+/// Receives every PoSend of a closed-form PO run, in nondecreasing round
+/// order.
+using PoSendObserver = std::function<void(const PoSend&)>;
+
+/// Outcome of a closed-form PO run: the interpreter's weights and round
+/// count. Its traffic is reported send by send instead of summed, because a
+/// simulation that wraps the PO algorithm (EcFromPo) frames several sends
+/// into one message of its own.
+struct PoDirectRun {
+  std::vector<Rational> arc_weights;  ///< indexed by arc id
+  int rounds = 0;                     ///< rounds until the last node halted
+};
+
 /// Factory for PO node state machines.
 class PoAlgorithm {
  public:
@@ -156,6 +186,21 @@ class PoAlgorithm {
 
   /// See EcAlgorithm::parallel_safe.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
+
+  /// PO form of EcAlgorithm::evaluate_direct, with the same contract: on a
+  /// properly PO-coloured `g`, either decline (nullopt) or return exactly the
+  /// weights and round count run_po would produce, and call `on_send` once
+  /// for every message run_po would deliver, in round order. Summing the
+  /// reported sends gives run_po's messages and message_bytes. run_po itself
+  /// always interprets; the seam serves simulations that run a PO algorithm
+  /// inside an EC run (EcFromPo::evaluate_direct), whose own unobserved-run
+  /// rules then apply.
+  [[nodiscard]] virtual std::optional<PoDirectRun> evaluate_direct(
+      const Digraph& g, const PoSendObserver& on_send) const {
+    (void)g;
+    (void)on_send;
+    return std::nullopt;
+  }
 };
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "ldlb/util/slow_checks.hpp"
 #include "ldlb/util/thread_pool.hpp"
 
 namespace ldlb {
@@ -96,41 +97,11 @@ void RunDiagnostics::reset(NodeId nodes) {
   supervision.clear();
 }
 
-RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
-                 const RunOptions& options) {
-  LDLB_REQUIRE_MSG(options.budget.max_rounds > 0,
-                   "a run budget needs max_rounds > 0");
-  LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
-                   "EC algorithms need a proper edge colouring");
-  // Closed-form fast path: when nothing observes the round-by-round
-  // execution (no hooks, no diagnostics, no message or wall-clock budget —
-  // those are defined over interpreted traffic), an algorithm with a direct
-  // evaluator produces the identical RunResult without building node state
-  // machines or materialising messages. The round budget still applies to
-  // the evaluated round count, with the interpreter's exact error.
-  if (options.hooks == nullptr && options.diagnostics == nullptr &&
-      options.budget.max_messages <= 0 &&
-      options.budget.max_wall_seconds <= 0) {
-    if (std::optional<EcDirectRun> direct = alg.evaluate_direct(g)) {
-      if (options.cancel) options.cancel->check();
-      // The interpreter only notices the overrun when it *enters* round
-      // max_rounds + 1, i.e. exactly when the run needs more rounds.
-      check_round_budget(options.budget,
-                         std::min(direct->rounds,
-                                  options.budget.max_rounds + 1),
-                         alg.name());
-      LDLB_ENSURE(direct->edge_weights.size() ==
-                  static_cast<std::size_t>(g.edge_count()));
-      RunResult result;
-      result.rounds = direct->rounds;
-      result.messages = direct->messages;
-      result.message_bytes = direct->message_bytes;
-      // Adopt the weight vector wholesale — the per-edge set_weight loop
-      // this replaces cost more than the evaluation itself at Δ=12.
-      result.matching = FractionalMatching(std::move(direct->edge_weights));
-      return result;
-    }
-  }
+namespace {
+
+// The message-passing interpreter behind run_ec.
+RunResult interpret_ec(const Multigraph& g, EcAlgorithm& alg,
+                       const RunOptions& options) {
   const int delta = g.max_degree();
   // ldlb-analyze: allow(determinism): start-of-run timestamp for the wall
   // budget; only decides when BudgetExceeded fires.
@@ -372,6 +343,63 @@ RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
       }
     }
     result.matching.set_weight(e, wu);
+  }
+  return result;
+}
+
+}  // namespace
+
+RunResult run_ec(const Multigraph& g, EcAlgorithm& alg,
+                 const RunOptions& options) {
+  LDLB_REQUIRE_MSG(options.budget.max_rounds > 0,
+                   "a run budget needs max_rounds > 0");
+  LDLB_REQUIRE_MSG(g.has_proper_edge_coloring(),
+                   "EC algorithms need a proper edge colouring");
+  // Closed-form fast path: when nothing observes the round-by-round
+  // execution (no hooks, no diagnostics, no message or wall-clock budget —
+  // those are defined over interpreted traffic), an algorithm with a direct
+  // evaluator produces the identical RunResult without building node state
+  // machines or materialising messages. The round budget still applies to
+  // the evaluated round count, with the interpreter's exact error.
+  if (options.hooks != nullptr || options.diagnostics != nullptr ||
+      options.budget.max_messages > 0 || options.budget.max_wall_seconds > 0) {
+    return interpret_ec(g, alg, options);
+  }
+  // An evaluation is a whole run (EcFromPo's is every round of the inner
+  // algorithm), so a cancelled token is honoured before paying for it.
+  if (options.cancel) options.cancel->check();
+  std::optional<EcDirectRun> direct = alg.evaluate_direct(g);
+  if (!direct) return interpret_ec(g, alg, options);
+  if (options.cancel) options.cancel->check();
+  // The interpreter only notices the overrun when it *enters* round
+  // max_rounds + 1, i.e. exactly when the run needs more rounds.
+  check_round_budget(options.budget,
+                     std::min(direct->rounds, options.budget.max_rounds + 1),
+                     alg.name());
+  LDLB_ENSURE(direct->edge_weights.size() ==
+              static_cast<std::size_t>(g.edge_count()));
+  RunResult result;
+  result.rounds = direct->rounds;
+  result.messages = direct->messages;
+  result.message_bytes = direct->message_bytes;
+  // Adopt the weight vector wholesale — the per-edge set_weight loop this
+  // replaces cost more than the evaluation itself at Δ=12.
+  result.matching = FractionalMatching(std::move(direct->edge_weights));
+  if (slow_checks_enabled()) {
+    // Debug oracle (util/slow_checks.hpp): the closed form must agree with
+    // the interpreter field for field.
+    const RunResult oracle = interpret_ec(g, alg, options);
+    LDLB_ENSURE_MSG(
+        oracle.rounds == result.rounds && oracle.messages == result.messages &&
+            oracle.message_bytes == result.message_bytes &&
+            oracle.matching.weights() == result.matching.weights(),
+        "closed form of '" << alg.name()
+                           << "' disagrees with the interpreter: rounds "
+                           << result.rounds << " vs " << oracle.rounds
+                           << ", messages " << result.messages << " vs "
+                           << oracle.messages << ", bytes "
+                           << result.message_bytes << " vs "
+                           << oracle.message_bytes);
   }
   return result;
 }

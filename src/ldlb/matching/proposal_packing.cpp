@@ -1,6 +1,7 @@
 #include "ldlb/matching/proposal_packing.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace ldlb {
 
@@ -103,6 +104,77 @@ class Node final : public PoNodeState {
 std::unique_ptr<PoNodeState> ProposalPacking::make_node(
     const PoNodeContext& ctx) {
   return std::make_unique<Node>(ctx);
+}
+
+std::optional<PoDirectRun> ProposalPacking::evaluate_direct(
+    const Digraph& g, const PoSendObserver& on_send) const {
+  // Flat form of Node. The two ends of an arc open and close together: a
+  // SAT closes the end it leaves and the end it reaches in the same round,
+  // and an open end is never silent, since both its nodes are live. So one
+  // open flag per arc carries both ends, and every round each open arc
+  // carries one message per end.
+  const auto n = static_cast<std::size_t>(g.node_count());
+  const int round_budget = proposal_packing_round_budget(g.node_count(),
+                                                         g.arc_count());
+  PoDirectRun run;
+  run.arc_weights.resize(static_cast<std::size_t>(g.arc_count()));
+  std::vector<Rational> residual(n, Rational(1));
+  std::vector<int> open_ends(n, 0);  // a directed loop holds two ends
+  std::vector<EdgeId> open_arcs;
+  open_arcs.reserve(static_cast<std::size_t>(g.arc_count()));
+  for (EdgeId a = 0; a < g.arc_count(); ++a) {
+    ++open_ends[static_cast<std::size_t>(g.arc(a).tail)];
+    ++open_ends[static_cast<std::size_t>(g.arc(a).head)];
+    open_arcs.push_back(a);
+  }
+  // This round's message per live node: its offer residual / open, or SAT
+  // (offered == 0) once saturated; `bytes` is the serialised size.
+  std::vector<Rational> offer(n);
+  std::vector<char> offered(n, 0);
+  std::vector<std::size_t> bytes(n, 0);
+  std::string text;
+  const std::size_t sat_bytes = std::char_traits<char>::length(kSat);
+  int round = 0;
+  while (!open_arcs.empty()) {
+    if (++round > round_budget) return std::nullopt;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (open_ends[v] == 0) continue;
+      offered[v] = residual[v].is_zero() ? 0 : 1;
+      if (!offered[v]) {
+        bytes[v] = sat_bytes;
+        continue;
+      }
+      offer[v] = residual[v] / Rational(open_ends[v]);
+      text.clear();
+      offer[v].append_to(text);
+      bytes[v] = text.size();
+    }
+    // An arc whose two ends both offered gains the smaller offer on each
+    // end (a directed loop's node offers to itself through both, so it pays
+    // twice); a SAT on either end closes the arc. Residuals fall only here,
+    // after every offer of the round is fixed, as in Node::receive.
+    std::size_t kept = 0;
+    for (const EdgeId a : open_arcs) {
+      const auto& arc = g.arc(a);
+      const auto t = static_cast<std::size_t>(arc.tail);
+      const auto h = static_cast<std::size_t>(arc.head);
+      on_send({round, arc.tail, PoEnd{true, arc.color}, a, bytes[t]});
+      on_send({round, arc.head, PoEnd{false, arc.color}, a, bytes[h]});
+      if (offered[t] && offered[h]) {
+        const Rational gain = Rational::min(offer[t], offer[h]);
+        run.arc_weights[static_cast<std::size_t>(a)] += gain;
+        residual[t] -= gain;
+        residual[h] -= gain;
+        open_arcs[kept++] = a;
+      } else {
+        --open_ends[t];
+        --open_ends[h];
+      }
+    }
+    open_arcs.resize(kept);
+  }
+  run.rounds = round;
+  return run;
 }
 
 }  // namespace ldlb

@@ -33,7 +33,7 @@
 // of same-coloured arcs to twins.
 #pragma once
 
-// ldlb-analyze: allow(layering): ProposalPacking is an EC-model algorithm;
+// ldlb-analyze: allow(layering): ProposalPacking is a PO-model algorithm;
 // it implements the interface declared one layer up (see ROADMAP,
 // model-interface inversion).
 #include "ldlb/local/algorithm.hpp"
@@ -47,6 +47,14 @@ class ProposalPacking : public PoAlgorithm {
   std::unique_ptr<PoNodeState> make_node(const PoNodeContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "ProposalPacking"; }
   [[nodiscard]] bool parallel_safe() const override { return true; }
+
+  // The protocol is a fixed offer/grant/SAT exchange over paired arc ends,
+  // so the run has a closed form: one flat loop per round over the open
+  // arcs, on exact residuals. Reproduces the interpreter's weights, rounds
+  // and every send exactly; declines past
+  // proposal_packing_round_budget(n, m), which the protocol never needs.
+  [[nodiscard]] std::optional<PoDirectRun> evaluate_direct(
+      const Digraph& g, const PoSendObserver& on_send) const override;
 };
 
 /// A safe round budget for running ProposalPacking on a graph with n nodes

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ldlb/graph/edge_coloring.hpp"
+
 namespace ldlb {
 
 namespace {
@@ -73,19 +75,11 @@ std::unique_ptr<EcNodeState> SeqColorPacking::make_node(
 
 std::optional<EcDirectRun> SeqColorPacking::evaluate_direct(
     const Multigraph& g) const {
-  // Single pass fuses the decline check (interpretation would fail: the
-  // Node constructor rejects colours outside [0, num_colors)) with the
-  // counting-sort histogram; the histogram spans the full colour budget so
-  // its size needs no prior max_color scan.
-  Color max_color = -1;
-  std::vector<std::int32_t> offsets(static_cast<std::size_t>(num_colors_) + 1,
-                                    0);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const Color c = g.edge(e).color;
-    if (c < 0 || c >= num_colors_) return std::nullopt;
-    ++offsets[static_cast<std::size_t>(c) + 1];
-    max_color = std::max(max_color, c);
-  }
+  // Declines exactly where interpretation would fail: the Node constructor
+  // rejects colours outside [0, num_colors).
+  const std::optional<ColorClasses> classes = color_classes(g, num_colors_);
+  if (!classes) return std::nullopt;
+  const Color max_color = classes->max_color;
 
   EcDirectRun run;
   // Every node halts right after the round of its largest incident colour,
@@ -93,21 +87,6 @@ std::optional<EcDirectRun> SeqColorPacking::evaluate_direct(
   // loop at all on an edgeless graph).
   run.rounds = max_color + 1;
   run.edge_weights.resize(static_cast<std::size_t>(g.edge_count()));
-  if (g.edge_count() == 0) return run;
-
-  // Edge ids bucketed by colour (counting sort). Any order within a class
-  // gives the same result — properness makes colour classes conflict-free.
-  for (std::size_t c = 1; c < offsets.size(); ++c) {
-    offsets[c] += offsets[c - 1];
-  }
-  std::vector<EdgeId> by_color(static_cast<std::size_t>(g.edge_count()));
-  {
-    std::vector<std::int32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      by_color[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(g.edge(e).color)]++)] = e;
-    }
-  }
 
   // Every value this algorithm ever holds is 0 or 1, by induction: the
   // residuals start at 1; a weight is the minimum of two residuals, so it
@@ -122,9 +101,9 @@ std::optional<EcDirectRun> SeqColorPacking::evaluate_direct(
   // In round c+1 each endpoint of a colour-c edge sends its residual (one
   // delivery on a loop, two otherwise) and both ends settle on the minimum.
   for (Color c = 0; c <= max_color; ++c) {
-    for (std::int32_t i = offsets[static_cast<std::size_t>(c)];
-         i < offsets[static_cast<std::size_t>(c) + 1]; ++i) {
-      const EdgeId e = by_color[static_cast<std::size_t>(i)];
+    for (std::int32_t i = classes->offsets[static_cast<std::size_t>(c)];
+         i < classes->offsets[static_cast<std::size_t>(c) + 1]; ++i) {
+      const EdgeId e = classes->edges[static_cast<std::size_t>(i)];
       const auto& ed = g.edge(e);
       unsigned char& ru = residual[static_cast<std::size_t>(ed.u)];
       // Zero weights are already in place — resize default-constructed the

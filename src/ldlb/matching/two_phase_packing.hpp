@@ -15,7 +15,7 @@
 // disagreement traces, and as an ablation partner for SeqColorPacking.
 #pragma once
 
-// ldlb-analyze: allow(layering): TwoPhasePacking is a PO-model algorithm;
+// ldlb-analyze: allow(layering): TwoPhasePacking is an EC-model algorithm;
 // it implements the interface declared one layer up (see ROADMAP,
 // model-interface inversion).
 #include "ldlb/local/algorithm.hpp"
@@ -29,6 +29,13 @@ class TwoPhasePacking : public EcAlgorithm {
   std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "TwoPhasePacking"; }
   [[nodiscard]] bool parallel_safe() const override { return true; }
+
+  // Both sweeps are fixed passes over the colour classes, so the run has a
+  // closed form: SeqColorPacking's counting-sort sweep, twice, over exact
+  // residuals, with sweep 1 taking half the min. Reproduces the
+  // interpreter's weights and round/message/byte counters exactly.
+  [[nodiscard]] std::optional<EcDirectRun> evaluate_direct(
+      const Multigraph& g) const override;
 
  private:
   int num_colors_;

@@ -59,6 +59,30 @@ TEST(Digraph, PoColoringRejectsDuplicateInColours) {
   EXPECT_FALSE(g.has_proper_po_coloring());
 }
 
+TEST(Digraph, PoColoringHugeColoursCheckedExactly) {
+  // Colours far above the arc count take the sort-based path, which must
+  // reach the stamp path's verdicts.
+  constexpr Color kBig = 2147483646;
+  for (const Color base : {Color{0}, kBig - 1}) {
+    Digraph loop(1);  // a directed loop's out- and in-end share its colour
+    loop.add_arc(0, 0, base);
+    loop.add_arc(0, 0, base + 1);
+    EXPECT_TRUE(loop.has_proper_po_coloring()) << base;
+    Digraph outs(3);
+    outs.add_arc(0, 1, base + 1);
+    outs.add_arc(0, 2, base + 1);
+    EXPECT_FALSE(outs.has_proper_po_coloring()) << base;
+    Digraph ins(3);
+    ins.add_arc(1, 0, base);
+    ins.add_arc(2, 0, base);
+    EXPECT_FALSE(ins.has_proper_po_coloring()) << base;
+    Digraph path(3);
+    path.add_arc(0, 1, base);
+    path.add_arc(1, 2, base);
+    EXPECT_TRUE(path.has_proper_po_coloring()) << base;
+  }
+}
+
 TEST(Digraph, UncolouredArcIsNotProper) {
   Digraph g(2);
   g.add_arc(0, 1);

@@ -12,8 +12,9 @@
 //
 // Usage:
 //   ldlb_perf_gate <baseline-file> [--delta N] [--reps N] [--factor F]
-//                  [--loopiness] [--stream]
+//                  [--loopiness] [--stream] [--algorithm seq|two|po]
 //   ldlb_perf_gate --measure [--delta N] [--reps N] [--loopiness] [--stream]
+//                  [--algorithm seq|two|po]
 //
 // The baseline file holds one number: the reference min wall time in
 // milliseconds (regenerate with --measure on a quiet machine). The gate
@@ -26,6 +27,10 @@
 // CertificateLog::serialize plus validate_certificate_log over that log —
 // the text codec (render, checksum, parse) and streaming validation, with
 // no fsync inside the timed region.
+// --algorithm picks the subject, as certificate_tool names them: seq
+// (SeqColorPacking, the default), two (TwoPhasePacking) or po
+// (EcFromPo(ProposalPacking)). two and po run in closed form
+// (EcAlgorithm::evaluate_direct), so the po point guards that path.
 #include <unistd.h>
 
 #include <chrono>
@@ -33,20 +38,43 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
-double run_once_ms(int delta, bool check_loopiness) {
+// The algorithm under test; `inner` owns the PO algorithm behind po.
+struct Subject {
+  std::unique_ptr<ldlb::EcAlgorithm> alg;
+  std::unique_ptr<ldlb::PoAlgorithm> inner;
+};
+
+// Null `alg` for an unknown name.
+Subject make_subject(const std::string& kind, int delta) {
+  Subject s;
+  if (kind == "seq") {
+    s.alg = std::make_unique<ldlb::SeqColorPacking>(delta);
+  } else if (kind == "two") {
+    s.alg = std::make_unique<ldlb::TwoPhasePacking>(delta);
+  } else if (kind == "po") {
+    s.inner = std::make_unique<ldlb::ProposalPacking>();
+    s.alg = std::make_unique<ldlb::EcFromPo>(*s.inner);
+  }
+  return s;
+}
+
+double run_once_ms(ldlb::EcAlgorithm& alg, int delta, bool check_loopiness) {
   ldlb::clear_ball_encoding_cache();  // cold cache, like a fresh process
-  ldlb::SeqColorPacking alg{delta};
   const auto t0 = std::chrono::steady_clock::now();
   ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
   const bool valid =
@@ -69,8 +97,8 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
 }
 
 // Min-of-`reps` wall time of render + streaming verify of the delta chain.
-double stream_best_ms(int delta, int reps, bool check_loopiness) {
-  ldlb::SeqColorPacking alg{delta};
+double stream_best_ms(ldlb::EcAlgorithm& alg, int delta, int reps,
+                      bool check_loopiness) {
   const ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
   const std::string path =
       (std::filesystem::temp_directory_path() /
@@ -101,9 +129,10 @@ double stream_best_ms(int delta, int reps, bool check_loopiness) {
 
 int usage() {
   std::cerr << "usage: ldlb_perf_gate <baseline-file> [--delta N] [--reps N]"
-               " [--factor F] [--loopiness] [--stream]\n"
+               " [--factor F] [--loopiness] [--stream]"
+               " [--algorithm seq|two|po]\n"
                "       ldlb_perf_gate --measure [--delta N] [--reps N]"
-               " [--loopiness] [--stream]\n";
+               " [--loopiness] [--stream] [--algorithm seq|two|po]\n";
   return 2;
 }
 
@@ -117,6 +146,7 @@ int main(int argc, char** argv) {
   double factor = 2.0;
   bool check_loopiness = false;
   bool stream = false;
+  std::string algorithm = "seq";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--measure") {
@@ -131,6 +161,8 @@ int main(int argc, char** argv) {
       reps = std::atoi(argv[++i]);
     } else if (arg == "--factor" && i + 1 < argc) {
       factor = std::atof(argv[++i]);
+    } else if (arg == "--algorithm" && i + 1 < argc) {
+      algorithm = argv[++i];
     } else if (baseline_file.empty() && arg[0] != '-') {
       baseline_file = arg;
     } else {
@@ -139,13 +171,15 @@ int main(int argc, char** argv) {
   }
   if (delta < 3 || reps < 1 || factor <= 0) return usage();
   if (!measure && baseline_file.empty()) return usage();
+  Subject subject = make_subject(algorithm, delta);
+  if (!subject.alg) return usage();
 
   double best = 0.0;
   if (stream) {
-    best = stream_best_ms(delta, reps, check_loopiness);
+    best = stream_best_ms(*subject.alg, delta, reps, check_loopiness);
   } else {
     for (int rep = 0; rep < reps; ++rep) {
-      const double ms = run_once_ms(delta, check_loopiness);
+      const double ms = run_once_ms(*subject.alg, delta, check_loopiness);
       if (rep == 0 || ms < best) best = ms;
     }
   }
@@ -162,7 +196,7 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  std::cout << "perf gate: delta " << delta
+  std::cout << "perf gate: " << algorithm << " delta " << delta
             << (stream ? " log render+stream verify" : " adversary+validate")
             << (check_loopiness ? " (P2 on)" : "") << " min-of-" << reps
             << " = " << best << " ms (baseline " << baseline
@@ -170,9 +204,10 @@ int main(int argc, char** argv) {
   if (best > factor * baseline) {
     std::cerr << "perf gate: REGRESSION — " << best << " ms exceeds "
               << factor << " x " << baseline << " ms; the "
-              << (stream            ? "text codec's"
-                  : check_loopiness ? "factor-graph kernel's"
-                                    : "canonical ball engine's")
+              << (stream                ? "text codec's"
+                  : algorithm != "seq"  ? "closed-form evaluator's"
+                  : check_loopiness     ? "factor-graph kernel's"
+                                        : "canonical ball engine's")
               << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
   }
