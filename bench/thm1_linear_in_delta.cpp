@@ -35,8 +35,6 @@
 #include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/ball_store.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
@@ -118,10 +116,10 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
                       "upper/lower"}};
   if (config.print_table) table.print_header();
 
-  // In-process configs sweep to the canonical ball engine's working
-  // ceiling (Δ = 20, final graphs ~2^18 nodes); fleet configs stop at 12 —
-  // beyond that the measurement is dominated by shipping multi-megabyte
-  // graphs over the IPC channel, not by the engine under test.
+  // In-process configs sweep to Δ = 20 (final graphs ~2^18 nodes); fleet
+  // configs stop at 12 — beyond that the measurement is dominated by
+  // shipping multi-megabyte graphs over the IPC channel, not by the
+  // adversary under test.
   const int max_delta = config.workers == 0 ? 20 : 12;
 
   json.begin_object()
@@ -149,20 +147,15 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
       listener.close();
     }
     // Min over a few repetitions: single-shot wall times on shared CI
-    // machines jitter by 10-20%, enough to blur a 2x comparison. The ball
-    // cache is cleared before every repetition so each one is a cold-cache
-    // run, like the single-shot measurement the baseline numbers came from.
-    // Past Δ = 14 a single repetition keeps the sweep bounded; at that size
-    // the run is long enough that scheduler jitter no longer dominates.
+    // machines jitter by 10-20%, enough to blur a 2x comparison. Past
+    // Δ = 14 a single repetition keeps the sweep bounded; at that size the
+    // run is long enough that scheduler jitter no longer dominates.
     const int reps = delta <= 14 ? 3 : 1;
     double adversary_ms = 0.0;
     double validate_ms = 0.0;
     bool valid = false;
     LowerBoundCertificate cert;
-    FleetReport fleet_report;
-    const BallStoreStats stats_before = ball_store_stats();
     for (int rep = 0; rep < reps; ++rep) {
-      clear_ball_encoding_cache();
       auto t0 = std::chrono::steady_clock::now();
       if (config.workers > 0) {
         SnapshotStore store{snapshot};
@@ -170,8 +163,7 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
         FleetOptions options;
         options.workers = config.workers;
         options.remotes = remotes;
-        cert = run_adversary_fleet(factory, delta, store, options,
-                                   &fleet_report);
+        cert = run_adversary_fleet(factory, delta, store, options);
         store.remove();
       } else {
         cert = run_adversary(seq, delta);
@@ -208,41 +200,11 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     // Durability telemetry: the append-only streaming-log footprint of this
     // chain (recover/cert_log.hpp), and the process peak RSS after the
     // fully-resident validation pass — the quantity the streaming validator
-    // exists to undercut (see docs/ROBUSTNESS.md). For fleet configs, how
-    // long the coordinator spent shipping its interned ball table to warm
-    // (re)spawned workers — a cache-priming cost that buys the per-level
-    // re-simulations and must never alter a certificate byte.
+    // exists to undercut (see docs/ROBUSTNESS.md).
     json.key("cert_log_bytes")
         .value(static_cast<long long>(CertificateLog::serialize(cert).size()))
         .key("validate_peak_rss_kb")
         .value(static_cast<long long>(peak_rss_kb()));
-    if (config.workers > 0) {
-      json.key("ball_table_ship_ms").value(fleet_report.ball_table_ship_ms)
-          .key("ball_table_bytes")
-          .value(static_cast<long long>(fleet_report.ball_table_bytes))
-          .key("ball_tables_shipped").value(fleet_report.ball_tables_shipped);
-    }
-    // Canonical ball engine telemetry for this delta point (all reps): how
-    // often key queries were answered from the (graph, node, radius) memo,
-    // and how often sub-ball signatures were already interned (structure
-    // sharing across levels). Collisions must read zero — nonzero would be
-    // a soundness bug, not a perf problem.
-    const BallStoreStats stats_after = ball_store_stats();
-    const auto rate = [](std::uint64_t hits, std::uint64_t total) {
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits) / static_cast<double>(total);
-    };
-    json.key("ball_key_queries")
-        .value(static_cast<long long>(stats_after.key_queries -
-                                      stats_before.key_queries))
-        .key("ball_key_memo_hit_rate")
-        .value(rate(stats_after.memo_hits - stats_before.memo_hits,
-                    stats_after.key_queries - stats_before.key_queries))
-        .key("ball_intern_hit_rate")
-        .value(rate(stats_after.intern_hits - stats_before.intern_hits,
-                    stats_after.intern_lookups - stats_before.intern_lookups))
-        .key("ball_key_collisions")
-        .value(static_cast<long long>(stats_after.collisions));
     if (auto it = baseline.find(delta); it != baseline.end()) {
       json.key("baseline_adversary_ms").value(it->second);
       if (adversary_ms > 0) {

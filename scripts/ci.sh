@@ -11,17 +11,16 @@
 # (randomized cancel/crash/env-fault/resume/fleet-kill/net-fault cycles) on
 # the plain and ASan trees, a fleet-determinism stage that byte-compares
 # the coordinator/worker engine's certificates across worker counts, kill-9
-# histories and a crash/resume cycle, and a socket-fleet stage that repeats
-# the byte-comparison over the TCP transport against a live worker daemon
-# (plus disconnect chaos and the exit-4 / degradation ladder smokes), a
+# histories, both checkpoint stores and a crash/resume cycle, and a
+# socket-fleet stage that repeats the byte-comparison over the TCP
+# transport against a live worker daemon (plus disconnect chaos, the
+# certificate-log store, and the exit-4 / degradation ladder smokes), a
 # certificate-log streaming stage (a Δ=20 chain built once into the
 # append-only log, stream-validated in bounded memory with the peak RSS
 # pinned below the fully-resident validator, format round-trips, torn-tail
-# resume and env-fault injection smokes), a ball-table shipping stage that
-# byte-compares warm-started fleets against --no-ball-ship cold starts
-# across transports, worker counts and kill histories, and a
-# perf-regression gate that holds the Δ=12 adversary+validate chain within
-# 2x of the checked-in canonical-ball-engine baseline, the Δ=14 chain
+# resume and env-fault injection smokes), and a perf-regression gate that
+# holds the Δ=12 adversary+validate chain (simulation plus (P1) on the
+# refinement kernel) within 2x of its checked-in baseline, the Δ=14 chain
 # with full (P2-on) validation within 2x of the factor-graph-kernel
 # baseline, the Δ=14 log render + streaming verify within 2x of the
 # text-codec baseline, and the Δ=11 simulated-PO chain with full
@@ -69,28 +68,35 @@ run_chaos() {
 }
 
 # Byte-compares ldlb_fleet certificates across worker counts and kill
-# histories, then smokes the crash-stop/resume cycle. The kill seeds are
-# fixed (and logged by the driver) so a divergence is replayable.
+# histories, over the snapshot store and the append-only certificate log,
+# then smokes the crash-stop/resume cycle. The kill seeds are fixed (and
+# logged by the driver) so a divergence is replayable.
 run_fleet_determinism() {
   local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
   echo "== fleet determinism ($dir, delta 4..10 x workers 0/1/2/4 + chaos) =="
-  local delta workers
-  for delta in 4 5 6 7 8 9 10; do
-    "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
+  # Every run checkpoints into the snapshot store; Δ 6 and 8 repeat the
+  # comparison over the append-only certificate log.
+  local run delta store workers
+  for run in 4:snapshot 5:snapshot 6:snapshot 6:log 7:snapshot 8:snapshot \
+      8:log 9:snapshot 10:snapshot; do
+    delta="${run%:*}" store="${run#*:}"
+    "$bin" --delta "$delta" --workers 0 --"$store" "$tmp/ref.$store" \
       --print > "$tmp/ref.txt"
     for workers in 1 2 4; do
-      "$bin" --delta "$delta" --workers "$workers" --snapshot "$tmp/w.snap" \
+      "$bin" --delta "$delta" --workers "$workers" --"$store" "$tmp/w.$store" \
         --print > "$tmp/w.txt"
       if ! cmp -s "$tmp/ref.txt" "$tmp/w.txt"; then
-        echo "fleet certificate diverged: delta $delta, $workers workers" >&2
+        echo "fleet certificate diverged: delta $delta, $workers workers," \
+          "$store store" >&2
         exit 1
       fi
     done
     "$bin" --delta "$delta" --workers 2 --kill-every-level "$((delta * 1009))" \
-      --snapshot "$tmp/k.snap" --print > "$tmp/k.txt"
+      --"$store" "$tmp/k.$store" --print > "$tmp/k.txt"
     if ! cmp -s "$tmp/ref.txt" "$tmp/k.txt"; then
-      echo "fleet certificate diverged under kill-9 chaos at delta $delta" >&2
+      echo "fleet certificate diverged under kill-9 chaos at delta $delta," \
+        "$store store" >&2
       exit 1
     fi
   done
@@ -124,7 +130,7 @@ run_socket_fleet_determinism() {
   local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
   echo "== socket fleet determinism ($dir, delta 4..8 + disconnect chaos + degradation smokes) =="
-  local delta port daemon_pid
+  local delta port daemon_pid stores store
   for delta in 4 5 6 7 8; do
     "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
       --print > "$tmp/ref.txt"
@@ -142,19 +148,25 @@ run_socket_fleet_determinism() {
       kill "$daemon_pid" 2>/dev/null || true
       exit 1
     fi
-    "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-      --snapshot "$tmp/s.snap" --print > "$tmp/s.txt"
-    if ! cmp -s "$tmp/ref.txt" "$tmp/s.txt"; then
-      echo "socket fleet certificate diverged: delta $delta" >&2
-      exit 1
-    fi
-    "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-      --kill-every-level "$((delta * 2027))" \
-      --snapshot "$tmp/sk.snap" --print > "$tmp/sk.txt"
-    if ! cmp -s "$tmp/ref.txt" "$tmp/sk.txt"; then
-      echo "socket fleet diverged under disconnect chaos at delta $delta" >&2
-      exit 1
-    fi
+    # Δ=6 repeats both runs over the append-only certificate log.
+    stores=snapshot
+    [ "$delta" = 6 ] && stores="snapshot log"
+    for store in $stores; do
+      "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
+        --"$store" "$tmp/s.$store" --print > "$tmp/s.txt"
+      if ! cmp -s "$tmp/ref.txt" "$tmp/s.txt"; then
+        echo "socket fleet certificate diverged: delta $delta, $store store" >&2
+        exit 1
+      fi
+      "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
+        --kill-every-level "$((delta * 2027))" \
+        --"$store" "$tmp/sk.$store" --print > "$tmp/sk.txt"
+      if ! cmp -s "$tmp/ref.txt" "$tmp/sk.txt"; then
+        echo "socket fleet diverged under disconnect chaos at delta $delta," \
+          "$store store" >&2
+        exit 1
+      fi
+    done
     kill "$daemon_pid" 2>/dev/null || true
     wait "$daemon_pid" 2>/dev/null || true
   done
@@ -240,76 +252,6 @@ run_certlog_stream() {
   rm -rf "$tmp"
 }
 
-# Ball-table shipping gate: warm-started fleets (the default) must be
-# byte-identical to --no-ball-ship cold starts across worker counts, both
-# transports and kill-respawn histories — shipping is a warm-start cache
-# and must never influence a certificate byte.
-run_ball_ship_matrix() {
-  local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
-  local tmp; tmp="$(mktemp -d)"
-  echo "== ball-table shipping ($dir, delta 6/8 x workers x transports x kill vs --no-ball-ship) =="
-  local delta workers
-  for delta in 6 8; do
-    "$bin" --delta "$delta" --workers 0 --log "$tmp/ref.log" \
-      --print > "$tmp/ref.txt"
-    for workers in 1 2 4; do
-      "$bin" --delta "$delta" --workers "$workers" --log "$tmp/w.log" \
-        --print > "$tmp/w.txt"
-      cmp -s "$tmp/ref.txt" "$tmp/w.txt" || {
-        echo "warm fleet diverged: delta $delta, $workers workers" >&2
-        exit 1
-      }
-      "$bin" --delta "$delta" --workers "$workers" --no-ball-ship \
-        --log "$tmp/c.log" --print > "$tmp/c.txt"
-      cmp -s "$tmp/ref.txt" "$tmp/c.txt" || {
-        echo "cold fleet diverged: delta $delta, $workers workers" >&2
-        exit 1
-      }
-    done
-    # Kill chaos: every respawn re-ships the table; bytes must not move.
-    "$bin" --delta "$delta" --workers 2 \
-      --kill-every-level "$((delta * 3011))" --log "$tmp/k.log" \
-      --print > "$tmp/k.txt"
-    cmp -s "$tmp/ref.txt" "$tmp/k.txt" || {
-      echo "warm fleet diverged under kill chaos at delta $delta" >&2
-      exit 1
-    }
-  done
-  # Socket transport: the table ships over TCP to a live daemon, with and
-  # without kill chaos, and a cold-start control.
-  local port daemon_pid
-  "$bin" --delta 6 --workers 0 --log "$tmp/ref.log" --print > "$tmp/ref.txt"
-  "$bin" --delta 6 --listen 0 > "$tmp/daemon.log" &
-  daemon_pid=$!
-  port=""
-  for _ in $(seq 1 100); do
-    port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$tmp/daemon.log")"
-    [ -n "$port" ] && break
-    sleep 0.05
-  done
-  if [ -z "$port" ]; then
-    echo "ball-ship daemon did not announce a port" >&2
-    kill "$daemon_pid" 2>/dev/null || true
-    exit 1
-  fi
-  local mode flags
-  for mode in warm cold kill; do
-    flags=""
-    [ "$mode" = cold ] && flags="--no-ball-ship"
-    [ "$mode" = kill ] && flags="--kill-every-level 6007"
-    # shellcheck disable=SC2086
-    "$bin" --delta 6 --workers 2 --connect "127.0.0.1:$port" $flags \
-      --log "$tmp/s.log" --print > "$tmp/s.txt"
-    cmp -s "$tmp/ref.txt" "$tmp/s.txt" || {
-      echo "socket fleet diverged in ball-ship mode '$mode'" >&2
-      exit 1
-    }
-  done
-  kill "$daemon_pid" 2>/dev/null || true
-  wait "$daemon_pid" 2>/dev/null || true
-  rm -rf "$tmp"
-}
-
 echo "== lint =="
 scripts/lint.sh
 
@@ -318,13 +260,13 @@ echo "== plain build =="
 # advisory so a sanitizer-specific diagnostic cannot mask a real failure.
 run_suite build -DLDLB_WERROR=ON
 
-# Performance gate: the canonical ball engine must keep the Δ=12
-# adversary+validate chain within 2x of the checked-in quiet-machine
-# baseline (min-of-3, cold ball cache per rep). Catches an accidental
+# Performance gate: the Δ=12 adversary+validate chain — simulation, and
+# (P1) on the refinement kernel (cover/refinement) — must stay within 2x of
+# the checked-in quiet-machine baseline (min-of-3). Catches an accidental
 # return to the propagation-era costs (~10x the baseline) while leaving
 # headroom for noisy CI neighbours; regenerate the baseline with
 # `ldlb_perf_gate --measure` on a quiet machine after intentional changes.
-echo "== perf gate (delta 12 canonical ball engine) =="
+echo "== perf gate (delta 12 adversary + P1 kernel) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
 # Same protocol with (P2) loopiness on at Δ=14: the factor-graph kernel
 # (cover/factor_graph) must keep full validation within 2x of its baseline.
@@ -355,7 +297,6 @@ run_chaos build 25
 run_fleet_determinism build
 run_socket_fleet_determinism build
 run_certlog_stream build
-run_ball_ship_matrix build
 
 echo "== address+undefined sanitizer build =="
 # Sanitized builds are slower: relax the cancel-latency assertion and run a
@@ -377,6 +318,6 @@ cmake --build build-tsan -j "$jobs"
 LDLB_THREADS=8 LDLB_SLOW_CHECKS=1 \
   LDLB_CANCEL_LATENCY_MS="${LDLB_CANCEL_LATENCY_MS:-2000}" \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|net_test|canonical_ball_test'
+  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|net_test|p1_kernel_test'
 
-echo "CI green: lint+analyze, plain (werror), perf-gate, fleet-determinism (pipe + socket), certlog-stream, ball-ship matrix, asan/ubsan, tsan, and chaos-soak stages all pass."
+echo "CI green: lint+analyze, plain (werror), perf-gate, fleet-determinism (pipe + socket), certlog-stream, asan/ubsan, tsan, and chaos-soak stages all pass."

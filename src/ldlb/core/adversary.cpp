@@ -12,7 +12,6 @@
 #include "ldlb/cover/loopiness.hpp"
 #include "ldlb/local/simulator.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/ball.hpp"
 #include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
@@ -87,11 +86,8 @@ void check_lift_invariance(const FractionalMatching& y_lift,
 void verify_level(const CertificateLevel& lv, int delta,
                   const AdversaryOptions& options) {
   if (options.verify_p1) {
-    // The cached check answers from memoized canonical encodings when the
-    // balls were already encoded (e.g. by certificate validation), skipping
-    // the two ball extractions entirely.
     LDLB_ENSURE_MSG(
-        balls_isomorphic_cached(lv.g, lv.g_node, lv.h, lv.h_node, lv.level),
+        balls_isomorphic(lv.g, lv.g_node, lv.h, lv.h_node, lv.level),
         "level " << lv.level << ": witness neighbourhoods not isomorphic");
     LDLB_ENSURE_MSG(lv.g_weight != lv.h_weight,
                     "level " << lv.level << ": witness weights equal");

@@ -3,7 +3,6 @@
 #include "ldlb/cover/loopiness.hpp"
 #include "ldlb/local/simulator.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/ball.hpp"
 #include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
@@ -55,10 +54,9 @@ std::vector<LevelValidation> validate_certificate(
         lv.h.edge(lv.h_loop).color == lv.c;
 
     if (v.witness_loops_ok) {
-      // P1 via memoized canonical encodings (the adversary already encoded
-      // these balls while building the chain); transparent fallback inside.
+      // P1, decided from the two stored graphs alone.
       v.balls_isomorphic =
-          balls_isomorphic_cached(lv.g, lv.g_node, lv.h, lv.h_node, lv.level);
+          balls_isomorphic(lv.g, lv.g_node, lv.h, lv.h_node, lv.level);
 
       // Independent re-execution of the algorithm on both graphs.
       RunResult run_g = run_ec(lv.g, algorithm, round_budget(cert.delta));

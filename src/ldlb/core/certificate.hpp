@@ -15,9 +15,10 @@
 // degree Δ — the linear-in-Δ lower bound.
 //
 // The validator below re-derives everything from scratch — it re-runs the
-// algorithm on the stored graphs, re-extracts the balls, re-checks the
-// isomorphism and the weight disagreement — so a certificate cannot be
-// "trusted into" validity by the adversary that built it.
+// algorithm on the stored graphs, re-checks the isomorphism of the two
+// balls and the weight disagreement — and reads no state the adversary left
+// behind, so a certificate cannot be "trusted into" validity by the
+// adversary that built it.
 #pragma once
 
 #include <string>

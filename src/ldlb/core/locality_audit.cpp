@@ -47,8 +47,8 @@ std::vector<LocalityViolation> audit_locality(
       Entry entry;
       entry.graph = static_cast<int>(gi);
       entry.node = v;
-      // ldlb-lint: allow(ball-extraction): the audit compares outputs of
-      // nodes with isomorphic views, so it needs the views themselves.
+      // The audit compares outputs of nodes with isomorphic views, so it
+      // needs the views themselves.
       entry.ball = extract_ball(g, v, radius);
       for (EdgeId e : g.incident_edges(v)) {
         entry.output[g.edge(e).color] = run.matching.weight(e);

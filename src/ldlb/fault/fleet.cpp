@@ -17,35 +17,30 @@
 #include "ldlb/util/ipc.hpp"
 #include "ldlb/util/line_reader.hpp"
 #include "ldlb/util/net.hpp"
-#include "ldlb/view/ball_store.hpp"
 
 namespace ldlb {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire protocol. Every frame payload is "<header line>\n<body>"; the header
-// is whitespace-separated tokens, the body is one of the repo's line
-// formats. Requests:
+// Wire protocol (net::kNetProtocolVersion 2). Every frame payload is
+// "<header line>\n<body>"; the header is whitespace-separated tokens, the
+// body is one of the repo's line formats. Requests:
 //
 //   run <id> <max_rounds>               body: multigraph (graph_io)
 //   validate <id> <delta> <loopiness>   body: one level (certificate_io)
-//   balls <id>                          body: interned ball table
-//                                             (view/ball_store serialize)
 //   shutdown                            body: empty
 //
 // Replies:
 //
 //   ok <id> <edge_count>                body: one weight token per edge
 //   valid <id> <0|1>                    body: empty
-//   balls <id> <0|1>                    body: empty (1: table adopted after
-//                                             re-deriving every key; 0:
-//                                             rejected, worker stays cold)
 //   error <id> <status-token> <errno>   body: the error message
 //
 // Weights are exact rationals ("num/den"), so a matching round-trips
 // byte-exactly and the certificate the coordinator assembles is identical
-// to an in-process run's.
+// to an in-process run's. A worker keeps no state between requests: it
+// answers "validate" from the level in the request alone.
 // ---------------------------------------------------------------------------
 
 std::string run_request(int id, int rounds, const Multigraph& g) {
@@ -77,13 +72,12 @@ std::string error_reply(long long id, RunStatus status, int env_errno,
   return os.str();
 }
 
-// One parsed reply; `ok` covers the run ("ok"), validate ("valid") and
-// ball-shipping ("balls") success shapes, `status`/`env_errno`/`error`
-// carry an "error" reply.
+// One parsed reply; `ok` covers the run ("ok") and validate ("valid")
+// success shapes, `status`/`env_errno`/`error` carry an "error" reply.
 struct Reply {
   bool ok = false;
   FractionalMatching matching;
-  bool valid = false;  ///< "valid": level verdict; "balls": table adopted
+  bool valid = false;  ///< "valid": level verdict
   RunStatus status = RunStatus::kOk;
   int env_errno = 0;
   std::string error;
@@ -117,7 +111,7 @@ std::optional<Reply> parse_reply(const std::string& payload,
     reply.matching = FractionalMatching(std::move(*weights));
     return reply;
   }
-  if (verb == "valid" || verb == "balls") {
+  if (verb == "valid") {
     long long flag = -1;
     if (!(hs >> flag) || (flag != 0 && flag != 1)) return std::nullopt;
     reply.ok = true;
@@ -222,15 +216,6 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
       const bool valid = validations.size() == 1 && validations[0].ok();
       std::ostringstream os;
       os << "valid " << id << " " << (valid ? 1 : 0);
-      return os.str();
-    }
-    if (verb == "balls") {
-      // Warm-start: adopt the coordinator's interned ball table iff every
-      // re-derived key matches (deserialize self-clears on mismatch, so a
-      // rejected table leaves the worker cold, never half-warmed).
-      const bool adopted = deserialize_ball_store(body);
-      std::ostringstream os;
-      os << "balls " << id << " " << (adopted ? 1 : 0);
       return os.str();
     }
     throw ContractViolation("unknown fleet request verb '" + verb + "'");
@@ -452,7 +437,6 @@ class Fleet {
         try {
           slot.link = transport_.open(i);
           ++report_.workers_spawned;
-          warm_slot(kConnectSetupLevel, i);
         } catch (const HandshakeMismatch& e) {
           revive(kConnectSetupLevel, i, "handshake", e.what());
           ++report_.workers_spawned;
@@ -633,9 +617,6 @@ class Fleet {
       ++report_.respawns;
       incident.respawned = true;
       report_.incidents.push_back(incident);
-      // The replacement worker starts cold — re-warm it. A loss mid-warm
-      // recurses into revive (and its budget) exactly like any other loss.
-      warm_slot(level, s);
     } catch (const HandshakeMismatch& e) {
       incident.respawned = false;
       report_.incidents.push_back(incident);
@@ -651,62 +632,6 @@ class Fleet {
   // Used when no frame-level classification applies (the transport then
   // classifies: pipes from the reaped exit status, sockets "disconnect").
   static std::string no_hint() { return std::string(); }
-
-  // Ships the coordinator's interned ball table (view/ball_store.hpp) to
-  // the freshly opened link in slot `s`, so a (re)spawned worker starts
-  // with a warm canonical-key cache. The worker re-derives every 128-bit
-  // key before adopting; a rejected table is a benign "ball-table"
-  // incident — the worker continues cold and no respawn budget is spent.
-  // A link lost mid-warm revives (budget-bounded), and revive re-warms the
-  // replacement, so this never leaves a half-warmed worker behind. Purely
-  // a cache transfer: certificates are byte-identical with or without it.
-  void warm_slot(int level, int s) {
-    if (!options_.ship_ball_table) return;
-    const Deadline start = Deadline::in(0.0);
-    const std::string table = serialize_ball_store();
-    const std::string request = "balls 0\n" + table;
-    Slot& slot = slots_[static_cast<std::size_t>(s)];
-    try {
-      slot.link->send(request);
-      const net::RecvResult received =
-          slot.link->recv(Deadline::in(options_.reply_deadline_seconds));
-      const ipc::FrameResult& frame = received.frame;
-      if (frame.status != ipc::FrameStatus::kOk) {
-        const std::string hint =
-            received.stale ? "stale-heartbeat"
-            : frame.status == ipc::FrameStatus::kTimeout ? "hang"
-            : frame.status == ipc::FrameStatus::kCorrupt ? "corrupt-frame"
-                                                         : no_hint();
-        revive(level, s, hint, frame.detail);  // revive re-warms
-        return;
-      }
-      const std::optional<Reply> reply = parse_reply(frame.payload, 0);
-      if (!reply.has_value() || !reply->ok) {
-        revive(level, s, "corrupt-frame",
-               "ball-table reply failed to parse");
-        return;
-      }
-      report_.ball_table_bytes += static_cast<long long>(table.size());
-      if (reply->valid) {
-        ++report_.ball_tables_shipped;
-      } else {
-        ++report_.ball_table_rejects;
-        WorkerIncident incident;
-        incident.level = level;
-        incident.worker_slot = s;
-        incident.kind = "ball-table";
-        incident.detail =
-            "worker re-derivation rejected the shipped table; continuing "
-            "cold";
-        incident.respawned = true;  // the worker lives on, just cold
-        report_.incidents.push_back(incident);
-      }
-      report_.ball_table_ship_ms += -start.remaining_seconds() * 1000.0;
-    } catch (const IoError& e) {
-      report_.ball_table_ship_ms += -start.remaining_seconds() * 1000.0;
-      revive(level, s, no_hint(), e.what());
-    }
-  }
 
   // (Re)writes every outstanding request of slot `s`, reviving on write
   // failure until the slot holds a worker that accepted them all.
@@ -935,11 +860,6 @@ std::string FleetReport::to_string() const {
      << " workers, " << respawns << " respawns, " << requests_sent
      << " requests (" << requests_replayed << " replayed)";
   if (!transport.empty()) os << ", transport " << transport;
-  if (ball_tables_shipped > 0 || ball_table_rejects > 0) {
-    os << "\nball tables: " << ball_tables_shipped << " shipped, "
-       << ball_table_rejects << " rejected, " << ball_table_bytes
-       << " bytes";
-  }
   for (const std::string& step : degrades) {
     os << "\ndegraded: " << step;
   }

@@ -16,7 +16,6 @@
 //   disconnect          socket EOF / EPIPE / RST       transient
 //   stale heartbeat     no frame in staleness window   transient
 //   handshake mismatch  wrong version / fingerprint    transient
-//   ball-table reject   worker re-derivation mismatch  benign (cold start)
 //   respawns exhausted  too many incidents one level   permanent
 //   fork(2) refused     IoError from spawn_worker      degrade in-process
 //   remotes exhausted   WorkerLost on the socket path  degrade to pipe
@@ -138,15 +137,6 @@ struct FleetOptions {
   /// (same contract as ResumeOptions::on_checkpoint, including
   /// crash_at_level).
   std::function<void(const CertificateLevel&)> on_checkpoint;
-  /// Ship the coordinator's interned ball table (view/ball_store.hpp) to
-  /// every freshly opened worker link, so a (re)spawned worker starts with
-  /// a warm canonical-key cache instead of re-deriving it from scratch.
-  /// The worker re-derives every 128-bit key before adopting the table; a
-  /// mismatch (version skew, corruption) is rejected wholesale — the worker
-  /// continues cold and the coordinator records a "ball-table" incident
-  /// without spending respawn budget. Purely a warm-start: the table is a
-  /// content-derived cache, so shipping cannot change any certificate byte.
-  bool ship_ball_table = true;
 };
 
 /// One worker failure, as the coordinator classified and survived it.
@@ -155,9 +145,7 @@ struct WorkerIncident {
                         ///< -2: initial connection setup)
   int worker_slot = 0;  ///< 0-based slot of the lost worker
   /// "exit", "signal", "hang", "corrupt-frame", "spawn" (pipe);
-  /// "disconnect", "stale-heartbeat", "handshake", "connect" (socket);
-  /// "ball-table" (either transport: worker rejected the shipped table and
-  /// continues cold — benign, no respawn budget spent).
+  /// "disconnect", "stale-heartbeat", "handshake", "connect" (socket).
   std::string kind;
   std::string detail;   ///< exit status / frame defect / errno text
   bool respawned = false;  ///< false only for the final, fatal incident
@@ -181,15 +169,16 @@ struct FleetReport {
   bool degraded_in_process = false;  ///< fork refused; in-process engine ran
   std::string degrade_reason;        ///< why ("" unless degraded)
   std::vector<WorkerIncident> incidents;
-  int ball_tables_shipped = 0;  ///< warm-start tables adopted by workers
-  int ball_table_rejects = 0;   ///< tables a worker's re-derivation refused
-  long long ball_table_bytes = 0;  ///< serialized table bytes sent in total
-  double ball_table_ship_ms = 0.0;  ///< wall-clock spent shipping tables
   ResumeInfo resume;  ///< store recovery + per-level supervision log
   /// Final classification: kOk, or the status of the terminating error
   /// (kWorkerLost when the respawn budget ran out).
   RunStatus status = RunStatus::kOk;
   std::string error;  ///< what() of the terminating error ("" if ok)
+
+  // Kept only because perfbench/ reads them; the next benchmark change
+  // deletes them. The fleet ships no ball table, so both stay 0.
+  long long ball_table_bytes = 0;
+  double ball_table_ship_ms = 0.0;
 
   [[nodiscard]] std::string to_string() const;
 };

@@ -17,8 +17,6 @@
 //   socket      handshake version/fingerprint        "handshake"
 //   pipe        fork(2) refused on (re)open          "spawn"
 //   socket      connect refused / unreachable        "connect"
-//   both        shipped ball table rejected by the   "ball-table"
-//               worker's key re-derivation           (benign: stays cold)
 //
 // A Transport opens links into numbered slots; the fleet (fault/fleet.cpp)
 // owns the slots, the outstanding-request queues and every decision, so the

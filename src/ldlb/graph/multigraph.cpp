@@ -22,8 +22,7 @@ EdgeId Multigraph::add_edge(NodeId u, NodeId v, Color color) {
 const Multigraph::IncidenceIndex& Multigraph::build_index() const {
   // Counting sort of edge ends into one flat id array. Per-node order is
   // ascending edge id — identical to the append order of the former
-  // per-node vectors, which canonical encodings and OI/ID end orderings
-  // rely on.
+  // per-node vectors, which OI/ID end orderings rely on.
   auto idx = std::make_unique<IncidenceIndex>();
   idx->offsets.assign(static_cast<std::size_t>(node_count_) + 1, 0);
   for (const Edge& e : edges_) {
@@ -223,34 +222,6 @@ NodeId Multigraph::append_disjoint(const Multigraph& other) {
     add_edge(ed.u + offset, ed.v + offset, ed.color);
   }
   return offset;
-}
-
-std::uint64_t Multigraph::fingerprint() const {
-  // FNV-1a-style mix over the node count and the edge list in construction
-  // order, absorbing a whole 64-bit word per multiply: the value is a pure
-  // in-process cache key (view/ball_store, view/isomorphism), never
-  // serialised, and per-byte feeding made this the second-hottest function
-  // in the Δ=12 adversary profile. Memoised in fp_ because the canonical
-  // ball engine asks for the same graph's fingerprint once per (node,
-  // radius) query.
-  const std::uint64_t cached = fp_.load(std::memory_order_relaxed);
-  if (cached != 0) return cached;
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-    h ^= h >> 32;  // feed high bits back down: the FNV prime only carries up
-    h *= 1099511628211ULL;
-  };
-  mix(static_cast<std::uint64_t>(node_count()));
-  for (const Edge& e : edges_) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.u)) << 32 |
-        static_cast<std::uint32_t>(e.v));
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.color)));
-  }
-  if (h == 0) h = 1;  // 0 is the "not computed" sentinel
-  fp_.store(h, std::memory_order_relaxed);
-  return h;
 }
 
 std::string Multigraph::to_string() const {

@@ -81,23 +81,16 @@ class Multigraph {
   explicit Multigraph(NodeId n) { add_nodes(n); }
 
   Multigraph(const Multigraph& other)
-      : edges_(other.edges_),
-        node_count_(other.node_count_),
-        fp_(other.fp_.load(std::memory_order_relaxed)) {}
+      : edges_(other.edges_), node_count_(other.node_count_) {}
   Multigraph(Multigraph&& other) noexcept
-      : edges_(std::move(other.edges_)),
-        node_count_(other.node_count_),
-        fp_(other.fp_.load(std::memory_order_relaxed)) {
+      : edges_(std::move(other.edges_)), node_count_(other.node_count_) {
     adopt_index(other);
-    other.fp_.store(0, std::memory_order_relaxed);
   }
   Multigraph& operator=(const Multigraph& other) {
     if (this != &other) {
       edges_ = other.edges_;
       node_count_ = other.node_count_;
       invalidate_index();
-      fp_.store(other.fp_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
     }
     return *this;
   }
@@ -107,9 +100,6 @@ class Multigraph {
       node_count_ = other.node_count_;
       invalidate_index();
       adopt_index(other);
-      fp_.store(other.fp_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-      other.fp_.store(0, std::memory_order_relaxed);
     }
     return *this;
   }
@@ -218,19 +208,13 @@ class Multigraph {
   /// the offset that was added to `other`'s node ids.
   NodeId append_disjoint(const Multigraph& other);
 
-  /// Content fingerprint over nodes, edges and colours (FNV-1a). Equal
-  /// graphs (same construction order) fingerprint equally; used as a cache
-  /// key for derived data such as canonical ball encodings. Not
-  /// cryptographic.
-  [[nodiscard]] std::uint64_t fingerprint() const;
-
   /// Human-readable dump (for examples and debugging).
   [[nodiscard]] std::string to_string() const;
 
  private:
   /// Flat CSR incidence: `ids[offsets[v] .. offsets[v+1])` are the edges at
   /// node v, in edge-id order (matching the append order of the old
-  /// per-node vectors, which downstream canonical encodings rely on).
+  /// per-node vectors, which OI/ID end orderings rely on).
   struct IncidenceIndex {
     std::vector<std::int32_t> offsets;
     std::vector<EdgeId> ids;
@@ -251,9 +235,6 @@ class Multigraph {
     if (index_.load(std::memory_order_relaxed) != nullptr) {
       delete index_.exchange(nullptr, std::memory_order_acq_rel);
     }
-    if (fp_.load(std::memory_order_relaxed) != 0) {
-      fp_.store(0, std::memory_order_relaxed);
-    }
   }
   // Steals `other`'s built index (move construction/assignment): the views
   // handed out by `other` stay valid, now owned by us.
@@ -271,13 +252,6 @@ class Multigraph {
   // index — every thread that wins or loses the publish race reads the same
   // deterministic CSR content, so no result depends on scheduling.
   mutable std::atomic<const IncidenceIndex*> index_{nullptr};
-  // Memoised fingerprint; 0 means "not computed" (fingerprint() remaps an
-  // actual hash of 0 to 1, which is harmless for an opaque cache key).
-  // Mutators reset it via invalidate_index().
-  //
-  // ldlb-lint: allow(raw-sync): benign once-cache of a pure function of the
-  // edge list — racing threads compute and publish the identical value.
-  mutable std::atomic<std::uint64_t> fp_{0};
 };
 
 std::ostream& operator<<(std::ostream& os, const Multigraph& g);

@@ -42,8 +42,8 @@ FractionalMatching run_id_view(const IdGraph& g, IdViewAlgorithm& alg) {
       static_cast<std::size_t>(g.graph.edge_count()));
 
   for (NodeId v = 0; v < g.graph.node_count(); ++v) {
-    // ldlb-lint: allow(ball-extraction): view algorithms are *defined* as
-    // functions of the materialised ball (eq. (1)); keys cannot replace it.
+    // View algorithms are *defined* as functions of the materialised ball
+    // (eq. (1)).
     Ball ball = extract_ball(g.graph, v, t);
     std::vector<std::uint64_t> ids;
     ids.reserve(ball.to_host.size());

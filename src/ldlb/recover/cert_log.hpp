@@ -207,8 +207,8 @@ struct CertLogValidation {
   }
 };
 
-/// Validates a certificate log level by level, holding O(one level + ball
-/// table) in memory: each streamed record is re-validated against
+/// Validates a certificate log level by level, holding O(one level) in
+/// memory: each streamed record is re-validated against
 /// `algorithm` with the independent certificate validator, exactly as the
 /// fully-resident validate_certificate would. `on_level` (optional) fires
 /// after each level's verdict. Throws only on environmental IO failure.

@@ -1,9 +1,10 @@
 // Allocation-failure injection for the exact-arithmetic hot paths.
 //
 // Real std::bad_alloc is nearly impossible to provoke deterministically in a
-// test, yet the BigInt limb vectors and the ball-encoding memo are exactly
-// the allocations a long adversary run leans on. ScopedAllocBudget arms a
-// *thread-local* byte budget; the library's growth points call
+// test, yet the BigInt limb vectors and the scratch of the colour-refinement
+// kernel (cover/refinement, behind every (P1) check and factor graph) are
+// exactly the allocations a long adversary run leans on. ScopedAllocBudget
+// arms a *thread-local* byte budget; the library's growth points call
 // charge_alloc(bytes) before (logically) allocating, and once the budget is
 // exhausted every further charge throws std::bad_alloc — the same failure
 // the real allocator would produce, but on demand and reproducibly. The

@@ -31,29 +31,20 @@ namespace ldlb {
                                      std::uint64_t& hash);
 
 // ---------------------------------------------------------------------------
-// 128-bit FNV-1a, for canonical ball keys (view/ball_store). At Δ=20 the
-// interned table holds ~10^7 distinct sub-ball signatures; by the birthday
-// bound a 64-bit key would collide with probability ≈ n²/2⁶⁵ ≈ 10⁻⁵ per
-// sweep — too hot for a proof artefact — while 128 bits push the same bound
-// below 10⁻²⁴. Canonical keys compare O(1) and must be content-derived
-// (stable across processes and serialisable), which FNV-1a gives for free.
+// 128-bit FNV-1a, the record and chain checksums of the certificate log
+// (recover/cert_log.hpp). A Δ=20 log is several hundred megabytes; 128
+// bits keep the odds that a damaged record still matches its checksum far
+// below anything a proof artefact could notice.
 // ---------------------------------------------------------------------------
 
-/// A 128-bit checksum as two machine words. Value-comparable and hashable;
-/// the pair (hi, lo) is the big-endian reading of the 128-bit hash.
+/// A 128-bit checksum as two machine words, value-comparable; the pair
+/// (hi, lo) is the big-endian reading of the 128-bit hash.
 struct Checksum128 {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
 
   friend constexpr bool operator==(const Checksum128&,
                                    const Checksum128&) = default;
-  /// Word-mix for unordered containers (not part of the on-disk form).
-  [[nodiscard]] constexpr std::uint64_t mix() const {
-    std::uint64_t h = hi ^ (lo * 0x9e3779b97f4a7c15ULL);
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return h ^ (h >> 32);
-  }
 };
 
 namespace detail {
@@ -100,33 +91,6 @@ inline constexpr Checksum128 kFnv128OffsetBasis{0x6c62272e07bb0142ULL,
     state = detail::fnv1a_128_step(state, static_cast<unsigned char>(ch));
   }
   return state;
-}
-
-/// Chains one little-endian 64-bit word into a running FNV-1a-128 state.
-[[nodiscard]] constexpr Checksum128 fnv1a_128_word(std::uint64_t word,
-                                                   Checksum128 state) {
-  for (int i = 0; i < 8; ++i) {
-    state = detail::fnv1a_128_step(
-        state, static_cast<unsigned char>((word >> (8 * i)) & 0xffU));
-  }
-  return state;
-}
-
-/// Absorbs one 64-bit word into a running state with a *single* prime
-/// multiplication — the hot-path variant for view/ball_store's signature
-/// hashing, where fnv1a_128_word's eight byte steps per word dominated the
-/// Δ=12 adversary profile. Not byte-compatible with fnv1a_128_word (the
-/// whole word lands in the xor at once); injectivity per step is the same
-/// (xor, then multiply by the odd prime, are both bijections mod 2^128),
-/// the avalanche is just slower. Acceptable for canonical keys because
-/// every intern hit structurally compares signatures and counts
-/// collisions — a key collision is detected, not silently believed.
-[[nodiscard]] constexpr Checksum128 fnv1a_128_absorb(std::uint64_t word,
-                                                     Checksum128 state) {
-  state.lo ^= word;
-  const std::uint64_t shifted_hi = state.lo << 24;
-  const detail::U128Product lo_p = detail::mul_64x64(state.lo, 0x13bULL);
-  return Checksum128{shifted_hi + state.hi * 0x13bULL + lo_p.hi, lo_p.lo};
 }
 
 /// Fixed-width (32 digit) lowercase hex rendering of a 128-bit checksum.

@@ -45,8 +45,10 @@
 namespace ldlb::net {
 
 /// Bumped whenever the wire protocol (framing, handshake, request grammar)
-/// changes incompatibly; the handshake rejects any other version.
-inline constexpr std::uint64_t kNetProtocolVersion = 1;
+/// changes incompatibly; the handshake rejects any other version. A
+/// version-1 peer would send a "balls" request, which version 2 does not
+/// serve, so it fails the handshake instead.
+inline constexpr std::uint64_t kNetProtocolVersion = 2;
 
 /// Payload of a heartbeat frame. recv() consumes these transparently;
 /// exposed so tests can forge or count them.

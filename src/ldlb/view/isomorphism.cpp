@@ -1,16 +1,14 @@
 #include "ldlb/view/isomorphism.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
-#include <mutex>
+#include <numeric>
 #include <tuple>
-#include <unordered_map>
 
-#include "ldlb/util/alloc_guard.hpp"
-#include "ldlb/view/ball_store.hpp"
+#include "ldlb/cover/refinement.hpp"
+#include "ldlb/util/slow_checks.hpp"
 
 namespace ldlb {
 
@@ -146,266 +144,138 @@ bool balls_isomorphic(const Ball& a, const Ball& b) {
          rooted_isomorphic(a.graph, a.center, b.graph, b.center);
 }
 
-std::string canonical_tree_encoding(const Multigraph& g, NodeId root) {
-  LDLB_REQUIRE_MSG(g.is_forest_ignoring_loops(),
-                   "canonical encoding needs a tree-with-loops");
-  LDLB_REQUIRE(g.is_connected());
+namespace {
 
-  // Iterative post-order so that deep adversary trees cannot overflow the
-  // stack. state: 0 = enter, 1 = combine children.
-  struct Frame {
-    NodeId node;
-    EdgeId via;
-    int state;
-  };
-  std::vector<Frame> stack{{root, kNoEdge, 0}};
-  // Completed subtree encodings; on combine, the top `child_count` entries
-  // belong to the current frame.
-  std::vector<std::string> done_stack;
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    if (f.state == 0) {
-      stack.push_back({f.node, f.via, 1});
-      for (EdgeId e : g.incident_edges(f.node)) {
-        if (e == f.via || g.edge(e).is_loop()) continue;
-        stack.push_back({g.other_endpoint(e, f.node), e, 0});
+// The two end tables P1 refines over G ⊔ H: G's nodes, then H's, then one
+// sentinel node with no ends. On a properly coloured tree-with-loops the
+// depth-r view of a node is its ball τ_r, and a loop at distance r is in
+// τ_r while nothing past it is: exactly a flagged end into a node with no
+// ends. `loops` holds each node's loops as flagged ends (colour | top bit)
+// into the sentinel, so one round over it classes the nodes by their loop
+// colours. `ends` holds each node's non-loop ends and, for a node with
+// loops, one flagged end into the sentinel labelled with that loop class,
+// so the `radius` rounds read a node's loops as one end, not one per loop.
+struct P1Tables {
+  P1Tables(const Multigraph& g, const Multigraph& h)
+      : sentinel(g.node_count() + h.node_count()),
+        ends(sentinel + 1, g.edge_count() + h.edge_count()),
+        loops(sentinel + 1, (g.edge_count() + h.edge_count()) / 2 + 1),
+        parent(static_cast<std::size_t>(sentinel)) {
+    std::iota(parent.begin(), parent.end(), NodeId{0});
+  }
+
+  // Appends `g`'s nodes, ids shifted by `offset`. Returns false as soon as
+  // `g` turns out not to be a properly coloured forest-with-loops: a
+  // negative colour, a colour twice at one node, or a non-loop edge closing
+  // a cycle (union-find over `parent`, each edge joined from its lower
+  // endpoint).
+  bool append_forest(const Multigraph& g, NodeId offset) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      for (EdgeId e : g.incident_edges(v)) {
+        const Multigraph::Edge& ed = g.edge(e);
+        if (ed.color < 0) return false;
+        const auto colour = static_cast<std::uint32_t>(ed.color);
+        if (ed.is_loop()) {
+          loops.ends.push_back({kFlaggedEnd | colour, sentinel});
+          continue;
+        }
+        const NodeId w = ed.u == v ? ed.v : ed.u;
+        if (v < w) {
+          const NodeId a = root(v + offset);
+          const NodeId b = root(w + offset);
+          if (a == b) return false;
+          parent[static_cast<std::size_t>(a)] = b;
+        }
+        ends.ends.push_back({colour, w + offset});
       }
-    } else {
-      // Children results are on done_stack (count = number of non-loop,
-      // non-parent edges).
-      std::vector<std::string> parts;
-      for (EdgeId e : g.incident_edges(f.node)) {
-        if (g.edge(e).is_loop()) {
-          parts.push_back("l" + std::to_string(g.edge(e).color) + ";");
+      loops.close_node();
+      const End* loop = loops.ends.data() + loops.offset.end()[-2];
+      const End* loop_end = loops.ends.data() + loops.ends.size();
+      // The loop-class end sorts after every plain colour; finish() fills
+      // in its label.
+      if (loop != loop_end) ends.ends.push_back({kFlaggedEnd, sentinel});
+      ends.close_node();
+      const End* plain = ends.ends.data() + ends.offset.end()[-2];
+      const End* plain_end =
+          ends.ends.data() + ends.ends.size() - (loop != loop_end ? 1 : 0);
+      // Both runs ascend: a repeat is two equal neighbours in one run or a
+      // colour in both.
+      auto same = [](const End& a, const End& b) { return a.label == b.label; };
+      if (std::adjacent_find(plain, plain_end, same) != plain_end ||
+          std::adjacent_find(loop, loop_end, same) != loop_end) {
+        return false;
+      }
+      for (const End *p = plain, *l = loop; p != plain_end && l != loop_end;) {
+        const std::uint32_t colour = l->label & ~kFlaggedEnd;
+        if (p->label == colour) return false;
+        if (p->label < colour) {
+          ++p;
+        } else {
+          ++l;
         }
       }
-      int child_count = 0;
-      for (EdgeId e : g.incident_edges(f.node)) {
-        if (e != f.via && !g.edge(e).is_loop()) ++child_count;
+    }
+    return true;
+  }
+
+  // Closes the sentinel and labels each loop-class end with its node's
+  // loop class.
+  void finish() {
+    ends.close_node();
+    loops.close_node();
+    const Refinement loop_class = refine(loops, 1);
+    for (std::size_t v = 0; v < static_cast<std::size_t>(sentinel); ++v) {
+      const std::int32_t last = ends.offset[v + 1] - 1;
+      if (last < ends.offset[v]) continue;
+      End& end = ends.ends[static_cast<std::size_t>(last)];
+      if ((end.label & kFlaggedEnd) != 0) {
+        end.label = kFlaggedEnd |
+                    static_cast<std::uint32_t>(loop_class.class_of[v]);
       }
-      // Pop that many child encodings; annotate with the colour of the edge
-      // used. The children were pushed in incident order and processed LIFO,
-      // but we sort all parts anyway, so order does not matter. Each child's
-      // encoding already starts with its connecting colour.
-      for (int i = 0; i < child_count; ++i) {
-        parts.push_back(std::move(done_stack.back()));
-        done_stack.pop_back();
-      }
-      std::sort(parts.begin(), parts.end());
-      std::string enc;
-      if (f.via != kNoEdge) {
-        enc += "c" + std::to_string(g.edge(f.via).color);
-      }
-      enc += "(";
-      for (const auto& p : parts) enc += p;
-      enc += ")";
-      done_stack.push_back(std::move(enc));
     }
   }
-  LDLB_ENSURE(done_stack.size() == 1);
-  return std::move(done_stack.back());
-}
 
-namespace {
-
-struct BallKey {
-  std::uint64_t fingerprint;
-  NodeId node;
-  int radius;
-
-  friend bool operator==(const BallKey&, const BallKey&) = default;
-};
-
-struct BallKeyHash {
-  std::size_t operator()(const BallKey& k) const noexcept {
-    std::uint64_t h = k.fingerprint;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.node)) *
-         0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.radius)) *
-         0xff51afd7ed558ccdULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
+  NodeId root(NodeId x) {
+    while (parent[static_cast<std::size_t>(x)] != x) {
+      NodeId& up = parent[static_cast<std::size_t>(x)];
+      up = parent[static_cast<std::size_t>(up)];
+      x = up;
+    }
+    return x;
   }
+
+  NodeId sentinel;
+  EndTable ends;
+  EndTable loops;
+  std::vector<NodeId> parent;
 };
-
-// Global memo for ball encodings. The certificate chain re-examines the same
-// (graph, witness, radius) triples many times — the adversary verifies each
-// level as it is built and the validator re-derives every ball again — so a
-// small cache removes most extractions. Bounded by a byte budget with LRU
-// eviction: large-Δ sweeps cache many long encodings, and evicting the cold
-// tail degrades gracefully where wholesale clearing would thrash. Guarded
-// by a mutex so parallel validation can share it.
-//
-// ldlb-lint: allow(raw-sync): the ball-memo lock only orders cache
-// insert/evict/lookup; encodings are canonical and keyed by (graph
-// fingerprint, node, radius), so hit-or-miss order cannot change any
-// returned encoding — results are schedule-independent by construction.
-std::mutex g_ball_cache_mutex;
-// Front = most recently used.
-std::list<BallKey> g_ball_lru;  // ldlb: guarded_by(g_ball_cache_mutex)
-
-struct BallCacheEntry {
-  std::optional<std::string> enc;
-  std::list<BallKey>::iterator lru_it;
-  std::size_t bytes = 0;
-};
-
-std::unordered_map<BallKey, BallCacheEntry, BallKeyHash>
-    g_ball_cache;  // ldlb: guarded_by(g_ball_cache_mutex)
-std::size_t g_ball_cache_bytes = 0;  // ldlb: guarded_by(g_ball_cache_mutex)
-// ldlb: guarded_by(g_ball_cache_mutex)
-std::size_t g_ball_cache_budget = [] {
-  if (const char* s = std::getenv("LDLB_BALL_CACHE_BYTES");
-      s != nullptr && *s != '\0') {
-    const long long v = std::atoll(s);
-    if (v >= 0) return static_cast<std::size_t>(v);
-  }
-  return std::size_t{8} << 20;
-}();
-
-// Rough per-entry footprint: key + hash/list/map node overheads + payload.
-std::size_t entry_cost(const std::optional<std::string>& enc) {
-  return 96 + (enc ? enc->size() : 0);
-}
-
-// Evicts LRU entries until the cache fits its budget. Caller holds the lock.
-void evict_to_budget() {
-  while (g_ball_cache_bytes > g_ball_cache_budget && !g_ball_lru.empty()) {  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    auto it = g_ball_cache.find(g_ball_lru.back());  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_cache_bytes -= it->second.bytes;  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_cache.erase(it);  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-    g_ball_lru.pop_back();  // ldlb-analyze: allow(locks): caller holds g_ball_cache_mutex
-  }
-}
 
 }  // namespace
 
-std::optional<std::string> cached_ball_encoding(const Multigraph& g, NodeId v,
-                                                int radius) {
-  const BallKey key{g.fingerprint(), v, radius};
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    auto it = g_ball_cache.find(key);
-    if (it != g_ball_cache.end()) {
-      g_ball_lru.splice(g_ball_lru.begin(), g_ball_lru, it->second.lru_it);
-      return it->second.enc;
+bool balls_isomorphic(const Multigraph& g, NodeId gv, const Multigraph& h,
+                      NodeId hv, int radius) {
+  LDLB_REQUIRE(gv >= 0 && gv < g.node_count());
+  LDLB_REQUIRE(hv >= 0 && hv < h.node_count());
+  LDLB_REQUIRE(radius >= 0);
+  P1Tables tables(g, h);
+  if (tables.append_forest(g, 0) && tables.append_forest(h, g.node_count())) {
+    tables.finish();
+    const Refinement r = refine(tables.ends, radius);
+    const bool iso = r.class_of[static_cast<std::size_t>(gv)] ==
+                     r.class_of[static_cast<std::size_t>(g.node_count() + hv)];
+    if (slow_checks_enabled()) {
+      const bool truth = balls_isomorphic(extract_ball(g, gv, radius),
+                                          extract_ball(h, hv, radius));
+      LDLB_ENSURE_MSG(truth == iso,
+                      "refinement P1 (" << (iso ? "iso" : "non-iso")
+                                        << ") disagrees with ball extraction "
+                                        << "at radius " << radius
+                                        << ", nodes " << gv << "/" << hv);
     }
+    return iso;
   }
-  // ldlb-lint: allow(ball-extraction): the AHU encoding is defined over the
-  // materialised ball; this legacy route is off the hot path.
-  Ball ball = extract_ball(g, v, radius);
-  std::optional<std::string> enc;
-  // The encoding route must agree exactly with rooted_isomorphism, which
-  // demands proper colourings; balls are connected by construction.
-  if (ball.graph.is_forest_ignoring_loops() &&
-      ball.graph.has_proper_edge_coloring()) {
-    enc = canonical_tree_encoding(ball.graph, ball.center);
-  }
-  {
-    const std::size_t cost = entry_cost(enc);
-    // Observes the thread-local allocation budget of util/alloc_guard —
-    // memoization is the library's one open-ended consumer of memory, so
-    // alloc-failure injection must be able to hit it.
-    charge_alloc(cost);
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    auto [it, inserted] = g_ball_cache.try_emplace(key);
-    if (inserted) {
-      g_ball_lru.push_front(key);
-      it->second = {enc, g_ball_lru.begin(), cost};
-      g_ball_cache_bytes += cost;
-      evict_to_budget();
-    }
-  }
-  return enc;
-}
-
-namespace {
-
-// When set, every canonical-key compare is re-derived through ball
-// extraction + propagation and a disagreement aborts: the slow path is the
-// ground truth the fast path must reproduce bit-for-bit.
-bool ball_oracle_enabled() {
-  static const bool enabled = [] {
-    // ldlb-analyze: allow(determinism): latched once; enables the slow
-    // cross-check path which aborts on disagreement, never changes results.
-    const char* s = std::getenv("LDLB_BALL_ORACLE");
-    return s != nullptr && *s != '\0' && *s != '0';
-  }();
-  return enabled;
-}
-
-}  // namespace
-
-bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
-                             const Multigraph& h, NodeId hv, int radius) {
-  // Hot path: O(1) compare of canonical colour-refinement keys
-  // (view/ball_store). Keys exist exactly when the host graphs are properly
-  // coloured trees-with-loops — always the case for the Section 4
-  // construction (P3).
-  const std::optional<Checksum128> kg = canonical_ball_key(g, gv, radius);
-  if (kg.has_value()) {
-    const std::optional<Checksum128> kh = canonical_ball_key(h, hv, radius);
-    if (kh.has_value()) {
-      const bool iso = *kg == *kh;
-      if (ball_oracle_enabled()) {
-        // ldlb-lint: allow(ball-extraction): the oracle re-derives the
-        // answer through the materialised slow path on purpose.
-        Ball bg = extract_ball(g, gv, radius);
-        // ldlb-lint: allow(ball-extraction): second half of the oracle pair.
-        Ball bh = extract_ball(h, hv, radius);
-        const bool truth = balls_isomorphic(bg, bh);
-        note_ball_oracle_check(truth == iso);
-        LDLB_ENSURE_MSG(truth == iso,
-                        "canonical ball key compare ("
-                            << (iso ? "iso" : "non-iso")
-                            << ") disagrees with the propagation oracle at "
-                            << "radius " << radius << ", nodes " << gv << "/"
-                            << hv);
-      }
-      return iso;
-    }
-  }
-  // At least one host graph is not a properly coloured tree-with-loops; fall
-  // back to ball extraction + the generic propagation-based check.
-  // ldlb-lint: allow(ball-extraction): canonical keys only decide tree
-  // shapes; other shapes need the materialised propagation check.
-  Ball bg = extract_ball(g, gv, radius);
-  // ldlb-lint: allow(ball-extraction): second half of the fallback pair.
-  Ball bh = extract_ball(h, hv, radius);
-  return balls_isomorphic(bg, bh);
-}
-
-void clear_ball_encoding_cache() {
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    g_ball_cache.clear();
-    g_ball_lru.clear();
-    g_ball_cache_bytes = 0;
-  }
-  // Cold-cache means cold everywhere: the canonical engine answers the hot
-  // path now, so benchmarks and determinism tests that reset this cache
-  // expect the key store to reset with it.
-  clear_ball_store();
-}
-
-void set_ball_encoding_cache_budget(std::size_t bytes) {
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    g_ball_cache_budget = bytes;
-    evict_to_budget();
-  }
-  // One budget, both stores: LDLB_BALL_CACHE_BYTES governs all ball-derived
-  // memoization.
-  set_ball_store_budget(bytes);
-}
-
-std::size_t ball_encoding_cache_bytes() {
-  std::size_t legacy = 0;
-  {
-    std::lock_guard<std::mutex> lk(g_ball_cache_mutex);
-    legacy = g_ball_cache_bytes;
-  }
-  return legacy + ball_store_bytes();
+  return balls_isomorphic(extract_ball(g, gv, radius),
+                          extract_ball(h, hv, radius));
 }
 
 }  // namespace ldlb

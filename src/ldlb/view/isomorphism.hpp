@@ -1,21 +1,21 @@
-// Rooted isomorphism of properly coloured graphs.
+// Rooted isomorphism of properly coloured graphs, and property (P1).
 //
 // In a properly edge-coloured graph each node has at most one incident end
 // per colour, so a colour-preserving isomorphism between connected graphs is
 // *determined* by the image of a single node: fixing root ↦ root forces the
 // images of all neighbours colour-by-colour. Isomorphism testing therefore
-// reduces to one deterministic propagation pass — no search. This is how the
-// library checks property (P1) of the lower-bound construction,
-//     τ_i(G_i, g_i) ≅ τ_i(H_i, h_i),
-// exactly rather than heuristically.
+// reduces to one deterministic propagation pass — no search.
 //
-// Canonical encodings of rooted trees-with-loops (the shape of all graphs in
-// the Section 4 construction, property (P3)) are also provided for hashing
-// and deduplication.
+// Property (P1) of the lower-bound construction,
+//     τ_i(G_i, g_i) ≅ τ_i(H_i, h_i),
+// is decided without materialising either ball: on properly coloured
+// trees-with-loops (property (P3)), i rounds of the refinement kernel
+// (cover/refinement.hpp) over G ⊔ H put g_i and h_i in one class exactly
+// when their radius-i balls are isomorphic. Other shapes fall back to ball
+// extraction plus propagation.
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ldlb/graph/digraph.hpp"
@@ -48,42 +48,29 @@ bool rooted_isomorphic(const Digraph& g, NodeId root_g, const Digraph& h,
 /// True iff two balls are isomorphic as rooted coloured graphs.
 bool balls_isomorphic(const Ball& a, const Ball& b);
 
-/// AHU-style canonical string of a rooted coloured tree-with-loops; two such
-/// graphs are rooted-isomorphic iff their canonical strings are equal.
-/// Requires `g.is_forest_ignoring_loops()` and connectivity.
-std::string canonical_tree_encoding(const Multigraph& g, NodeId root);
+/// True iff τ_radius(g, gv) ≅ τ_radius(h, hv) as rooted edge-coloured
+/// graphs, i.e. `balls_isomorphic(extract_ball(g, gv, radius),
+/// extract_ball(h, hv, radius))`. When both graphs are properly coloured
+/// forests-with-loops, `radius` refinement rounds over g ⊔ h decide it
+/// (one pass over each graph checks that shape while building the kernel's
+/// end table); other shapes take the extraction route. A pure function of
+/// its arguments: nothing is cached between calls. Under
+/// slow_checks_enabled() every kernel verdict is re-derived through ball
+/// extraction, and a disagreement aborts.
+bool balls_isomorphic(const Multigraph& g, NodeId gv, const Multigraph& h,
+                      NodeId hv, int radius);
 
-/// Canonical encoding of τ_radius(g, v), memoized across calls in a global
-/// bounded cache keyed by (g.fingerprint(), v, radius). Returns nullopt when
-/// the ball is not a properly coloured tree-with-loops (the AHU encoding
-/// does not apply); the nullopt outcome is cached too.
-std::optional<std::string> cached_ball_encoding(const Multigraph& g, NodeId v,
-                                                int radius);
+// Kept only because perfbench/ compiles against these names; the next
+// benchmark change deletes them. Nothing else may call them.
 
-/// Equivalent to `balls_isomorphic(extract_ball(g, gv, r),
-/// extract_ball(h, hv, r))` but answered by an O(1) compare of canonical
-/// colour-refinement keys (view/ball_store) when both host graphs are
-/// properly coloured trees-with-loops (always the case for the Section 4
-/// construction, property (P3)); transparently falls back to ball
-/// extraction + rooted isomorphism for other shapes. Setting
-/// LDLB_BALL_ORACLE=1 re-derives every key compare through the propagation
-/// path and aborts on disagreement.
-bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
-                             const Multigraph& h, NodeId hv, int radius);
+/// Alias of balls_isomorphic(g, gv, h, hv, radius).
+inline bool balls_isomorphic_cached(const Multigraph& g, NodeId gv,
+                                    const Multigraph& h, NodeId hv,
+                                    int radius) {
+  return balls_isomorphic(g, gv, h, hv, radius);
+}
 
-/// Drops every memoized ball encoding and the canonical ball-key store
-/// (mainly for tests and benchmarks that want cold-cache timings).
-void clear_ball_encoding_cache();
-
-/// Sets the byte budget of the encoding cache *and* the canonical ball-key
-/// store (one budget governs all ball-derived memoization). Caches evict
-/// until they fit; a budget of 0 disables memoization entirely. The default
-/// is 8 MiB, overridable at first use via the LDLB_BALL_CACHE_BYTES
-/// environment variable.
-void set_ball_encoding_cache_budget(std::size_t bytes);
-
-/// Approximate bytes currently held by the ball-encoding cache and the
-/// canonical ball-key store together.
-[[nodiscard]] std::size_t ball_encoding_cache_bytes();
+/// No-op: P1 holds no cache to clear.
+inline void clear_ball_encoding_cache() {}
 
 }  // namespace ldlb

@@ -21,7 +21,6 @@
 #include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
 namespace {
@@ -181,7 +180,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
   // Clean reference certificate.
   std::string clean;
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     std::ostringstream os;
     write_certificate(os, run_adversary(alg, delta));
@@ -190,7 +188,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
 
   // Cancel a resumable run from another thread, mid-chain.
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     SnapshotStore store(path);
     CancellationToken token;
@@ -222,7 +219,6 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
 
   // Resuming with a fresh token completes to the clean run's exact bytes.
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     SnapshotStore store(path);
     ResumeInfo info;

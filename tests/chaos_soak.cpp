@@ -74,7 +74,6 @@
 #include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
@@ -282,8 +281,8 @@ int main() {
             }
             default: {  // starved allocation budget
               expected = RunStatus::kEnvFault;
-              // A warm memo would satisfy the run without charging a byte.
-              clear_ball_encoding_cache();
+              // Starves the refinement kernel's scratch, which every
+              // level's (P1) check charges.
               ScopedAllocBudget budget(256);
               outcome = guarded_run_adversary(alg, delta);
               break;
@@ -295,7 +294,6 @@ int main() {
                     to_string(expected));
           check(!outcome.certificate.has_value(),
                 "interrupted guarded run still produced a certificate");
-          clear_ball_encoding_cache();  // a bad_alloc may have starved it
           resume_and_compare(delta);
           break;
         }

@@ -23,7 +23,6 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/bigint.hpp"
 #include "ldlb/util/error.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
 namespace {
@@ -112,7 +111,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
   const int delta = 5;
   std::string clean;
   {
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     clean = certificate_bytes(run_adversary(alg, delta));
   }
@@ -142,7 +140,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
     // fits one write() call, so write occurrence n belongs to save n.)
     plan.arm(op, mode, 2);
     {
-      clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
       SnapshotStore store(path);
       // The checkpoint save sits outside per-level supervision, so the
@@ -166,7 +163,6 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
 
     // Resume with the fault cleared: byte-identical final certificate.
     {
-      clear_ball_encoding_cache();
       SeqColorPacking alg{delta};
       SnapshotStore store(path);
       ResumeInfo info;
@@ -215,12 +211,12 @@ TEST(AllocGuard, StarvesBigIntLimbGrowth) {
 }
 
 TEST(AllocGuard, AdversaryRunClassifiesAsEnvFault) {
-  // A warm memo would satisfy the run without a single charged allocation.
-  clear_ball_encoding_cache();
   SeqColorPacking alg{5};
   GuardedOutcome outcome;
   {
-    ScopedAllocBudget budget(256);  // starves the ball-encoding memo
+    // Starves the refinement kernel's scratch (cover/refinement), which
+    // every level's (P1) check charges.
+    ScopedAllocBudget budget(256);
     outcome = guarded_run_adversary(alg, 5);
   }
   EXPECT_EQ(outcome.status, RunStatus::kEnvFault);
@@ -228,28 +224,9 @@ TEST(AllocGuard, AdversaryRunClassifiesAsEnvFault) {
   EXPECT_FALSE(outcome.certificate.has_value());
 
   // The library is fully usable once the budget is gone.
-  clear_ball_encoding_cache();
   GuardedOutcome retry = guarded_run_adversary(alg, 5);
   EXPECT_EQ(retry.status, RunStatus::kOk);
   EXPECT_TRUE(retry.certificate.has_value());
-}
-
-TEST(BallCache, RespectsByteBudgetWithLruEviction) {
-  clear_ball_encoding_cache();
-  set_ball_encoding_cache_budget(2048);
-  SeqColorPacking alg{6};
-  (void)run_adversary(alg, 6);  // populates the cache heavily
-  EXPECT_LE(ball_encoding_cache_bytes(), 2048u);
-
-  // Budget 0 disables memoization outright but keeps answers correct.
-  clear_ball_encoding_cache();
-  set_ball_encoding_cache_budget(0);
-  (void)run_adversary(alg, 6);
-  EXPECT_EQ(ball_encoding_cache_bytes(), 0u);
-
-  // Restore the default for the rest of the suite.
-  set_ball_encoding_cache_budget(std::size_t{8} << 20);
-  clear_ball_encoding_cache();
 }
 
 }  // namespace

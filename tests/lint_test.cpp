@@ -164,16 +164,6 @@ TEST(LintRules, LogModulesAreExemptFromRawLogWrite) {
             1u);
 }
 
-TEST(LintRules, BallModulesAreExemptFromBallExtraction) {
-  const std::string source = "Ball b = extract_ball(g, v, r);\n";
-  EXPECT_TRUE(lint_core_snippet("src/ldlb/view/ball.cpp", source).empty());
-  EXPECT_TRUE(
-      lint_core_snippet("src/ldlb/view/ball_store.cpp", source).empty());
-  EXPECT_EQ(lint_core_snippet("src/ldlb/core/x.cpp", source).size(), 1u);
-  // The rule covers the whole tree, not just the proof layers.
-  EXPECT_EQ(lint_core_snippet("src/ldlb/local/x.cpp", source).size(), 1u);
-}
-
 TEST(LintRules, SwitchWithoutDefaultIsExhaustivenessClean) {
   EXPECT_TRUE(lint_core_snippet("src/ldlb/fault/x.cpp",
                                 "switch (s) {\n"
@@ -202,7 +192,6 @@ TEST(LintFixtures, ExactDiagnosticsFromPlantedTree) {
       "src/ldlb/cover/raw_socket.cpp:6:raw-socket",
       "src/ldlb/fault/raw_process.cpp:6:raw-process",
       "src/ldlb/fault/switch_default.cpp:11:switch-default-on-enum",
-      "src/ldlb/local/ball_extract.cpp:6:ball-extraction",
       "src/ldlb/matching/catch_all.cpp:7:catch-all",
       "src/ldlb/order/stale.cpp:4:stale-suppression",
       "src/ldlb/recover/log_write.cpp:7:raw-log-write",
@@ -233,7 +222,7 @@ TEST(LintBinary, FailsOnEachPlantedFixtureAlone) {
       "src/ldlb/view/raw_sync.cpp",     "src/ldlb/matching/catch_all.cpp",
       "src/ldlb/fault/switch_default.cpp", "src/ldlb/order/stale.cpp",
       "src/ldlb/fault/raw_process.cpp",    "src/ldlb/cover/raw_socket.cpp",
-      "src/ldlb/local/ball_extract.cpp",  "src/ldlb/recover/log_write.cpp",
+      "src/ldlb/recover/log_write.cpp",
   };
   for (const std::string& file : planted) {
     const auto [code, output] =
@@ -248,7 +237,7 @@ TEST(LintBinary, FixtureTreeFailsRealTreePasses) {
   const auto fixture =
       run(std::string(LDLB_LINT_BIN) + " --root " + LDLB_FIXTURE_ROOT);
   EXPECT_EQ(fixture.first, 1);
-  EXPECT_EQ(std::count(fixture.second.begin(), fixture.second.end(), '\n'), 10)
+  EXPECT_EQ(std::count(fixture.second.begin(), fixture.second.end(), '\n'), 9)
       << fixture.second;
 
   const auto real = run(std::string(LDLB_LINT_BIN) + " --root " +

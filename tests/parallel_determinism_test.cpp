@@ -20,7 +20,6 @@
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/thread_pool.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
 namespace {
@@ -41,7 +40,6 @@ std::string certificate_bytes(const LowerBoundCertificate& cert) {
 
 std::string run_and_serialize(int delta, int threads) {
   PoolOverride pool(threads);
-  clear_ball_encoding_cache();
   SeqColorPacking alg{delta};
   AdversaryOptions opts;
   opts.verify_p2 = true;
@@ -108,7 +106,6 @@ TEST(ParallelDeterminism, TwoPhaseCertificatesByteIdentical) {
   const int delta = 5;
   auto run = [&](int threads) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     TwoPhasePacking alg{delta};
     return certificate_bytes(run_adversary(alg, delta));
   };
@@ -128,12 +125,10 @@ TEST(ParallelDeterminism, ValidatorDecisionsMatchSerial) {
   std::vector<LevelValidation> serial, parallel;
   {
     PoolOverride pool(1);
-    clear_ball_encoding_cache();
     serial = validate_certificate(cert, alg, /*check_loopiness=*/true);
   }
   {
     PoolOverride pool(8);
-    clear_ball_encoding_cache();
     parallel = validate_certificate(cert, alg, /*check_loopiness=*/true);
   }
   ASSERT_EQ(serial.size(), parallel.size());
@@ -159,7 +154,6 @@ TEST(ParallelDeterminism, ValidatorRejectsTamperedCertificateIdentically) {
   cert.levels[1].g_weight += Rational(1);
   auto check = [&](int threads) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     auto vs = validate_certificate(cert, alg, false);
     EXPECT_FALSE(vs[1].weights_match_stored) << "threads=" << threads;
     EXPECT_TRUE(vs[0].weights_match_stored) << "threads=" << threads;
@@ -266,7 +260,6 @@ TEST(ParallelDeterminism, BudgetHooksKeepCertificatesByteIdentical) {
   const std::string bare = run_and_serialize(delta, 1);
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     BudgetHooks hooks({.max_total_messages = 0, .deadline = {}});  // enforce, never trip
     AdversaryOptions opts;
@@ -283,7 +276,6 @@ TEST(ParallelDeterminism, TrippedBudgetClassifiesIdenticallyAcrossThreads) {
   std::string serial_error;
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
-    clear_ball_encoding_cache();
     SeqColorPacking alg{delta};
     // A 1-message cumulative cap trips on the first delivery of the first
     // adversary step, in every schedule; under speculation each branch

@@ -41,8 +41,6 @@ void help(std::ostream& os, const char* argv0) {
      << "                           certificate log (recover/cert_log) instead of\n"
      << "                           the rewrite-whole-file snapshot store\n"
      << "  --resume                 keep an existing store (default: start fresh)\n"
-     << "  --no-ball-ship           do not ship the coordinator's interned ball\n"
-     << "                           table to (re)spawned workers (cold starts)\n"
      << "  --kill-every-level <s>   chaos: violently sever one seed-chosen worker\n"
      << "                           link as each level's requests go out (SIGKILL\n"
      << "                           for pipe workers, abortive RST for sockets)\n"
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
   bool resume = false;
   bool chaos = false;
   bool degrade = true;
-  bool ball_ship = true;
   std::uint64_t chaos_seed = 0;
   int abort_after_level = -1;
   int max_respawns = 3;
@@ -147,8 +144,6 @@ int main(int argc, char** argv) {
       snapshot = value();
     } else if (arg == "--log") {
       log_path = value();
-    } else if (arg == "--no-ball-ship") {
-      ball_ship = false;
     } else if (arg == "--connect") {
       connect_spec = value();
     } else if (arg == "--listen") {
@@ -212,7 +207,6 @@ int main(int argc, char** argv) {
   options.workers = workers;
   options.max_respawns_per_level = max_respawns;
   options.degrade = degrade;
-  options.ship_ball_table = ball_ship;
   options.connect_timeout_seconds = connect_timeout;
   options.stale_after_seconds = stale_after;
   if (!connect_spec.empty()) {

@@ -183,20 +183,6 @@ std::vector<Rule> build_rules() {
 
   {
     Rule r;
-    r.name = "ball-extraction";
-    r.prefix = "raw ball extraction ";
-    r.suffix =
-        " outside view/ball and view/ball_store; the hot path compares "
-        "canonical keys (balls_isomorphic_cached / canonical_ball_key) — "
-        "annotate any site that genuinely needs a materialised ball";
-    Pattern p = pat(R"(\bextract_ball\s*\()", "extract_ball(");
-    p.excludes = {"view/ball.", "view/ball_store."};
-    r.patterns = {std::move(p)};
-    rules.push_back(std::move(r));
-  }
-
-  {
-    Rule r;
     r.name = "raw-log-write";
     r.prefix = "raw log write ";
     r.suffix =

@@ -1,11 +1,11 @@
 // Perf-regression gate for CI (scripts/ci.sh).
 //
 // Measures the min-of-N wall time of the full Δ-adversary chain plus
-// certificate validation — the hot path the canonical ball engine
-// (view/ball_store) accelerates — and compares it against a checked-in
-// baseline. Exits nonzero when the measured time regresses past the
-// allowed factor, so an accidental reintroduction of the exponential
-// isomorphism path fails CI in seconds instead of rotting silently.
+// certificate validation — simulation, and (P1) on the refinement kernel
+// (cover/refinement) — and compares it against a checked-in baseline.
+// Exits nonzero when the measured time regresses past the allowed factor,
+// so an accidental reintroduction of the exponential isomorphism path
+// fails CI in seconds instead of rotting silently.
 // Min-of-N because single-shot wall times on shared CI machines jitter
 // by 10-20%; the minimum is the stable statistic of a deterministic
 // computation.
@@ -49,7 +49,6 @@
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/atomic_file.hpp"
-#include "ldlb/view/isomorphism.hpp"
 
 namespace {
 
@@ -74,7 +73,6 @@ Subject make_subject(const std::string& kind, int delta) {
 }
 
 double run_once_ms(ldlb::EcAlgorithm& alg, int delta, bool check_loopiness) {
-  ldlb::clear_ball_encoding_cache();  // cold cache, like a fresh process
   const auto t0 = std::chrono::steady_clock::now();
   ldlb::LowerBoundCertificate cert = ldlb::run_adversary(alg, delta);
   const bool valid =
@@ -109,7 +107,6 @@ double stream_best_ms(ldlb::EcAlgorithm& alg, int delta, int reps,
   double best = 0.0;
   bool ok = true;
   for (int rep = 0; rep < reps; ++rep) {
-    ldlb::clear_ball_encoding_cache();
     const auto t0 = std::chrono::steady_clock::now();
     const std::string text = ldlb::CertificateLog::serialize(cert);
     const ldlb::CertLogValidation v =
@@ -207,7 +204,7 @@ int main(int argc, char** argv) {
               << (stream                ? "text codec's"
                   : algorithm != "seq"  ? "closed-form evaluator's"
                   : check_loopiness     ? "factor-graph kernel's"
-                                        : "canonical ball engine's")
+                                        : "adversary and (P1) kernel's")
               << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
   }
