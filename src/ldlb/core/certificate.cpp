@@ -30,16 +30,21 @@ std::vector<LevelValidation> validate_certificate(
     LevelValidation v;
     v.level = lv.level;
 
+    const bool coloured =
+        lv.g.has_proper_edge_coloring() && lv.h.has_proper_edge_coloring();
+    const bool connected = lv.g.is_connected() && lv.h.is_connected();
     v.degree_ok = lv.g.max_degree() <= cert.delta &&
-                  lv.h.max_degree() <= cert.delta &&
-                  lv.g.has_proper_edge_coloring() &&
-                  lv.h.has_proper_edge_coloring();
+                  lv.h.max_degree() <= cert.delta && coloured;
     v.shape_ok = lv.g.is_forest_ignoring_loops() &&
-                 lv.h.is_forest_ignoring_loops() && lv.g.is_connected() &&
-                 lv.h.is_connected();
+                 lv.h.is_forest_ignoring_loops() && connected;
     if (check_loopiness) {
+      // loopiness() builds factor graphs, which require exactly these two
+      // properties; a stored graph without them is reported, not thrown
+      // on. The degree bound is not one of them, so a degree-Δ+1 graph
+      // still gets its loopiness verdict.
       int need = cert.delta - 1 - lv.level;
-      v.loopy_ok = loopiness(lv.g) >= need && loopiness(lv.h) >= need;
+      v.loopy_ok = coloured && connected && loopiness(lv.g) >= need &&
+                   loopiness(lv.h) >= need;
     } else {
       v.loopy_ok = true;
     }

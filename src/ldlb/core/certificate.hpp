@@ -63,7 +63,9 @@ struct LevelValidation {
   int level = 0;
   bool degree_ok = false;        ///< both graphs have max degree <= Δ
   bool shape_ok = false;         ///< trees-with-loops (property (P3))
-  bool loopy_ok = false;         ///< (Δ-1-i)-loopy (property (P2))
+  /// (Δ-1-i)-loopy (property (P2)); false, without building a factor
+  /// graph, when either graph is improperly coloured or disconnected.
+  bool loopy_ok = false;
   bool witness_loops_ok = false; ///< stored loops exist, colour c, at g_i/h_i
   bool balls_isomorphic = false; ///< τ_i(G_i,g_i) ≅ τ_i(H_i,h_i)
   bool outputs_differ = false;   ///< re-run weights differ on the witness loops

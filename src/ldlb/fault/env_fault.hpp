@@ -14,9 +14,9 @@
 //
 // Allocation failure is injected separately through
 // util/alloc_guard.hpp's thread-local byte budget (ScopedAllocBudget):
-// charge sites in BigInt and in the refinement kernel (cover/refinement)
-// throw std::bad_alloc once the budget is exhausted, which the guarded
-// layer classifies as RunStatus::kEnvFault.
+// charge sites in Rational's spill tier, in BigInt's limbs and in the
+// refinement kernel (cover/refinement) throw std::bad_alloc once the budget
+// is exhausted, which the guarded layer classifies as RunStatus::kEnvFault.
 #pragma once
 
 #include <atomic>

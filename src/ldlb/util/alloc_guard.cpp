@@ -3,7 +3,7 @@
 namespace ldlb {
 namespace detail {
 
-thread_local long long tls_alloc_budget = -1;
+thread_local constinit long long tls_alloc_budget = -1;
 
 }  // namespace detail
 }  // namespace ldlb

@@ -1,7 +1,8 @@
 // Allocation-failure injection for the exact-arithmetic hot paths.
 //
 // Real std::bad_alloc is nearly impossible to provoke deterministically in a
-// test, yet the BigInt limb vectors and the scratch of the colour-refinement
+// test, yet the spill tier of Rational (a weight that outgrows two machine
+// words), the BigInt limb vectors and the scratch of the colour-refinement
 // kernel (cover/refinement, behind every (P1) check and factor graph) are
 // exactly the allocations a long adversary run leans on. ScopedAllocBudget
 // arms a *thread-local* byte budget; the library's growth points call
@@ -23,7 +24,9 @@ namespace ldlb {
 
 namespace detail {
 // -1 = inactive; >= 0 = bytes remaining before charges start throwing.
-extern thread_local long long tls_alloc_budget;
+// constinit: the variable is constant-initialised, so other translation
+// units read it directly instead of through a TLS wrapper call.
+extern thread_local constinit long long tls_alloc_budget;
 }  // namespace detail
 
 /// Arms an allocation budget of `bytes` for the current thread for the

@@ -4,14 +4,15 @@
 // rational.hpp); their numerators and denominators can grow with the number
 // of communication rounds (e.g. repeated halving yields denominators 2^k for
 // k up to Θ(Δ)), so fixed-width integers are not safe for the parameter
-// ranges the benchmarks sweep. BigInt is a sign-magnitude integer with a
-// two-tier representation tuned for this library's workload, where almost
-// every value fits a machine word:
+// ranges the benchmarks sweep. Rational keeps word-sized weights in two
+// inline int64s and does their arithmetic itself; BigInt is its spill tier,
+// used once a reduced part outgrows 63 bits, and the parser behind
+// Rational::from_string. BigInt is a sign-magnitude integer with a two-tier
+// representation of its own:
 //
 //   * small: the magnitude lives inline in a single uint64 — no heap
 //     allocation, and add/sub/mul/div/gcd/compare run as one or two machine
-//     operations (the adversary's propagation walker does millions of weight
-//     comparisons, so this tier is the hot path);
+//     operations;
 //   * large: the magnitude spills into little-endian uint32 limbs with
 //     schoolbook arithmetic (operands stay tens of limbs at most, so
 //     asymptotically fancy algorithms would be wasted complexity).
@@ -41,9 +42,9 @@ class BigInt {
   /// Zero.
   BigInt() = default;
 
-  /// Conversion from a machine integer. Inline: rational arithmetic mints
-  /// millions of small temporaries (literals, signs, gcd seeds), so this
-  /// must compile down to two register moves.
+  /// Conversion from a machine integer. Inline: Rational's hash and its
+  /// BigInt fallback convert word-tier parts through it, so this must
+  /// compile down to two register moves.
   BigInt(std::int64_t value)  // NOLINT(google-explicit-constructor)
       : negative_(value < 0) {
     // Avoid overflow on INT64_MIN by working in uint64.

@@ -1,34 +1,152 @@
 #include "ldlb/util/rational.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <ostream>
+#include <utility>
 
+#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
 
-Rational::Rational(BigInt num, BigInt den)
-    : num_(std::move(num)), den_(std::move(den)) {
-  LDLB_REQUIRE_MSG(!den_.is_zero(), "rational with zero denominator");
-  reduce();
+namespace {
+
+using u128 = unsigned __int128;
+using i128 = __int128;
+
+// Reduced parts strictly below this bound sit in the word tier.
+constexpr u128 kWordBound = u128{1} << 63;
+
+u128 magnitude(i128 v) { return v < 0 ? -static_cast<u128>(v) : v; }
+
+int ctz_wide(u128 x) {  // x != 0
+  const auto lo = static_cast<std::uint64_t>(x);
+  return lo != 0 ? __builtin_ctzll(lo)
+                 : 64 + __builtin_ctzll(static_cast<std::uint64_t>(x >> 64));
 }
 
-void Rational::reduce() {
-  if (den_.is_negative()) {
-    num_ = num_.negated();
-    den_ = den_.negated();
+// Binary GCD of two odd words: shifts and subtractions only, written
+// without data-dependent branches so the loop does not mispredict.
+std::uint64_t gcd_odd(std::uint64_t a, std::uint64_t b) {
+  if (a == 1 || b == 1) return 1;
+  while (a != b) {
+    const std::uint64_t diff = a > b ? a - b : b - a;
+    a = std::min(a, b);
+    b = diff >> __builtin_ctzll(diff);
   }
-  if (num_.is_zero()) {
-    den_ = BigInt{1};
+  return a;
+}
+
+// GCD of two odd values: Euclid steps until both fit a word (only near the
+// spill boundary), then the word loop.
+u128 gcd_odd_wide(u128 a, u128 b) {
+  while (((a | b) >> 64) != 0) {
+    if (a < b) std::swap(a, b);
+    a %= b;
+    if (a == 0) return b;
+    a >>= ctz_wide(a);  // b is odd, so a's factors of two are not shared
+  }
+  return gcd_odd(static_cast<std::uint64_t>(a),
+                 static_cast<std::uint64_t>(b));
+}
+
+// Exact division, in one machine division when both operands fit a word.
+u128 div_exact(u128 x, u128 d) {
+  if (((x | d) >> 64) == 0) {
+    return static_cast<std::uint64_t>(x) / static_cast<std::uint64_t>(d);
+  }
+  return x / d;
+}
+
+bool fits_word(const BigInt& v) {
+  return v.fits_int64() && v != BigInt{INT64_MIN};
+}
+
+}  // namespace
+
+Rational::Rational(BigInt num, BigInt den) {
+  LDLB_REQUIRE_MSG(!den.is_zero(), "rational with zero denominator");
+  if (num.fits_int64() && den.fits_int64()) {
+    const std::int64_t n = num.to_int64(), d = den.to_int64();
+    if (assign_wide((n < 0) != (d < 0), magnitude(n), magnitude(d))) return;
+  }
+  assign_big(std::move(num), std::move(den));
+}
+
+Rational::Rational(std::int64_t num, std::int64_t den) {
+  LDLB_REQUIRE_MSG(den != 0, "rational with zero denominator");
+  if (!assign_wide((num < 0) != (den < 0), magnitude(num), magnitude(den))) {
+    assign_big(BigInt{num}, BigInt{den});
+  }
+}
+
+bool Rational::assign_wide(bool negative, u128 mag, u128 den) {
+  if (mag == 0) {
+    num_ = 0;
+    den_ = 1;
+    return true;
+  }
+  // Shifts strip the common factor of two, which is all the reduction
+  // dyadic weights need; only odd parts reach the GCD loop.
+  const int tm = ctz_wide(mag), td = ctz_wide(den);
+  const int common = std::min(tm, td);
+  mag >>= common;
+  den >>= common;
+  const u128 g = gcd_odd_wide(mag >> (tm - common), den >> (td - common));
+  if (g != 1) {
+    mag = div_exact(mag, g);
+    den = div_exact(den, g);
+  }
+  if (mag >= kWordBound || den >= kWordBound) return false;
+  const auto n = static_cast<std::int64_t>(mag);
+  num_ = negative ? -n : n;
+  den_ = static_cast<std::int64_t>(den);
+  return true;
+}
+
+void Rational::assign_big(BigInt num, BigInt den) {
+  if (den.is_negative()) {
+    num = num.negated();
+    den = den.negated();
+  }
+  if (num.is_zero()) {
+    den = BigInt{1};
+  } else {
+    BigInt g = BigInt::gcd(num, den);
+    if (g != BigInt{1}) {
+      num /= g;
+      den /= g;
+    }
+  }
+  if (fits_word(num) && fits_word(den)) {
+    num_ = num.to_int64();
+    den_ = den.to_int64();
+    big_.reset();
     return;
   }
-  // Weight arithmetic mostly produces already-reduced fractions (dyadic
-  // denominators); skipping the two divisions when gcd == 1 keeps the hot
-  // path at a single binary-GCD word loop.
-  BigInt g = BigInt::gcd(num_, den_);
-  if (g != BigInt{1}) {
-    num_ /= g;
-    den_ /= g;
-  }
+  // The spill is the one allocation of exact arithmetic besides BigInt's
+  // limbs; observing the thread-local budget here lets the env-fault tests
+  // starve it deterministically (util/alloc_guard.hpp).
+  charge_alloc(sizeof(Spill));
+  auto spill = std::make_unique<Spill>(Spill{std::move(num), std::move(den)});
+  num_ = spill->num.sign();
+  den_ = 0;
+  big_ = std::move(spill);
+}
+
+std::unique_ptr<Rational::Spill> Rational::copy_spill(const Spill& spill) {
+  charge_alloc(sizeof(Spill));
+  return std::make_unique<Spill>(spill);
+}
+
+Rational& Rational::assign_slow(const Rational& other) {
+  if (this == &other) return *this;
+  std::unique_ptr<Spill> copy = other.big_ ? copy_spill(*other.big_) : nullptr;
+  num_ = other.num_;
+  den_ = other.den_;
+  big_ = std::move(copy);
+  return *this;
 }
 
 Rational Rational::from_string(std::string_view text) {
@@ -40,67 +158,112 @@ Rational Rational::from_string(std::string_view text) {
                   BigInt::from_string(text.substr(slash + 1))};
 }
 
-Rational& Rational::operator+=(const Rational& rhs) {
-  num_ = num_ * rhs.den_ + rhs.num_ * den_;
-  den_ = den_ * rhs.den_;
-  reduce();
-  return *this;
-}
+BigInt Rational::num() const { return big_ ? big_->num : BigInt{num_}; }
 
-Rational& Rational::operator-=(const Rational& rhs) {
-  num_ = num_ * rhs.den_ - rhs.num_ * den_;
-  den_ = den_ * rhs.den_;
-  reduce();
+BigInt Rational::den() const { return big_ ? big_->den : BigInt{den_}; }
+
+// Word operands run in __int128 and keep the result if its reduced parts
+// fit; anything else is recomputed in BigInt, which demotes what fits.
+
+Rational& Rational::operator+=(const Rational& rhs) { return add(rhs, false); }
+
+Rational& Rational::operator-=(const Rational& rhs) { return add(rhs, true); }
+
+Rational& Rational::add(const Rational& rhs, bool subtract) {
+  if (!big_ && !rhs.big_) {
+    const std::int64_t c = subtract ? -rhs.num_ : rhs.num_;
+    const bool same = den_ == rhs.den_;
+    const i128 n = same ? i128{num_} + c
+                        : i128{num_} * rhs.den_ + i128{c} * den_;
+    const u128 d = same ? u128(den_) : u128(den_) * u128(rhs.den_);
+    if (assign_wide(n < 0, magnitude(n), d)) return *this;
+  }
+  BigInt cross = rhs.num() * den();
+  if (subtract) cross = cross.negated();
+  assign_big(num() * rhs.den() + cross, den() * rhs.den());
   return *this;
 }
 
 Rational& Rational::operator*=(const Rational& rhs) {
-  num_ *= rhs.num_;
-  den_ *= rhs.den_;
-  reduce();
+  if (!big_ && !rhs.big_) {
+    const i128 n = i128{num_} * rhs.num_;
+    if (assign_wide(n < 0, magnitude(n), u128(den_) * u128(rhs.den_))) {
+      return *this;
+    }
+  }
+  assign_big(num() * rhs.num(), den() * rhs.den());
   return *this;
 }
 
 Rational& Rational::operator/=(const Rational& rhs) {
   LDLB_REQUIRE_MSG(!rhs.is_zero(), "division of rational by zero");
-  num_ *= rhs.den_;
-  den_ *= rhs.num_;
-  reduce();
+  if (!big_ && !rhs.big_) {
+    const i128 n = i128{num_} * rhs.den_;
+    if (assign_wide((n < 0) != (rhs.num_ < 0), magnitude(n),
+                    u128(den_) * magnitude(rhs.num_))) {
+      return *this;
+    }
+  }
+  assign_big(num() * rhs.den(), den() * rhs.num());
   return *this;
 }
 
-std::strong_ordering operator<=>(const Rational& lhs, const Rational& rhs) {
-  // Sign alone decides most comparisons; equal denominators (common for the
-  // dyadic weights the packing algorithms emit) avoid the cross products.
-  const int sl = lhs.sign(), sr = rhs.sign();
-  if (sl != sr) return sl <=> sr;
-  if (lhs.den_ == rhs.den_) return lhs.num_ <=> rhs.num_;
-  // Cross-multiplication is sign-safe because denominators are positive.
-  return lhs.num_ * rhs.den_ <=> rhs.num_ * lhs.den_;
+Rational Rational::operator-() const {
+  Rational r = *this;
+  // Negation keeps both magnitudes, so it never changes the tier.
+  r.num_ = -r.num_;
+  if (r.big_) r.big_->num = r.big_->num.negated();
+  return r;
 }
 
-std::string Rational::to_string() const {
-  if (den_ == BigInt{1}) return num_.to_string();
-  return num_.to_string() + "/" + den_.to_string();
+bool Rational::spills_equal(const Rational& lhs, const Rational& rhs) {
+  return lhs.big_->num == rhs.big_->num && lhs.big_->den == rhs.big_->den;
+}
+
+std::strong_ordering Rational::compare_slow(const Rational& lhs,
+                                            const Rational& rhs) {
+  const int sl = lhs.sign(), sr = rhs.sign();
+  if (sl != sr) return sl <=> sr;
+  // Cross-multiplication is sign-safe because denominators are positive.
+  return lhs.num() * rhs.den() <=> rhs.num() * lhs.den();
 }
 
 void Rational::append_to(std::string& out) const {
-  num_.append_to(out);
-  if (den_ == BigInt{1}) return;
+  if (big_) {
+    big_->num.append_to(out);
+    if (big_->den == BigInt{1}) return;
+    out += '/';
+    big_->den.append_to(out);
+    return;
+  }
+  char digits[20];  // "-9223372036854775807"
+  auto result = std::to_chars(digits, digits + sizeof digits, num_);
+  out.append(digits, result.ptr);
+  if (den_ == 1) return;
   out += '/';
-  den_.append_to(out);
+  result = std::to_chars(digits, digits + sizeof digits, den_);
+  out.append(digits, result.ptr);
+}
+
+std::string Rational::to_string() const {
+  std::string out;
+  append_to(out);
+  return out;
 }
 
 double Rational::to_double() const {
+  if (!big_) return static_cast<double>(num_) / static_cast<double>(den_);
+  const BigInt& num = big_->num;
+  const BigInt& den = big_->den;
   // Sufficient for display: go through long double division of decimal
   // approximations when values fit, otherwise scale down.
-  if (num_.fits_int64() && den_.fits_int64()) {
-    return static_cast<double>(num_.to_int64()) /
-           static_cast<double>(den_.to_int64());
+  if (num.fits_int64() && den.fits_int64()) {
+    return static_cast<double>(num.to_int64()) /
+           static_cast<double>(den.to_int64());
   }
   // Fall back on string-length scaling for huge values (rare; display only).
-  std::string n = num_.abs().to_string();
-  std::string d = den_.to_string();
+  std::string n = num.abs().to_string();
+  std::string d = den.to_string();
   double mant = 0;
   {
     double nn = 0, dd = 0;
@@ -118,11 +281,13 @@ double Rational::to_double() const {
     value /= 10;
     ++exp10;
   }
-  return num_.is_negative() ? -value : value;
+  return num.is_negative() ? -value : value;
 }
 
 std::size_t Rational::hash() const {
-  return num_.hash() * 1000003u ^ den_.hash();
+  // The BigInt hashes of the parts, whichever tier holds them.
+  if (big_) return big_->num.hash() * 1000003u ^ big_->den.hash();
+  return BigInt{num_}.hash() * 1000003u ^ BigInt{den_}.hash();
 }
 
 std::ostream& operator<<(std::ostream& os, const Rational& value) {

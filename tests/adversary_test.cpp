@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "ldlb/core/base_case.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/graph/generators.hpp"
 #include "ldlb/cover/loopiness.hpp"
 #include "ldlb/local/simulator.hpp"
 #include "ldlb/matching/checker.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/view/ball.hpp"
@@ -111,6 +113,50 @@ TEST(Adversary, MismatchedWitnessLoopIsRejected) {
     }
   }
   EXPECT_FALSE(certificate_is_valid(cert, alg));
+}
+
+// (P2) is judged on exactly the preconditions of factor graphs, a proper
+// colouring and connectivity, not on the composite clauses: a graph of
+// degree Δ+1 still gets its loopiness verdict, and an improperly coloured
+// one is reported as not loopy instead of throwing. The subject is the
+// simulated-PO algorithm, which, unlike seq, accepts a colour beyond Δ−1.
+TEST(Adversary, LoopinessVerdictNeedsOnlyColouringAndConnectivity) {
+  const int delta = 5;
+  ProposalPacking inner;
+  EcFromPo alg{inner};
+  const LowerBoundCertificate cert = run_adversary(alg, delta);
+  for (std::size_t i = 0; i < cert.levels.size(); ++i) {
+    const CertificateLevel& lv = cert.levels[i];
+    const int need = delta - 1 - lv.level;
+
+    // Loops in fresh colours at node 0 up to degree Δ+1: still properly
+    // coloured and connected.
+    LowerBoundCertificate wide = cert;
+    Multigraph& wg = wide.levels[i].g;
+    for (Color c = delta; wg.degree(0) <= delta; ++c) wg.add_edge(0, 0, c);
+    const LevelValidation w = validate_certificate(wide, alg)[i];
+    EXPECT_FALSE(w.degree_ok) << "level " << i;
+    EXPECT_EQ(w.loopy_ok, loopiness(wide.levels[i].g) >= need &&
+                              loopiness(lv.h) >= need)
+        << "level " << i;
+
+    // The witness loop recoloured to clash with another end at g_i.
+    LowerBoundCertificate clash = cert;
+    Multigraph& g = clash.levels[i].g;
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      if (e != lv.g_loop && (g.edge(e).u == lv.g_node ||
+                             g.edge(e).v == lv.g_node)) {
+        g.set_color(lv.g_loop, g.edge(e).color);
+        break;
+      }
+    }
+    ASSERT_FALSE(g.has_proper_edge_coloring()) << "level " << i;
+    LevelValidation c;
+    EXPECT_NO_THROW(c = validate_certificate(clash, alg)[i]) << "level " << i;
+    EXPECT_FALSE(c.degree_ok) << "level " << i;
+    EXPECT_FALSE(c.loopy_ok) << "level " << i;
+    EXPECT_FALSE(certificate_is_valid(clash, alg));
+  }
 }
 
 TEST(Adversary, AlgorithmOutputsStayMaximalOnAllLevels) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -23,6 +24,7 @@
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/bigint.hpp"
 #include "ldlb/util/error.hpp"
+#include "ldlb/util/rational.hpp"
 
 namespace ldlb {
 namespace {
@@ -208,6 +210,26 @@ TEST(AllocGuard, StarvesBigIntLimbGrowth) {
   BigInt big = BigInt::pow2(200);  // needs > 2 limbs
   ScopedAllocBudget budget(0);
   EXPECT_THROW((void)(big * big), std::bad_alloc);
+}
+
+TEST(AllocGuard, StarvesRationalSpill) {
+  const Rational tiny{1, INT64_MAX};
+  const Rational third{1, 3};
+  // 1 / (3·2^62) needs a 64-bit denominator: BigInt keeps it inline, so
+  // the only allocation, and the only charge, is Rational's spill.
+  const Rational edge{1, std::int64_t{1} << 62};
+  const Rational spill = edge * third;
+  {
+    ScopedAllocBudget budget(0);
+    EXPECT_THROW((void)(tiny * third), std::bad_alloc);
+    EXPECT_THROW((void)(edge * third), std::bad_alloc);
+    EXPECT_THROW((void)Rational(spill), std::bad_alloc);  // copies charge too
+    // Word-tier arithmetic never allocates, so it never charges.
+    EXPECT_EQ((third * third + Rational(1, 2)) / Rational(3),
+              Rational(11, 54));
+    EXPECT_EQ(tiny * Rational(2), Rational(2, INT64_MAX));
+  }
+  EXPECT_EQ(edge * third, spill);  // usable again once the budget is gone
 }
 
 TEST(AllocGuard, AdversaryRunClassifiesAsEnvFault) {

@@ -3,8 +3,9 @@
 //
 //   * Boundary mutants change one edge of G_i at edge distance exactly i
 //     from g_i (P1 must fail) or i + 1 (P1 must hold), on every level of
-//     seq chains at Δ=8 and Δ=14; the resident and streamed validators
-//     must agree on every LevelValidation field. They use only the
+//     seq chains at Δ=8 and Δ=14; with (P2) on, the resident and streamed
+//     validators must agree on every LevelValidation field, and a mutant
+//     that disconnects G_i must fail (P3) and (P2) without throwing. They use only the
 //     validators' public API, so they test whichever P1 engine exists.
 //   * Differential: the kernel against ball extraction plus propagation
 //     (the oracle) on chain witnesses at radius i, i+1 and i+2, random
@@ -109,9 +110,10 @@ enum class Mutation { kRemoveLoop, kRemoveEdge, kUnfoldLoop };
 // Builds the seq chain at `delta` and, for each distance (i, then i+1) and
 // mutation (remove a loop, remove a non-loop edge, unfold a loop into an
 // edge to a new leaf), one mutant certificate in which every level that
-// has such an edge in G_i is mutated there. Checks P1 on every level, and
-// that the resident and streamed validators agree field for field. Returns
-// how many levels each of the six mutants changed, distance-major.
+// has such an edge in G_i is mutated there. Checks P1, P3 and the degree
+// bound on every level, and that the resident and streamed validators
+// agree field for field, all with (P2) on. Returns how many levels each
+// of the six mutants changed, distance-major.
 std::vector<int> check_boundary_mutants(int delta) {
   SeqColorPacking alg{delta};
   const LowerBoundCertificate cert = run_adversary(alg, delta);
@@ -139,11 +141,10 @@ std::vector<int> check_boundary_mutants(int delta) {
         }
         mutated[i] = true;
       }
-      // Removing a non-loop edge disconnects G_i, and factor graphs need
-      // connectivity, so (P2) is checked on the other mutants only.
-      const bool check_loopiness = m != Mutation::kRemoveEdge;
+      // Every mutant is validated with (P2) on, including those that
+      // disconnect G_i: the validator reports them instead of throwing.
       const std::vector<LevelValidation> resident =
-          validate_certificate(mutant, alg, check_loopiness);
+          validate_certificate(mutant, alg, /*check_loopiness=*/true);
 
       const std::string path = temp_path("p1_mutant.ldcl");
       {
@@ -153,7 +154,7 @@ std::vector<int> check_boundary_mutants(int delta) {
       }
       std::vector<LevelValidation> streamed;
       const CertLogValidation log = validate_certificate_log(
-          path, alg, check_loopiness,
+          path, alg, /*check_loopiness=*/true,
           [&](const LevelValidation& v) { streamed.push_back(v); });
       std::filesystem::remove(path);
       EXPECT_EQ(log.levels_checked, static_cast<int>(mutant.levels.size()))
@@ -171,6 +172,15 @@ std::vector<int> check_boundary_mutants(int delta) {
         // P1, changing one at distance i + 1 must not.
         const bool want_iso = !mutated[i] || offset == 1;
         EXPECT_EQ(resident[i].balls_isomorphic, want_iso) << at;
+        // Removing a non-loop edge disconnects G_i: no factor graph exists,
+        // so both (P3) and (P2) fail. Every other mutant keeps G_i
+        // connected and properly coloured.
+        const bool disconnected = mutated[i] && m == Mutation::kRemoveEdge;
+        EXPECT_TRUE(resident[i].degree_ok) << at;
+        EXPECT_EQ(resident[i].shape_ok, !disconnected) << at;
+        if (disconnected) {
+          EXPECT_FALSE(resident[i].loopy_ok) << at;
+        }
         if (mutated[i]) ++count;
       }
       mutated_levels.push_back(count);
