@@ -74,12 +74,13 @@ run_chaos() {
 run_fleet_determinism() {
   local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
-  echo "== fleet determinism ($dir, delta 4..10 x workers 0/1/2/4 + chaos) =="
+  echo "== fleet determinism ($dir, delta 4..10, 14, 16 x workers 0/1/2/4 + chaos) =="
   # Every run checkpoints into the snapshot store; Δ 6 and 8 repeat the
-  # comparison over the append-only certificate log.
+  # comparison over the append-only certificate log, and Δ 14 and 16 (the
+  # sizes whose frames outgrow the 64 KiB pipe buffers) run over it only.
   local run delta store workers
   for run in 4:snapshot 5:snapshot 6:snapshot 6:log 7:snapshot 8:snapshot \
-      8:log 9:snapshot 10:snapshot; do
+      8:log 9:snapshot 10:snapshot 14:log 16:log; do
     delta="${run%:*}" store="${run#*:}"
     "$bin" --delta "$delta" --workers 0 --"$store" "$tmp/ref.$store" \
       --print > "$tmp/ref.txt"
@@ -129,9 +130,9 @@ run_fleet_determinism() {
 run_socket_fleet_determinism() {
   local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
-  echo "== socket fleet determinism ($dir, delta 4..8 + disconnect chaos + degradation smokes) =="
+  echo "== socket fleet determinism ($dir, delta 4..8, 14 + disconnect chaos + degradation smokes) =="
   local delta port daemon_pid stores store
-  for delta in 4 5 6 7 8; do
+  for delta in 4 5 6 7 8 14; do
     "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
       --print > "$tmp/ref.txt"
     "$bin" --delta "$delta" --listen 0 > "$tmp/daemon.$delta.log" &

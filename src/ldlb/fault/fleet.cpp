@@ -1,6 +1,7 @@
 #include "ldlb/fault/fleet.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <deque>
@@ -13,6 +14,7 @@
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/transport.hpp"
 #include "ldlb/graph/graph_io.hpp"
+#include "ldlb/local/simulator.hpp"
 #include "ldlb/util/checksum.hpp"
 #include "ldlb/util/ipc.hpp"
 #include "ldlb/util/line_reader.hpp"
@@ -188,17 +190,12 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
       if (!(hs >> rounds) || rounds <= 0) {
         throw ContractViolation("malformed run request header: " + header);
       }
+      // Unobserved, so run_ec takes the algorithm's closed form where it
+      // has one, as the in-process adversary does; failures reach the
+      // catch ladder below.
       const Multigraph g = multigraph_from_string(body);
-      GuardedRunOptions run_options;
-      run_options.budget.max_rounds = static_cast<int>(rounds);
-      run_options.check_output = false;  // the coordinator never checks
-                                         // maximality mid-chain either
-      const GuardedOutcome outcome = guarded_run_ec(g, algorithm, run_options);
-      if (outcome.status != RunStatus::kOk) {
-        return error_reply(id, outcome.status, outcome.env_errno,
-                           outcome.error);
-      }
-      return detail::run_reply(id, outcome.run->matching);
+      return detail::run_reply(
+          id, run_ec(g, algorithm, static_cast<int>(rounds)).matching);
     }
     if (verb == "validate") {
       long long delta = 0, loopiness_flag = 0;
@@ -464,28 +461,20 @@ class Fleet {
     return out;
   }
 
-  /// One fleet-executed adversary step: plan in-process, ship the three
-  /// simulations out, combine deterministically.
+  /// One fleet-executed adversary step, as lazy as the in-process one:
+  /// plan in-process, ship GH alone, and ship the unfolding its mix weight
+  /// selects only when combine_adversary_step fetches it. Two requests a
+  /// level, one in flight at a time, on consecutive slots.
   CertificateLevel step(int delta, const CertificateLevel& prev, int rounds) {
     AdversaryStepPlan plan = plan_adversary_step(prev);
     const int level = prev.level + 1;
     run_chaos_hooks(level);
 
-    std::vector<std::pair<int, std::string>> requests;
-    requests.emplace_back(0, run_request(0, rounds, plan.gh));
-    requests.emplace_back(1, run_request(1, rounds, plan.gg.graph));
-    requests.emplace_back(2, run_request(2, rounds, plan.hh.graph));
-    std::map<int, Reply> replies = exchange(level, std::move(requests));
-
-    FractionalMatching y_gh =
-        take_matching(replies.at(0), plan.gh.edge_count(), rounds);
-    // The discarded branch's reply — error or result — is simply never
-    // looked at, matching the lazy in-process semantics.
+    FractionalMatching y_gh = run_remote(level, 0, rounds, plan.gh);
+    // `plan` outlives the combine call, so the reference capture is sound.
     BranchFetch fetch = [&](bool want_gg) {
-      Reply& reply = replies.at(want_gg ? 1 : 2);
-      const EdgeId expect = want_gg ? plan.gg.graph.edge_count()
-                                    : plan.hh.graph.edge_count();
-      return take_matching(reply, expect, rounds);
+      return want_gg ? run_remote(level, 1, rounds, plan.gg.graph)
+                     : run_remote(level, 2, rounds, plan.hh.graph);
     };
     return combine_adversary_step(delta, prev, std::move(plan),
                                   std::move(y_gh), fetch, algorithm_name_,
@@ -517,9 +506,12 @@ class Fleet {
     return keep;
   }
 
-  /// Graceful teardown: shutdown frames, then close (pipes also reap,
-  /// killing stragglers).
+  /// Graceful teardown: every slot's shutdown frame goes out before any
+  /// worker is reaped (pipes; stragglers are killed), so the exits overlap.
   void shutdown() {
+    for (Slot& slot : slots_) {
+      if (slot.link != nullptr) slot.link->request_shutdown();
+    }
     for (Slot& slot : slots_) {
       if (slot.link == nullptr) continue;
       slot.link->finish();
@@ -634,13 +626,18 @@ class Fleet {
   static std::string no_hint() { return std::string(); }
 
   // (Re)writes every outstanding request of slot `s`, reviving on write
-  // failure until the slot holds a worker that accepted them all.
+  // failure until the slot holds a worker that accepted them all. Each
+  // frame gets the reply deadline to be taken; a write that fails once
+  // that deadline has passed is a "write-hang" (a socket's own ETIMEDOUT,
+  // from TCP giving up on a dead peer, stays a disconnect).
   void flush_slot(int level, int s, bool replay) {
     for (;;) {
       Slot& slot = slots_[static_cast<std::size_t>(s)];
+      Deadline deadline;
       try {
         for (const auto& [id, payload] : slot.outstanding) {
-          slot.link->send(payload);
+          deadline = Deadline::in(options_.reply_deadline_seconds);
+          slot.link->send(payload, deadline);
         }
         if (replay) {
           report_.requests_replayed +=
@@ -648,22 +645,35 @@ class Fleet {
         }
         return;
       } catch (const IoError& e) {
-        revive(level, s, no_hint(), e.what());
+        const bool hung = e.error_code() == ETIMEDOUT && deadline.expired();
+        revive(level, s, hung ? "write-hang" : no_hint(), e.what());
         replay = true;
       }
     }
   }
 
-  // Dispatches `requests` round-robin across the slots and collects every
-  // reply, riding out worker losses by respawn-and-replay. Returns replies
-  // keyed by request id; an entry exists for every request on return.
+  // Runs A on `g` in a worker, as request `id`, and returns its matching
+  // (or re-raises the worker's classified error).
+  FractionalMatching run_remote(int level, int id, int rounds,
+                                const Multigraph& g) {
+    std::vector<std::pair<int, std::string>> request;
+    request.emplace_back(id, run_request(id, rounds, g));
+    std::map<int, Reply> replies = exchange(level, std::move(request));
+    return take_matching(replies.at(id), g.edge_count(), rounds);
+  }
+
+  // Dispatches `requests` round-robin across the slots, starting where the
+  // previous exchange stopped, and collects every reply, riding out worker
+  // losses by respawn-and-replay. Returns replies keyed by request id; an
+  // entry exists for every request on return.
   std::map<int, Reply> exchange(
       int level, std::vector<std::pair<int, std::string>> requests) {
     if (options_.adversary.cancel) options_.adversary.cancel->check();
     const int width = static_cast<int>(slots_.size());
     LDLB_ENSURE_MSG(width > 0, "fleet exchange with no workers");
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      Slot& slot = slots_[i % static_cast<std::size_t>(width)];
+      Slot& slot = slots_[static_cast<std::size_t>(next_slot_)];
+      next_slot_ = (next_slot_ + 1) % width;
       LDLB_ENSURE_MSG(slot.outstanding.empty() || i >= slots_.size(),
                       "fleet exchange started with undrained slots");
       slot.outstanding.push_back(std::move(requests[i]));
@@ -725,6 +735,7 @@ class Fleet {
   FleetReport& report_;
   const std::string algorithm_name_;
   std::vector<Slot> slots_;
+  int next_slot_ = 0;  ///< where the next exchange's first request goes
   int incident_level_ = INT_MIN;
   int incidents_this_level_ = 0;
 };

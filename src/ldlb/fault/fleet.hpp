@@ -2,16 +2,21 @@
 //
 // run_adversary_fleet is the adversary chain (core/adversary.hpp) executed
 // coordinator/worker style: the coordinator owns the chain, the checkpoint
-// store and every decision; N forked worker processes (util/ipc.hpp) do the
-// expensive work — the three speculative simulations of each step (GH, GG,
-// HH) and the re-validation of resumed levels — and are *expendable*. The
-// point of the design is that nothing a worker can do wrong is surprising:
+// store and every decision; N forked worker processes (util/ipc.hpp) run
+// the simulations — each step's mix GH, then the one unfolding (GG or HH)
+// its mix-edge weight selects, exactly the two runs the in-process engine
+// makes — and the re-validation of resumed levels, and are *expendable*.
+// The fleet is crash isolation, not a speed-up: the simulations take the
+// same closed form they take in-process, and the coordinator adds the
+// shipping on top. The point of the design is that nothing a worker can do
+// wrong is surprising:
 //
 //   incident            detected as                    classification
 //   ------------------  -----------------------------  --------------
 //   clean nonzero exit  EOF on the reply pipe + reap   transient
 //   SIGKILL / crash     EOF on the reply pipe + reap   transient
 //   hung worker         reply frame deadline expired   transient
+//   stopped reading     request write deadline expired transient
 //   corrupt frame       bad magic / checksum / torn    transient
 //   disconnect          socket EOF / EPIPE / RST       transient
 //   stale heartbeat     no frame in staleness window   transient
@@ -27,10 +32,12 @@
 // transient incident tears the link down (kill+reap / close), waits out a
 // geometric backoff, reopens the same slot (respawn / reconnect) and
 // replays that slot's outstanding requests — the chain state lives only in
-// the coordinator, so nothing is lost but time. Once one level accumulates
-// more than `max_respawns_per_level` incidents the run fails permanently
-// with WorkerLost (classified RunStatus::kWorkerLost), carrying the
-// incident log in the FleetReport.
+// the coordinator, so nothing is lost but time. While certifying, a slot
+// never holds more than one request, and every request write and reply
+// read runs under `reply_deadline_seconds`, so no exchange can block
+// forever. Once one level accumulates more than `max_respawns_per_level`
+// incidents the run fails permanently with WorkerLost (classified
+// RunStatus::kWorkerLost), carrying the incident log in the FleetReport.
 //
 // Degradation runs outward-in: a socket fleet whose respawn budget is
 // spent falls back to the pipe fleet (resuming from the checkpoint store,
@@ -96,8 +103,9 @@ struct FleetOptions {
   double backoff_base_seconds = 0.01;
   double backoff_factor = 2.0;
   double backoff_max_seconds = 0.5;
-  /// How long the coordinator waits for one reply frame before declaring
-  /// the worker hung (killed, reaped, respawned).
+  /// How long the coordinator waits for one reply frame, or for a worker
+  /// to take one request frame, before declaring the worker hung (killed,
+  /// reaped, respawned; incident "hang" or "write-hang").
   double reply_deadline_seconds = 120.0;
   /// Re-validate a loaded store prefix (sharded across the fleet) before
   /// trusting it; levels from the first invalid one onward are recomputed.
@@ -144,8 +152,9 @@ struct WorkerIncident {
   int level = 0;        ///< chain level being built (-1: revalidation,
                         ///< -2: initial connection setup)
   int worker_slot = 0;  ///< 0-based slot of the lost worker
-  /// "exit", "signal", "hang", "corrupt-frame", "spawn" (pipe);
-  /// "disconnect", "stale-heartbeat", "handshake", "connect" (socket).
+  /// "exit", "signal", "spawn" (pipe); "hang", "write-hang",
+  /// "corrupt-frame" (both); "disconnect", "stale-heartbeat", "handshake",
+  /// "connect" (socket).
   std::string kind;
   std::string detail;   ///< exit status / frame defect / errno text
   bool respawned = false;  ///< false only for the final, fatal incident
@@ -184,8 +193,8 @@ struct FleetReport {
 };
 
 /// Runs the full adversary at maximum degree `delta`, checkpointing into
-/// (and resuming from) `store`, distributing simulation and revalidation
-/// across `options.workers` processes. Returns the complete chain, exactly
+/// (and resuming from) `store`, running simulation and revalidation in
+/// `options.workers` processes. Returns the complete chain, exactly
 /// as run_adversary would; throws the classified error on permanent failure
 /// (after filling `report`). Requires delta >= 2 and workers >= 0.
 LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,

@@ -10,6 +10,10 @@ namespace ldlb {
 
 namespace {
 
+// How long a teardown waits for a worker to take its shutdown frame, and
+// then (pipes) to exit, before giving up on it.
+constexpr double kGraceSeconds = 5.0;
+
 // ---------------------------------------------------------------------------
 // Pipe transport: fork a worker per slot, classify losses by reaping.
 // ---------------------------------------------------------------------------
@@ -19,8 +23,8 @@ class PipeLink final : public WorkerLink {
   explicit PipeLink(ipc::WorkerProcess proc) : proc_(proc) {}
   ~PipeLink() override { terminate(); }
 
-  void send(std::string_view payload) override {
-    ipc::write_frame(proc_.to_fd, payload);
+  void send(std::string_view payload, const Deadline& deadline) override {
+    ipc::write_frame(proc_.to_fd, payload, deadline);
   }
 
   net::RecvResult recv(const Deadline& deadline) override {
@@ -49,19 +53,24 @@ class PipeLink final : public WorkerLink {
     return loss;
   }
 
-  void finish() override {
-    if (!proc_.valid()) return;
+  void request_shutdown() override {
+    if (proc_.to_fd < 0) return;
     try {
-      ipc::write_frame(proc_.to_fd, "shutdown");
+      ipc::write_frame(proc_.to_fd, "shutdown", Deadline::in(kGraceSeconds));
     } catch (const IoError&) {
-      // Already gone; the reap below cleans up.
+      // Already gone (or not reading); the reap in finish() cleans up.
     }
     ipc::close_worker_fds(proc_);
+  }
+
+  void finish() override {
+    if (!proc_.valid()) return;
+    request_shutdown();
     const ipc::ExitStatus status =
-        ipc::wait_exit(proc_.pid, Deadline::in(5.0));
+        ipc::wait_exit(proc_.pid, Deadline::in(kGraceSeconds));
     if (status.kind == ipc::ExitKind::kRunning) {
       ipc::kill_process(proc_.pid);
-      (void)ipc::wait_exit(proc_.pid, Deadline::in(5.0));
+      (void)ipc::wait_exit(proc_.pid, Deadline::in(kGraceSeconds));
     }
     proc_ = {};
   }
@@ -71,7 +80,7 @@ class PipeLink final : public WorkerLink {
     try {
       ipc::close_worker_fds(proc_);
       ipc::kill_process(proc_.pid);
-      (void)ipc::wait_exit(proc_.pid, Deadline::in(5.0));
+      (void)ipc::wait_exit(proc_.pid, Deadline::in(kGraceSeconds));
       // ldlb-lint: allow(catch-all): teardown must not throw out of a
       // destructor; a worker we cannot reap is abandoned to init.
     } catch (...) {
@@ -116,13 +125,13 @@ class SocketLink final : public WorkerLink {
         stale_after_(stale_after) {}
   ~SocketLink() override { terminate(); }
 
-  void send(std::string_view payload) override {
+  void send(std::string_view payload, const Deadline& deadline) override {
     // A dropped link (chaos RST close) leaves no fd; surface the loss the
     // way a dead peer would, so the fleet revives instead of asserting.
     if (!channel_.valid()) {
       throw IoError("net send on a severed channel", endpoint_, EPIPE);
     }
-    channel_.send(payload);
+    channel_.send(payload, deadline);
   }
 
   net::RecvResult recv(const Deadline& deadline) override {
@@ -155,15 +164,17 @@ class SocketLink final : public WorkerLink {
     return loss;
   }
 
-  void finish() override {
+  void request_shutdown() override {
     if (!channel_.valid()) return;
     try {
-      channel_.send("shutdown");
+      channel_.send("shutdown", Deadline::in(kGraceSeconds));
     } catch (const IoError&) {
-      // Already gone.
+      // Already gone (or not reading).
     }
     channel_.close();
   }
+
+  void finish() override { request_shutdown(); }
 
   void terminate() noexcept override { channel_.close(); }
 

@@ -11,6 +11,7 @@
 //   pipe        EOF on reply pipe + reap: exit code  "exit"
 //   pipe        EOF on reply pipe + reap: signal     "signal"
 //   both        reply deadline expired               "hang"
+//   both        request write deadline expired       "write-hang"
 //   both        bad magic / checksum / torn frame    "corrupt-frame"
 //   socket      EOF / EPIPE / ECONNRESET             "disconnect"
 //   socket      staleness window without heartbeat   "stale-heartbeat"
@@ -48,8 +49,10 @@ class WorkerLink {
  public:
   virtual ~WorkerLink() = default;
 
-  /// Ships one request frame. Throws IoError when the peer is gone.
-  virtual void send(std::string_view payload) = 0;
+  /// Ships one request frame, waiting at most until `deadline` for the
+  /// peer to take it. Throws IoError when the peer is gone, or with
+  /// ETIMEDOUT when the deadline passed mid-write.
+  virtual void send(std::string_view payload, const Deadline& deadline) = 0;
 
   /// Reads one reply frame against `deadline`; socket links additionally
   /// watch the heartbeat staleness window (result.stale). Never throws on
@@ -64,8 +67,13 @@ class WorkerLink {
   [[nodiscard]] virtual LinkLoss close_after_loss(const std::string& hint_kind,
                                                   const std::string& detail) = 0;
 
-  /// Graceful teardown: best-effort shutdown frame, then close (and, for
-  /// pipes, reap — killing stragglers).
+  /// First half of a graceful teardown: best-effort shutdown frame, then
+  /// close the coordinator's end, without waiting for the worker. Lets the
+  /// fleet tell every worker to stop before it reaps any.
+  virtual void request_shutdown() = 0;
+
+  /// Graceful teardown: request_shutdown() unless already done, then (for
+  /// pipes) reap, killing stragglers.
   virtual void finish() = 0;
 
   /// Unconditional teardown for destructors: close/kill/reap, never throw.

@@ -194,9 +194,9 @@ class FaultInjected : public Error {
 /// Thrown by the fleet coordinator (fault/fleet.hpp) when worker processes
 /// keep failing after the supervised respawn budget is exhausted, or when a
 /// single incident is configured as fatal. Carries the incident kind
-/// ("exit", "signal", "hang", "corrupt-frame", "spawn") and the worker slot
-/// involved; a *single* lost worker is normally transient and never throws
-/// — it is respawned and its tasks replayed.
+/// (WorkerIncident::kind: "exit", "signal", "hang", "write-hang", ...) and
+/// the worker slot involved; a *single* lost worker is normally transient
+/// and never throws — it is respawned and its tasks replayed.
 class WorkerLost : public Error {
  public:
   WorkerLost(const std::string& what, std::string incident_kind,
@@ -205,8 +205,8 @@ class WorkerLost : public Error {
         incident_kind_(std::move(incident_kind)),
         worker_slot_(worker_slot) {}
 
-  /// The fault class of the final incident: "exit", "signal", "hang",
-  /// "corrupt-frame" or "spawn".
+  /// The fault class of the final incident, one of WorkerIncident::kind's
+  /// values ("exit", "signal", "hang", "write-hang", "corrupt-frame", ...).
   [[nodiscard]] const std::string& incident_kind() const {
     return incident_kind_;
   }

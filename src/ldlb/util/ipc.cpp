@@ -1,11 +1,15 @@
 #include "ldlb/util/ipc.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <exception>
@@ -26,6 +30,7 @@ constexpr char kMagic[4] = {'L', 'D', 'F', '1'};
 constexpr std::size_t kHeaderBytes = 4 + 8 + 8;
 
 int g_spawn_failures_for_test = 0;
+bool g_close_range_unavailable_for_test = false;
 
 void put_u64(char* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
@@ -43,7 +48,7 @@ std::uint64_t get_u64(const char* in) {
 [[noreturn]] void throw_io(const char* op, int fd, int err) {
   std::ostringstream os;
   os << "ipc " << op << " on fd " << fd << " failed: " << std::strerror(err);
-  throw IoError(os.str(), "<pipe>", err);
+  throw IoError(os.str(), "<fd>", err);
 }
 
 // Remaining budget of `deadline` as a poll(2) timeout in ms: -1 blocks
@@ -98,6 +103,42 @@ FrameStatus read_exact(int fd, char* out, std::size_t n,
   return FrameStatus::kOk;
 }
 
+// Closes fds first..last (inclusive; nothing when first > last) with
+// close_range(2). False when the kernel lacks it (before Linux 5.9,
+// ENOSYS) or a seccomp filter refuses it (EPERM).
+bool close_fd_span(int first, int last) {
+  if (first > last) return true;
+  if (g_close_range_unavailable_for_test) return false;
+  return ::close_range(static_cast<unsigned>(first),
+                       static_cast<unsigned>(last), 0) == 0;
+}
+
+// Closes every fd above stdio but `keep_a` and `keep_b`: three close_range
+// spans, or, where close_range fails, one close(2) per fd below the
+// RLIMIT_NOFILE soft limit (the fds a process can have opened).
+void close_fds_except(int keep_a, int keep_b) {
+  const int lo = std::min(keep_a, keep_b);
+  const int hi = std::max(keep_a, keep_b);
+  const bool closed = close_fd_span(3, lo - 1) &&
+                      close_fd_span(std::max(3, lo + 1), hi - 1) &&
+                      close_fd_span(std::max(3, hi + 1), INT_MAX);
+  if (closed) return;
+  struct rlimit limit;
+  int end = 1 << 20;  // Linux's default nr_open, if the limit is unreadable
+  if (::getrlimit(RLIMIT_NOFILE, &limit) == 0 &&
+      limit.rlim_cur < static_cast<rlim_t>(INT_MAX)) {
+    end = static_cast<int>(limit.rlim_cur);
+  }
+  for (int fd = 3; fd < end; ++fd) {
+    if (fd != keep_a && fd != keep_b) ::close(fd);  // EBADF: not open
+  }
+}
+
+void set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
 }  // namespace
 
 const char* to_string(FrameStatus status) {
@@ -124,25 +165,39 @@ std::string encode_frame(std::string_view payload) {
   return out;
 }
 
-void write_frame(int fd, std::string_view payload) {
+void write_all(int fd, std::string_view bytes, const Deadline& deadline) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t w = ::write(fd, bytes.data() + sent, bytes.size() - sent);
+    if (w >= 0) {
+      sent += static_cast<std::size_t>(w);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) throw_io("write", fd, errno);
+    // A non-blocking fd whose buffer is full: wait for room, not forever.
+    struct pollfd pfd;
+    pfd.fd = fd;
+    pfd.events = POLLOUT;
+    pfd.revents = 0;
+    const int ready = ::poll(&pfd, 1, poll_timeout_ms(deadline));
+    if (ready < 0 && errno != EINTR) throw_io("poll", fd, errno);
+    if (ready == 0 && deadline.expired()) {
+      std::ostringstream os;
+      os << "ipc write on fd " << fd << " timed out: deadline expired with "
+         << sent << "/" << bytes.size() << " bytes written";
+      throw IoError(os.str(), "<fd>", ETIMEDOUT);
+    }
+  }
+}
+
+void write_frame(int fd, std::string_view payload, const Deadline& deadline) {
   char header[kHeaderBytes];
   std::memcpy(header, kMagic, 4);
   put_u64(header + 4, payload.size());
   put_u64(header + 12, fnv1a_64(payload));
-
-  const auto write_all = [fd](const char* data, std::size_t n) {
-    std::size_t sent = 0;
-    while (sent < n) {
-      const ssize_t w = ::write(fd, data + sent, n - sent);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        throw_io("write", fd, errno);
-      }
-      sent += static_cast<std::size_t>(w);
-    }
-  };
-  write_all(header, kHeaderBytes);
-  write_all(payload.data(), payload.size());
+  write_all(fd, std::string_view(header, kHeaderBytes), deadline);
+  write_all(fd, payload, deadline);
 }
 
 FrameResult read_frame(int fd, const Deadline& deadline) {
@@ -218,8 +273,10 @@ WorkerProcess spawn_worker(const WorkerMain& main) {
     // Child. The parent's pool threads do not exist here; every parallel_*
     // call must run inline from now on.
     ThreadPool::note_forked_child();
-    ::close(to_child[1]);
-    ::close(from_child[0]);
+    // Keep stdio and the two ends this worker serves; every other fd goes,
+    // including earlier slots' coordinator ends, so a worker whose
+    // coordinator closes its request pipe sees EOF while siblings live.
+    close_fds_except(to_child[0], from_child[1]);
     int code = 125;
     try {
       code = main(to_child[0], from_child[1]);
@@ -241,6 +298,8 @@ WorkerProcess spawn_worker(const WorkerMain& main) {
   // Parent.
   ::close(to_child[0]);
   ::close(from_child[1]);
+  set_nonblocking(to_child[1]);
+  set_nonblocking(from_child[0]);
   WorkerProcess worker;
   worker.pid = pid;
   worker.to_fd = to_child[1];
@@ -382,5 +441,9 @@ void sleep_seconds(double seconds, CancellationToken* cancel) {
 }
 
 void set_spawn_failures_for_test(int n) { g_spawn_failures_for_test = n; }
+
+void set_close_range_unavailable_for_test(bool unavailable) {
+  g_close_range_unavailable_for_test = unavailable;
+}
 
 }  // namespace ldlb::ipc

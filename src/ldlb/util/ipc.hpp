@@ -1,7 +1,8 @@
 // Dependency-free inter-process plumbing for the adversary fleet.
 //
-// The fleet (fault/fleet.hpp) distributes speculative unfoldings and
-// per-level validation across forked worker processes. Everything those
+// The fleet (fault/fleet.hpp) runs each adversary step's two simulations
+// (the mix GH, then the one unfolding it selects) and the re-validation of
+// resumed levels in forked worker processes. Everything those
 // processes need to talk — and to die without taking the run down — lives
 // here, and *only* here: the raw-process lint rule confines fork(2),
 // pipe(2), kill(2), waitpid(2) and signal handling to this module so every
@@ -13,7 +14,9 @@
 //     killed writer — reads as kCorrupt/kEof, never as silent garbage.
 //   * Deadlines: reads are poll(2)-driven against a monotonic Deadline
 //     (util/cancellation.hpp), so a hung peer surfaces as kTimeout instead
-//     of blocking the coordinator forever.
+//     of blocking the coordinator forever; writes to the coordinator's
+//     non-blocking ends wait for POLLOUT under a Deadline too, so a peer
+//     that stopped reading surfaces as an ETIMEDOUT IoError.
 //   * Process lifecycle: spawn_worker forks a child that runs a callback
 //     and _exit()s; poll_exit/wait_exit reap via waitpid and classify the
 //     exit (clean code vs terminating signal); kill_process delivers
@@ -64,10 +67,19 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 /// raw bytes before they hit the descriptor.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
-/// Writes one frame (header + payload) to `fd`, retrying short writes and
-/// EINTR. Throws IoError (with errno; EPIPE when the reader is gone) on
-/// failure — callers treat that as a lost peer, not a torn stream.
-void write_frame(int fd, std::string_view payload);
+/// Writes all of `bytes` to `fd`, retrying short writes and EINTR. When a
+/// non-blocking fd's buffer is full, waits in poll(2) for POLLOUT until
+/// `deadline` (a default Deadline never expires) and then throws IoError
+/// with ETIMEDOUT; the stream is torn mid-write, so the caller must drop
+/// the peer. Other failures throw IoError with their errno (EPIPE when the
+/// reader is gone). On a blocking fd a write blocks until it completes.
+void write_all(int fd, std::string_view bytes, const Deadline& deadline = {});
+
+/// Writes one frame (header + payload) to `fd` through write_all, under
+/// `deadline`. Throws IoError as write_all does — callers treat that as a
+/// lost (EPIPE) or hung (ETIMEDOUT) peer.
+void write_frame(int fd, std::string_view payload,
+                 const Deadline& deadline = {});
 
 /// Reads one complete frame from `fd`, polling until `deadline` (a default
 /// Deadline never expires, i.e. blocks indefinitely). Never throws on peer
@@ -89,11 +101,17 @@ struct WorkerProcess {
 using WorkerMain = std::function<int(int in_fd, int out_fd)>;
 
 /// Forks a worker connected by a pipe pair. The child enters post-fork
-/// serial thread-pool mode, closes the coordinator's ends, runs `main`, and
-/// _exit()s with its return value (an escaping exception exits with code
-/// 125 after printing the reason). The parent closes the child's ends and
-/// returns the handle. Throws IoError when pipe(2)/fork(2) refuse — the
-/// fleet degrades to the in-process engine on that, mirroring
+/// serial thread-pool mode, closes every fd but stdio and its own two pipe
+/// ends (so it holds no earlier worker's coordinator ends, and each worker
+/// sees EOF as soon as its coordinator closes its request pipe), runs
+/// `main`, and _exit()s with its return value (an escaping exception exits
+/// with code 125 after printing the reason). The closing takes
+/// close_range(2); where that is missing (Linux before 5.9) or refused
+/// (seccomp), one close(2) per fd below the RLIMIT_NOFILE soft limit. The
+/// parent closes the child's ends, makes its own two ends non-blocking
+/// (reads and writes on them then wait in poll(2) under their Deadline)
+/// and returns the handle. Throws IoError when pipe(2)/fork(2) refuse —
+/// the fleet degrades to the in-process engine on that, mirroring
 /// ThreadPool::construction_error().
 [[nodiscard]] WorkerProcess spawn_worker(const WorkerMain& main);
 
@@ -154,5 +172,10 @@ void sleep_seconds(double seconds, CancellationToken* cancel = nullptr);
 /// had refused, exercising the fleet's degradation path. Not thread-safe;
 /// tests only.
 void set_spawn_failures_for_test(int n);
+
+/// Test seam: while set, spawn_worker's child closes its inherited fds one
+/// at a time, as on a kernel without close_range(2). Not thread-safe; tests
+/// only.
+void set_close_range_unavailable_for_test(bool unavailable);
 
 }  // namespace ldlb::ipc

@@ -74,18 +74,6 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
-void write_all(int fd, const char* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::write(fd, data + sent, n - sent);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_io("write", "<socket>", errno);
-    }
-    sent += static_cast<std::size_t>(w);
-  }
-}
-
 }  // namespace
 
 void NetFaultInjector::on_connect(const std::string& /*host*/, int /*port*/) {}
@@ -115,7 +103,7 @@ FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
 
 FrameChannel::~FrameChannel() { close(); }
 
-void FrameChannel::send(std::string_view payload) {
+void FrameChannel::send(std::string_view payload, const Deadline& deadline) {
   LDLB_REQUIRE_MSG(valid(), "send on a closed channel");
   std::string frame = ipc::encode_frame(payload);
   NetFaultInjector::SendAction action;
@@ -124,12 +112,16 @@ void FrameChannel::send(std::string_view payload) {
   if (action.drop) return;
   if (action.truncate_at >= 0 &&
       static_cast<std::size_t>(action.truncate_at) < frame.size()) {
-    write_all(fd_, frame.data(), static_cast<std::size_t>(action.truncate_at));
+    ipc::write_all(
+        fd_,
+        std::string_view(frame).substr(
+            0, static_cast<std::size_t>(action.truncate_at)),
+        deadline);
     hard_close();
     throw IoError("net send cut mid-frame (injected disconnect)", "<socket>",
                   EPIPE);
   }
-  write_all(fd_, frame.data(), frame.size());
+  ipc::write_all(fd_, frame, deadline);
 }
 
 RecvResult FrameChannel::recv(const Deadline& deadline, double stale_after) {
@@ -325,7 +317,8 @@ FrameChannel connect_channel(const std::string& host, int port,
       throw_io("connect", where, err);
     }
   }
-  ::fcntl(fd, F_SETFL, flags);
+  // The socket stays non-blocking: send's deadline then bounds a write to
+  // a peer that stopped reading, and reads poll before they read.
   set_nodelay(fd);
   return FrameChannel(fd);
 }

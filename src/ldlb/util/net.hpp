@@ -12,9 +12,10 @@
 //     foreign peers — classifies into the same kOk/kEof/kTimeout/kCorrupt
 //     taxonomy the pipe fleet already survives. Nothing reads as silent
 //     garbage.
-//   * Deadlines: connects, accepts and reads are poll(2)-driven against
-//     monotonic Deadlines (util/cancellation.hpp); a dead router surfaces
-//     as kTimeout, never a hang.
+//   * Deadlines: connects, accepts, reads and the coordinator's writes are
+//     poll(2)-driven against monotonic Deadlines (util/cancellation.hpp); a
+//     dead router surfaces as kTimeout or an ETIMEDOUT IoError, never a
+//     hang.
 //   * Heartbeats: an idle peer sends small heartbeat frames; recv consumes
 //     them transparently and tracks a staleness window, so a peer that
 //     stops breathing mid-wait surfaces as a *stale* timeout the fleet can
@@ -113,11 +114,13 @@ class FrameChannel {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int fd() const { return fd_; }
 
-  /// Sends one frame, retrying short writes and EINTR; routed through the
-  /// fault injector. Throws IoError when the peer is gone (EPIPE/
-  /// ECONNRESET) or a fault cuts the stream — callers treat that as a lost
-  /// peer and reconnect.
-  void send(std::string_view payload);
+  /// Sends one frame through ipc::write_all, routed through the fault
+  /// injector. On a non-blocking channel (connect_channel's) a full socket
+  /// buffer waits for room until `deadline`, then throws IoError with
+  /// ETIMEDOUT. Throws IoError when the peer is gone (EPIPE/ECONNRESET) or
+  /// a fault cuts the stream — callers treat any of these as a lost peer
+  /// and reconnect.
+  void send(std::string_view payload, const Deadline& deadline = {});
 
   /// Sends a heartbeat frame (peers consume it inside recv).
   void send_heartbeat() { send(kHeartbeatPayload); }
@@ -173,8 +176,9 @@ class Listener {
 };
 
 /// Connects to host:port, polling the non-blocking connect against
-/// `deadline`. Throws IoError on refusal/timeout (routed through the fault
-/// injector's on_connect first).
+/// `deadline`. The channel stays non-blocking, so FrameChannel::send's
+/// deadline bounds its writes. Throws IoError on refusal/timeout (routed
+/// through the fault injector's on_connect first).
 [[nodiscard]] FrameChannel connect_channel(const std::string& host, int port,
                                            const Deadline& deadline = {});
 

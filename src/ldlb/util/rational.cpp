@@ -63,6 +63,22 @@ bool fits_word(const BigInt& v) {
   return v.fits_int64() && v != BigInt{INT64_MIN};
 }
 
+// Parses a part that is only digits, with an optional '-' and at most 18 of
+// them (so below 10^18 < 2^63); false for anything else, which the BigInt
+// parser then accepts or rejects with its own message.
+bool parse_word_part(std::string_view text, std::int64_t& out) {
+  const bool negative = !text.empty() && text.front() == '-';
+  if (negative) text.remove_prefix(1);
+  if (text.empty() || text.size() > 18) return false;
+  std::int64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + (c - '0');
+  }
+  out = negative ? -v : v;
+  return true;
+}
+
 }  // namespace
 
 Rational::Rational(BigInt num, BigInt den) {
@@ -150,7 +166,16 @@ Rational& Rational::assign_slow(const Rational& other) {
 }
 
 Rational Rational::from_string(std::string_view text) {
-  auto slash = text.find('/');
+  const auto slash = text.find('/');
+  // Word fast path, taken by the weights in fleet replies and certificate
+  // text. A zero denominator falls through so the error is the BigInt
+  // path's.
+  std::int64_t n = 0, d = 1;
+  if (parse_word_part(text.substr(0, slash), n) &&
+      (slash == std::string::npos ||
+       (parse_word_part(text.substr(slash + 1), d) && d != 0))) {
+    return Rational{n, d};
+  }
   if (slash == std::string::npos) {
     return Rational{BigInt::from_string(text), BigInt{1}};
   }

@@ -73,7 +73,10 @@ class Rational {
   }
   ~Rational() = default;
 
-  /// Parses "a/b" or "a"; throws on malformed input.
+  /// Parses "a/b" or "a"; throws on malformed input. Parts of at most 18
+  /// digits (optional '-') parse straight into the word tier; anything else
+  /// goes through BigInt::from_string, so accepts, rejects and messages are
+  /// BigInt's either way.
   static Rational from_string(std::string_view text);
 
   /// Numerator and denominator, whichever tier holds them.

@@ -5,7 +5,14 @@
 // cycles, and down every step of the degradation ladder
 // (socket -> pipe -> in-process); exhausting a respawn budget with
 // degradation refused fails permanently as WorkerLost /
-// RunStatus::kWorkerLost carrying the right incident kind.
+// RunStatus::kWorkerLost carrying the right incident kind. At the sizes the
+// bench runs (Δ 13–16) a fleet run finishes under a wall-clock bound with
+// two requests a level, and a worker that stops reading is exactly one
+// write-hang incident.
+#include <unistd.h>
+
+#include <atomic>
+#include <csignal>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -18,6 +25,7 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/fleet.hpp"
+#include "ldlb/graph/graph_io.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/error.hpp"
@@ -174,6 +182,140 @@ TEST(FleetDeterminism, RespawnBudgetExhaustionIsWorkerLost) {
   store.remove();
 }
 
+// The sizes the bench runs: at the parent a worker's reply and the next
+// request filled the 64 KiB pipes from both ends, and the run blocked
+// forever — from Δ=14 at 2 workers, and from Δ=13 at 1 worker, which got
+// all three of a level's requests.
+constexpr double kLargeRunBoundSeconds = 120.0;
+
+void expect_bounded_fleet_run(int delta, const std::string& reference,
+                              FleetOptions options, const std::string& name) {
+  SCOPED_TRACE("delta " + std::to_string(delta) + ", " +
+               std::to_string(options.workers) + " workers" +
+               (options.remotes.empty() ? "" : ", socket"));
+  // A hang surfaces as a fatal incident instead of blocking the suite.
+  options.reply_deadline_seconds = kLargeRunBoundSeconds;
+  options.max_respawns_per_level = 0;
+  options.degrade = false;
+  FleetReport report;
+  const Deadline bound = Deadline::in(kLargeRunBoundSeconds);
+  const std::string got = fleet_bytes(delta, name, options, &report);
+  EXPECT_FALSE(bound.expired()) << "run took longer than the bound";
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
+  EXPECT_TRUE(report.incidents.empty()) << report.to_string();
+  // GH plus the one unfolding it selects, per level past the base case.
+  EXPECT_EQ(report.requests_sent, 2 * (delta - 2)) << report.to_string();
+}
+
+TEST(FleetDeterminism, OneWorkerAtDelta13Completes) {
+  const std::string reference = reference_bytes(13);
+  FleetOptions options;
+  options.workers = 1;
+  expect_bounded_fleet_run(13, reference, options, "fleet_d13_w1.snap");
+}
+
+TEST(FleetDeterminism, ByteIdenticalAtDelta14And16) {
+  for (int delta : {14, 16}) {
+    const std::string reference = reference_bytes(delta);
+    for (int workers : {1, 2, 4}) {
+      FleetOptions options;
+      options.workers = workers;
+      expect_bounded_fleet_run(delta, reference, options,
+                               "fleet_large_d" + std::to_string(delta) +
+                                   "_w" + std::to_string(workers) + ".snap");
+    }
+  }
+}
+
+// Sends SIGCONT to `pid` after `seconds` unless destroyed first, so a
+// write that blocks on a stopped worker without a deadline ends in failed
+// assertions instead of a hung suite.
+class ResumeWatchdog {
+ public:
+  ResumeWatchdog(const std::atomic<pid_t>& pid, double seconds)
+      : thread_([this, &pid, seconds] {
+          const Deadline give_up = Deadline::in(seconds);
+          while (!done_ && !give_up.expired()) ipc::sleep_seconds(0.01);
+          if (!done_) ipc::kill_process(pid, SIGCONT);
+        }) {}
+  ResumeWatchdog(const ResumeWatchdog&) = delete;
+  ResumeWatchdog& operator=(const ResumeWatchdog&) = delete;
+  ~ResumeWatchdog() {
+    done_ = true;
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+// The first level of the Δ-chain `cert` whose GH request outgrows a pipe
+// of `pipe_bytes`, or -1 when none does.
+int first_level_outgrowing(const LowerBoundCertificate& cert,
+                           std::size_t pipe_bytes) {
+  for (std::size_t i = 1; i < cert.levels.size(); ++i) {
+    std::string gh;
+    append_graph(gh, plan_adversary_step(cert.levels[i - 1]).gh);
+    if (gh.size() > pipe_bytes) return cert.levels[i].level;
+  }
+  return -1;
+}
+
+// A worker stopped (SIGSTOP) before the first level whose GH request
+// outgrows its pipe: the write's deadline must fire and the slot be
+// revived and replayed, with identical bytes. A pipe holds 16 pages by
+// default, so the chain is picked from the page size: 64 KiB with 4 KiB
+// pages (Δ=12, level 10, 127 KB), 1 MiB with 64 KiB pages (Δ=15, level
+// 13, 1.5 MB).
+TEST(FleetDeterminism, StoppedWorkerIsOneWriteHangIncident) {
+  const std::size_t pipe_bytes =
+      16 * static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  int delta = 12;
+  int stop_level = -1;
+  std::string reference;
+  for (; delta <= 16; ++delta) {
+    SeqColorPacking algorithm{delta};
+    const LowerBoundCertificate cert = run_adversary(algorithm, delta);
+    stop_level = first_level_outgrowing(cert, pipe_bytes);
+    if (stop_level >= 0) {
+      reference = certificate_to_string(cert);
+      break;
+    }
+  }
+  if (stop_level < 0) GTEST_SKIP() << "no GH up to Δ=16 outgrows the pipe";
+
+  FleetOptions options;
+  options.workers = 1;
+  options.backoff_base_seconds = 0.001;
+  // Long enough for any reply even in a sanitizer tree under load; the
+  // stopped worker's write waits this long before it counts as a hang.
+  options.reply_deadline_seconds = 5.0;
+  std::atomic<pid_t> stopped{-1};
+  options.on_level = [&stopped, stop_level](int level,
+                                            const std::vector<pid_t>& pids) {
+    if (level != stop_level || pids.empty()) return;
+    stopped = pids[0];
+    ipc::kill_process(pids[0], SIGSTOP);
+  };
+  FleetReport report;
+  std::string got;
+  {
+    const ResumeWatchdog watchdog(stopped, 60.0);
+    got = fleet_bytes(delta, "fleet_write_hang.snap", options, &report);
+  }
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
+  ASSERT_EQ(report.incidents.size(), 1u) << report.to_string();
+  const WorkerIncident& incident = report.incidents.front();
+  EXPECT_EQ(incident.kind, "write-hang") << incident.to_string();
+  EXPECT_EQ(incident.level, stop_level) << incident.to_string();
+  EXPECT_TRUE(incident.respawned) << incident.to_string();
+  EXPECT_EQ(report.respawns, 1) << report.to_string();
+  EXPECT_EQ(report.requests_replayed, 1) << report.to_string();
+}
+
 TEST(FleetDeterminism, ReportToStringMentionsTheHeadlines) {
   FleetOptions options;
   options.workers = 2;
@@ -279,6 +421,16 @@ TEST(SocketFleet, EveryWorkerDisconnectedEveryLevelOnBothTransports) {
       }
     }
   }
+}
+
+TEST(SocketFleet, TwoWorkersAtDelta14Complete) {
+  const int delta = 14;
+  const std::string reference = reference_bytes(delta);
+  DaemonGuard daemon(delta);
+  FleetOptions options;
+  options.workers = 2;
+  options.remotes = {daemon.endpoint()};
+  expect_bounded_fleet_run(delta, reference, options, "socket_d14_w2.snap");
 }
 
 TEST(SocketFleet, ExhaustedRemotesDegradeToPipeWithIdenticalBytes) {

@@ -1,7 +1,7 @@
 // Tests for util/ipc: frame integrity under damage (truncation, bit flips,
 // timeouts, dead peers), worker lifecycle (spawn / echo / clean exit /
-// SIGKILL classification), and the spawn-failure test seam the fleet's
-// degradation path hangs off.
+// SIGKILL classification / no inherited sibling pipe ends), and the
+// spawn-failure test seam the fleet's degradation path hangs off.
 #include <unistd.h>
 
 #include <csignal>
@@ -180,6 +180,49 @@ TEST(IpcWorkers, ChildNonzeroReturnBecomesExitCode) {
   const ExitStatus status = wait_exit(worker.pid, Deadline::in(30.0));
   EXPECT_EQ(status.kind, ExitKind::kExited);
   EXPECT_EQ(status.code, 7);
+}
+
+// A worker spawned later must not hold an earlier worker's request pipe:
+// closing worker 0's to_fd has to reach worker 0 as EOF while worker 1 is
+// still running.
+void expect_closing_a_request_pipe_ends_only_that_worker() {
+  const WorkerMain serve_until_eof = [](int in_fd, int) {
+    while (read_frame(in_fd).status == FrameStatus::kOk) {
+    }
+    return 0;
+  };
+  WorkerProcess first = spawn_worker(serve_until_eof);
+  WorkerProcess second = spawn_worker(serve_until_eof);
+  ASSERT_TRUE(first.valid());
+  ASSERT_TRUE(second.valid());
+  ::close(first.to_fd);
+  first.to_fd = -1;
+  const ExitStatus status = wait_exit(first.pid, Deadline::in(5.0));
+  EXPECT_EQ(status.kind, ExitKind::kExited)
+      << "worker 0 saw no EOF: its request pipe is still open elsewhere";
+  EXPECT_EQ(poll_exit(second.pid).kind, ExitKind::kRunning);
+  if (status.kind == ExitKind::kRunning) kill_process(first.pid);
+  close_worker_fds(first);
+  close_worker_fds(second);
+  (void)wait_exit(first.pid, Deadline::in(30.0));
+  const ExitStatus second_status = wait_exit(second.pid, Deadline::in(30.0));
+  EXPECT_EQ(second_status.kind, ExitKind::kExited);
+  if (second_status.kind == ExitKind::kRunning) {
+    kill_process(second.pid);
+    (void)wait_exit(second.pid, Deadline::in(30.0));
+  }
+}
+
+TEST(IpcWorkers, ClosingARequestPipeEndsOnlyThatWorker) {
+  expect_closing_a_request_pipe_ends_only_that_worker();
+}
+
+// The same without close_range(2), as on a kernel before Linux 5.9: the
+// child closes its inherited fds one at a time.
+TEST(IpcWorkers, ClosingARequestPipeEndsOnlyThatWorkerWithoutCloseRange) {
+  set_close_range_unavailable_for_test(true);
+  expect_closing_a_request_pipe_ends_only_that_worker();
+  set_close_range_unavailable_for_test(false);
 }
 
 TEST(IpcWorkers, SpawnFailureSeamThrowsIoErrorThenRecovers) {

@@ -1,12 +1,17 @@
-// Unit and property tests for ldlb::Rational, and a differential test of
-// its word tier against BigInt arithmetic on num()/den().
+// Unit and property tests for ldlb::Rational, and differential tests of
+// its word tier against BigInt arithmetic on num()/den() and of its word
+// parse against the BigInt parse.
 #include "ldlb/util/rational.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <new>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <typeinfo>
 #include <vector>
 
 #include "ldlb/util/alloc_guard.hpp"
@@ -367,6 +372,76 @@ TEST(RationalWordTier, StringRoundTripAtTheBoundary) {
   }
   for (const Rational& r : edge_rationals()) {
     EXPECT_EQ(Rational::from_string(r.to_string()), r) << r;
+  }
+}
+
+// How one parse ended: the value, or the exception's dynamic type and text.
+struct ParseOutcome {
+  std::optional<Rational> value;
+  std::string error_type;
+  std::string error;
+};
+
+template <typename Parse>
+ParseOutcome parse_outcome(const Parse& parse, std::string_view text) {
+  try {
+    return {parse(text), "", ""};
+  } catch (const std::exception& e) {
+    return {std::nullopt, typeid(e).name(), e.what()};
+  }
+}
+
+// The reference parse: both parts through BigInt, then the BigInt
+// constructor (a part without '/' has denominator 1).
+Rational parse_via_bigint(std::string_view text) {
+  const auto slash = text.find('/');
+  if (slash == std::string_view::npos) {
+    return Rational{BigInt::from_string(text), BigInt{1}};
+  }
+  return Rational{BigInt::from_string(text.substr(0, slash)),
+                  BigInt::from_string(text.substr(slash + 1))};
+}
+
+// from_string agrees with the reference on `text`: same value, tier and
+// hash, or the same exception type and message. Returns whether it parsed.
+bool expect_parse_matches_bigint(std::string_view text) {
+  SCOPED_TRACE("text '" + std::string(text) + "'");
+  const ParseOutcome got = parse_outcome(Rational::from_string, text);
+  const ParseOutcome want = parse_outcome(parse_via_bigint, text);
+  EXPECT_EQ(got.error_type, want.error_type);
+  EXPECT_EQ(got.error, want.error);
+  EXPECT_EQ(got.value.has_value(), want.value.has_value());
+  if (got.value && want.value) {
+    EXPECT_EQ(*got.value, *want.value);
+    EXPECT_EQ(spilled(*got.value), spilled(*want.value));
+    EXPECT_EQ(got.value->hash(), want.value->hash());
+    EXPECT_EQ(got.value->to_string(), want.value->to_string());
+  }
+  return got.value.has_value();
+}
+
+TEST(RationalWordTier, FromStringMatchesBigIntParse) {
+  const char* accepted[] = {
+      "0", "-0", "+7", "007", "123456789012345678", "-123456789012345678",
+      "1234567890123456789", "-1234567890123456789", "9223372036854775807",
+      "-9223372036854775807", "-9223372036854775808", "9223372036854775808",
+      "2/-4", "-2/-4", "999999999999999999/-999999999999999998",
+      "-000000000000000000000000003/000000000000000000000009"};
+  for (const char* text : accepted) {
+    EXPECT_TRUE(expect_parse_matches_bigint(text)) << text;
+  }
+  const char* rejected[] = {"1/0", "",  "-",     "+",    "1/",  "/1",
+                            "1//2", "1/2/3", " 1", "1 ", "-0/0", "1/-",
+                            "--1",  "1/+-2", "0x1", "1.5"};
+  for (const char* text : rejected) {
+    EXPECT_FALSE(expect_parse_matches_bigint(text)) << text;
+  }
+  const std::vector<Rational> edges = edge_rationals();
+  Rng rng{20261018};
+  for (int i = 0; i < 10000; ++i) {
+    std::string text;
+    random_operand(rng, edges).append_to(text);
+    ASSERT_TRUE(expect_parse_matches_bigint(text)) << "case " << i;
   }
 }
 
