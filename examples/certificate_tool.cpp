@@ -12,10 +12,11 @@
 // `generate` runs the Section-4 adversary against the chosen algorithm and
 // writes either the classic one-shot certificate text or (--log) the
 // append-only streaming certificate log (recover/cert_log). `validate`
-// reloads a classic certificate fully resident and re-verifies every level;
-// `verify --stream` does the same against a certificate log while holding
-// O(one level) in memory — both report peak_rss_kb so the CI stage can pin
-// the streaming validator's footprint below the resident one. `convert`
+// reloads a classic certificate fully resident and re-verifies every level,
+// (P2) loopiness included at every Δ; `verify --stream` does the same
+// against a certificate log while holding O(one level) in memory — both
+// report peak_rss_kb so the CI stage can pin the streaming validator's
+// footprint below the resident one. `convert`
 // translates between the two formats by sniffing the input's magic line;
 // `inspect` dumps the log's per-record geometry and checksum chain and
 // classifies any damage; `dot` renders one level's pair (G_i, H_i) as
@@ -154,8 +155,7 @@ int run_validate(int delta, const std::string& kind, const std::string& in) {
     std::cerr << "certificate is for delta=" << cert.delta << "\n";
     return 1;
   }
-  auto validations = validate_certificate(cert, *s.alg,
-                                          /*check_loopiness=*/delta <= 8);
+  auto validations = validate_certificate(cert, *s.alg);
   bool all_ok = true;
   for (const auto& v : validations) {
     std::cout << "level " << v.level << ": " << (v.ok() ? "OK" : "INVALID")
@@ -174,7 +174,7 @@ int run_verify_stream(int delta, const std::string& kind,
   Subject s = make_subject(kind, delta);
   if (!s.alg) return usage();
   const CertLogValidation v = validate_certificate_log(
-      in, *s.alg, /*check_loopiness=*/delta <= 8,
+      in, *s.alg, /*check_loopiness=*/true,
       [](const LevelValidation& lv) {
         std::cout << "level " << lv.level << ": "
                   << (lv.ok() ? "OK" : "INVALID") << "\n";

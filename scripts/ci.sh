@@ -269,9 +269,13 @@ run_suite build -DLDLB_WERROR=ON
 # `ldlb_perf_gate --measure` on a quiet machine after intentional changes.
 echo "== perf gate (delta 12 adversary + P1 kernel) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta12_ms.txt
-# Same protocol with (P2) loopiness on at Δ=14: the factor-graph kernel
-# (cover/factor_graph) must keep full validation within 2x of its baseline.
-# The map-based refinement it replaced measured ~2.4x this baseline.
+# Same protocol with (P2) loopiness on at Δ=14: is_k_loopy's one-pass loop
+# count (cover/loopiness) decides every level without reaching the
+# factor-graph kernel, and must keep full validation within 2x of its
+# baseline. Refinement-decided (P2) measured ~1.4x this baseline at the
+# default pool width (docs/PERFORMANCE.md, "(P2) by loop count"), so the
+# gate alone does not catch a return to it; the zero-allocation-budget
+# check in tests/cover_test.cpp (LoopinessByCount.CountDecides*) does.
 echo "== perf gate (delta 14 full validation, P2 on) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_p2_ms.txt \
   --delta 14 --loopiness
@@ -288,9 +292,9 @@ build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta14_stream_ms.txt 
 # The simulated-PO subject, EcFromPo(ProposalPacking), at Δ=11: chain plus
 # full (P2-on) validation. Its closed form (EcFromPo::evaluate_direct over
 # ProposalPacking's flat offer/grant loop) must keep it within 2x of its
-# baseline (it measured 30-45 ms with --measure); the message-passing
-# interpreter it replaced measured 153-163 ms on the same box, 4x the
-# baseline.
+# baseline (it measured 13-21 ms with --measure once (P2) went by loop
+# count); the message-passing interpreter it replaced measured 153-163 ms,
+# ~8x the baseline.
 echo "== perf gate (delta 11 po closed form, P2 on) =="
 build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta11_po_ms.txt \
   --delta 11 --loopiness --algorithm po

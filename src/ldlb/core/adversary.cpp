@@ -94,7 +94,7 @@ void verify_level(const CertificateLevel& lv, int delta,
   }
   if (options.verify_p2) {
     int need = delta - 1 - lv.level;
-    LDLB_ENSURE_MSG(loopiness(lv.g) >= need && loopiness(lv.h) >= need,
+    LDLB_ENSURE_MSG(is_k_loopy(lv.g, need) && is_k_loopy(lv.h, need),
                     "level " << lv.level << ": pair is not " << need
                              << "-loopy");
   }

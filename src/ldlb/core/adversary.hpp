@@ -65,10 +65,10 @@ struct AdversaryOptions {
   /// Re-check property (P1) — ball isomorphism + output difference — as
   /// each level is built (cheap; also rechecked by the validator).
   bool verify_p1 = true;
-  /// Re-check property (P2) — (Δ-1-i)-loopiness — as each level is built:
-  /// one factor graph per stored graph, ~0.02 s over a whole Δ=14 chain
-  /// and ~0.8 s at Δ=18 on one thread. Off by default because the
-  /// validator checks (P2) independently.
+  /// Re-check property (P2) — (Δ-1-i)-loopiness — as each level is built,
+  /// through is_k_loopy: a per-node loop count that decides every level
+  /// of the adversary's own chains without a factor graph. Off by default
+  /// because the validator checks (P2) independently.
   bool verify_p2 = false;
 };
 

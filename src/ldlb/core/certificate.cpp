@@ -38,13 +38,16 @@ std::vector<LevelValidation> validate_certificate(
     v.shape_ok = lv.g.is_forest_ignoring_loops() &&
                  lv.h.is_forest_ignoring_loops() && connected;
     if (check_loopiness) {
-      // loopiness() builds factor graphs, which require exactly these two
-      // properties; a stored graph without them is reported, not thrown
-      // on. The degree bound is not one of them, so a degree-Δ+1 graph
-      // still gets its loopiness verdict.
+      // Loopiness is defined, and is_k_loopy answers, only for graphs with
+      // exactly these two properties; a stored graph without them is
+      // reported, not thrown on. The degree bound is not one of them, so a
+      // degree-Δ+1 graph still gets its loopiness verdict. The adversary's
+      // graphs keep Δ-1-i loops at every node, so the loop count decides
+      // and no factor graph is built.
       int need = cert.delta - 1 - lv.level;
-      v.loopy_ok = coloured && connected && loopiness(lv.g) >= need &&
-                   loopiness(lv.h) >= need;
+      v.loopy_ok = coloured && connected &&
+                   is_k_loopy_prechecked(lv.g, need) &&
+                   is_k_loopy_prechecked(lv.h, need);
     } else {
       v.loopy_ok = true;
     }

@@ -78,11 +78,12 @@ struct LevelValidation {
 };
 
 /// Independently validates a certificate against the algorithm, re-running
-/// it on every stored graph. `check_loopiness` adds (P2), one factor graph
-/// per stored graph: on one thread, full validation of the Δ=14 to Δ=18
-/// chains takes 2.0–2.3× as long as without it (docs/PERFORMANCE.md,
-/// "Factor-graph kernel"). Without it the certificate's loopiness claim
-/// goes unchecked.
+/// it on every stored graph. `check_loopiness` adds (P2) through
+/// is_k_loopy: a per-node loop count decides every level of an honest
+/// chain, and only a graph whose count falls short builds a factor graph,
+/// so full validation costs little more than validation without it
+/// (docs/PERFORMANCE.md, "(P2) by loop count"). Without it the
+/// certificate's loopiness claim goes unchecked.
 std::vector<LevelValidation> validate_certificate(
     const LowerBoundCertificate& cert, EcAlgorithm& algorithm,
     bool check_loopiness = true);

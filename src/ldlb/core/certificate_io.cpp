@@ -47,7 +47,8 @@ Rational read_rational(LineReader& r, const char* what) {
 
 }  // namespace
 
-void append_certificate_level(std::string& out, const CertificateLevel& lv) {
+long long append_certificate_level(std::string& out,
+                                   const CertificateLevel& lv) {
   // A sentinel in a witness field means the level was never certified; the
   // parser range-rejects such values, so refuse to emit them in the first
   // place rather than writing a file no reader will accept.
@@ -73,6 +74,8 @@ void append_certificate_level(std::string& out, const CertificateLevel& lv) {
   out += ' ';
   append_int(out, lv.propagation_steps);
   out += '\n';
+  // "level", the two graph headers, one line per edge, "witness".
+  return 4 + static_cast<long long>(lv.g.edge_count()) + lv.h.edge_count();
 }
 
 void write_certificate_level(std::ostream& os, const CertificateLevel& lv) {

@@ -37,9 +37,11 @@ void write_certificate(std::ostream& os, const LowerBoundCertificate& cert);
 LowerBoundCertificate read_certificate(std::istream& is);
 
 /// Appends one level in the chain format ("level" through "witness" lines)
-/// to `out`. Requires the witness fields to be populated — a level still
-/// carrying the kNoNode / kNoEdge sentinels is not serialisable evidence.
-void append_certificate_level(std::string& out, const CertificateLevel& lv);
+/// to `out` and returns how many lines it appended: 4 + |E(G)| + |E(H)|.
+/// Requires the witness fields to be populated — a level still carrying
+/// the kNoNode / kNoEdge sentinels is not serialisable evidence.
+long long append_certificate_level(std::string& out,
+                                   const CertificateLevel& lv);
 
 /// append_certificate_level onto a stream.
 void write_certificate_level(std::ostream& os, const CertificateLevel& lv);

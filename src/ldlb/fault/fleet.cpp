@@ -30,7 +30,8 @@ namespace {
 // body is one of the repo's line formats. Requests:
 //
 //   run <id> <max_rounds>               body: multigraph (graph_io)
-//   validate <id> <delta> <loopiness>   body: one level (certificate_io)
+//   validate <id> <delta> <loopiness>   body: one level (certificate_io);
+//                                       the coordinator always sends 1
 //   shutdown                            body: empty
 //
 // Replies:
@@ -55,13 +56,12 @@ std::string run_request(int id, int rounds, const Multigraph& g) {
   return out;
 }
 
-std::string validate_request(int id, int delta, bool check_loopiness,
-                             const CertificateLevel& lv) {
+std::string validate_request(int id, int delta, const CertificateLevel& lv) {
   std::string out = "validate ";
   append_int(out, id);
   out += ' ';
   append_int(out, delta);
-  out += check_loopiness ? " 1\n" : " 0\n";
+  out += " 1\n";
   append_certificate_level(out, lv);
   return out;
 }
@@ -490,8 +490,7 @@ class Fleet {
     for (std::size_t i = 0; i < chain.levels.size(); ++i) {
       requests.emplace_back(
           static_cast<int>(i),
-          validate_request(static_cast<int>(i), chain.delta,
-                           options_.check_loopiness, chain.levels[i]));
+          validate_request(static_cast<int>(i), chain.delta, chain.levels[i]));
     }
     std::map<int, Reply> replies =
         exchange(kRevalidationLevel, std::move(requests));
@@ -911,7 +910,6 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
     resume_options.adversary = options.adversary;
     resume_options.retry = options.retry;
     resume_options.revalidate = options.revalidate;
-    resume_options.check_loopiness = options.check_loopiness;
     resume_options.on_checkpoint = options.on_checkpoint;
     return run_adversary_resumable(*algorithm, delta, store, resume_options,
                                    &rep.resume);

@@ -107,12 +107,10 @@ struct FleetOptions {
   /// to take one request frame, before declaring the worker hung (killed,
   /// reaped, respawned; incident "hang" or "write-hang").
   double reply_deadline_seconds = 120.0;
-  /// Re-validate a loaded store prefix (sharded across the fleet) before
-  /// trusting it; levels from the first invalid one onward are recomputed.
+  /// Re-validate a loaded store prefix (sharded across the fleet, (P2)
+  /// included) before trusting it; levels from the first invalid one
+  /// onward are recomputed.
   bool revalidate = true;
-  /// Check (Δ-1-i)-loopiness during revalidation: one factor graph per
-  /// stored graph, ~0.02 s over a whole Δ=14 chain on one thread.
-  bool check_loopiness = false;
   /// Worker daemons to connect to instead of forking: non-empty switches
   /// the fleet to the socket transport, slots mapping onto endpoints
   /// round-robin. The daemons must serve the same delta and algorithm

@@ -1,6 +1,5 @@
 #include "ldlb/recover/cert_log.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -371,9 +370,8 @@ void append_record(std::string& out, const CertificateLevel& lv, int index,
   // The payload is rendered in place and its header inserted in front of
   // it once the counts and checksums are known.
   const std::size_t record_start = out.size();
-  append_certificate_level(out, lv);
+  const long long lines = append_certificate_level(out, lv);
   const std::string_view payload = std::string_view(out).substr(record_start);
-  const auto lines = std::count(payload.begin(), payload.end(), '\n');
   const Checksum128 self = fnv1a_128(payload);
   const Checksum128 previous =
       geom.records.empty() ? geom.genesis : geom.records.back().chain;

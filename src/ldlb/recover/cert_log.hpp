@@ -214,7 +214,7 @@ struct CertLogValidation {
 /// after each level's verdict. Throws only on environmental IO failure.
 CertLogValidation validate_certificate_log(
     const std::string& path, EcAlgorithm& algorithm,
-    bool check_loopiness = false,
+    bool check_loopiness = true,
     const std::function<void(const LevelValidation&)>& on_level = nullptr);
 
 }  // namespace ldlb

@@ -110,8 +110,7 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
   // Re-run the algorithm on every loaded level: a stored chain cannot be
   // "trusted into" the run just because its checksums pass.
   if (options.revalidate && !chain.levels.empty()) {
-    auto validations =
-        validate_certificate(chain, algorithm, options.check_loopiness);
+    auto validations = validate_certificate(chain, algorithm);
     std::size_t keep = 0;
     while (keep < validations.size() && validations[keep].ok()) ++keep;
     if (keep < chain.levels.size()) {

@@ -38,12 +38,10 @@ namespace ldlb {
 struct ResumeOptions {
   AdversaryOptions adversary;  ///< forwarded to every adversary step
   RetryPolicy retry;           ///< per-level supervision (budget escalation)
-  /// Re-validate the loaded prefix against the algorithm before trusting
-  /// it; levels from the first invalid one onward are recomputed.
+  /// Re-validate the loaded prefix against the algorithm, (P2) included,
+  /// before trusting it; levels from the first invalid one onward are
+  /// recomputed.
   bool revalidate = true;
-  /// Check (Δ-1-i)-loopiness during revalidation: one factor graph per
-  /// stored graph, ~0.02 s over a whole Δ=14 chain on one thread.
-  bool check_loopiness = false;
   /// Called after each freshly certified level is durably checkpointed.
   /// Throwing from here models a crash right after the checkpoint — see
   /// crash_at_level.

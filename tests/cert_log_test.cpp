@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -300,6 +301,31 @@ TEST(CertLog, StreamingValidationMatchesResidentValidation) {
       validate_certificate_log(log.path(), other);
   EXPECT_FALSE(wrong.ok());
   EXPECT_GE(wrong.first_invalid_level, 0);
+  log.remove();
+}
+
+// A record header's line count is what append_certificate_level reports:
+// the level's newlines, 4 + |E(G)| + |E(H)|.
+TEST(CertLog, RecordLineCountIsTheLevelsLineCount) {
+  const LowerBoundCertificate chain = reference_chain(6);
+  std::vector<long long> want;
+  for (const CertificateLevel& lv : chain.levels) {
+    std::string payload;
+    const long long lines = append_certificate_level(payload, lv);
+    EXPECT_EQ(lines, std::count(payload.begin(), payload.end(), '\n'));
+    EXPECT_EQ(lines, 4 + lv.g.edge_count() + lv.h.edge_count());
+    want.push_back(lines);
+  }
+  CertificateLog log{temp_path("lines.ldcl")};
+  log.remove();
+  log.checkpoint(chain);
+  std::vector<long long> got;
+  const CertLogReport report = inspect_certificate_log(
+      log.path(),
+      [&](const CertLogRecordInfo& info) { got.push_back(info.payload_lines); });
+  EXPECT_EQ(report.damage, LogDamage::kNone);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(slurp(log.path()), CertificateLog::serialize(chain));
   log.remove();
 }
 

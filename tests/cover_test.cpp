@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -27,7 +28,9 @@
 #include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
+#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/rng.hpp"
+#include "ldlb/util/slow_checks.hpp"
 
 namespace ldlb {
 namespace {
@@ -613,6 +616,229 @@ TEST(ColourValues, SparseColoursStillCheckedExactly) {
   wrong.add_edge(0, 0, 5000000);
   wrong.add_edge(0, 0, 4);
   EXPECT_FALSE(is_covering_map(c6, wrong, std::vector<NodeId>(6, 0)));
+}
+
+// --- (P2) by loop count -----------------------------------------------------
+//
+// Every loop at a node of G is a loop of FG at the node's class, so the
+// fewest loops at any node bounds loopiness from below; is_k_loopy decides
+// by that count and builds the factor graph only when it falls short. Its
+// verdict must equal `loopiness(g) >= k` for every k, whichever decides.
+
+// The fewest loops at any node, counted through incidence lists rather than
+// the edge list is_k_loopy scans (0 for a graph without nodes).
+int fewest_node_loops(const Multigraph& g) {
+  int fewest = g.node_count() == 0 ? 0 : std::numeric_limits<int>::max();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    fewest = std::min(fewest, g.loop_count(v));
+  }
+  return fewest;
+}
+
+int fewest_node_loops(const Digraph& g) {
+  int fewest = g.node_count() == 0 ? 0 : std::numeric_limits<int>::max();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const auto& out = g.out_arcs(v);
+    fewest = std::min(fewest, static_cast<int>(std::count_if(
+                                  out.begin(), out.end(), [&](EdgeId a) {
+                                    return g.arc(a).is_loop();
+                                  })));
+  }
+  return fewest;
+}
+
+// Checks the lower bound and every verdict for k in 0..Δ+1; returns true
+// when the count fell below loopiness, i.e. the factor graph decided some k.
+bool expect_count_verdicts(const Multigraph& g, const std::string& what) {
+  const int exact = loopiness(g);
+  const int count = fewest_node_loops(g);
+  EXPECT_GE(exact, count) << what;
+  for (int k = 0; k <= g.max_degree() + 1; ++k) {
+    EXPECT_EQ(is_k_loopy(g, k), exact >= k) << what << " k=" << k;
+    EXPECT_EQ(is_k_loopy_prechecked(g, k), exact >= k) << what << " k=" << k;
+  }
+  return count < exact;
+}
+
+bool expect_count_verdicts(const Digraph& g, const std::string& what) {
+  const int exact = loopiness(g);
+  const int count = fewest_node_loops(g);
+  EXPECT_GE(exact, count) << what;
+  for (int k = 0; k <= g.max_degree() + 1; ++k) {
+    EXPECT_EQ(is_k_loopy(g, k), exact >= k) << what << " k=" << k;
+  }
+  return count < exact;
+}
+
+TEST(LoopinessByCount, RandomLoopyTrees) {
+  Rng rng{71};
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(rng.next_in(1, 40));
+    const int degree = static_cast<int>(rng.next_in(3, 9));
+    expect_count_verdicts(make_loopy_tree(n, degree, rng),
+                          "loopy tree trial " + std::to_string(trial));
+  }
+}
+
+// A lift turns loops into edges between copies but keeps the factor graph,
+// so its loop count falls below its loopiness and the fallback decides.
+TEST(LoopinessByCount, LiftsTakeTheFallback) {
+  Rng rng{72};
+  int fallbacks = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto n = static_cast<NodeId>(rng.next_in(1, 24));
+    const int degree = static_cast<int>(rng.next_in(3, 8));
+    const Multigraph g = make_loopy_tree(n, degree, rng);
+    const std::string at = "loopy tree trial " + std::to_string(trial);
+    const Lift lifted = involution_lift(g, 2 * degree);
+    if (lifted.graph.is_connected()) {
+      fallbacks += expect_count_verdicts(lifted.graph, at + " involution");
+    }
+    const Lift random = random_permutation_lift(g, 4, rng);
+    if (random.graph.is_connected()) {
+      fallbacks += expect_count_verdicts(random.graph, at + " random");
+    }
+  }
+  EXPECT_GT(fallbacks, 10);
+}
+
+TEST(LoopinessByCount, Figure3Graphs) {
+  Multigraph c6(6);
+  for (NodeId v = 0; v < 6; ++v) c6.add_edge(v, (v + 1) % 6, v % 2);
+  EXPECT_TRUE(expect_count_verdicts(c6, "alternating C6"));
+  Multigraph k2(2);
+  k2.add_edge(0, 1, 0);
+  EXPECT_TRUE(expect_count_verdicts(k2, "K2"));
+  Multigraph path(3);
+  path.add_edge(0, 1, 0);
+  path.add_edge(1, 2, 1);
+  EXPECT_FALSE(expect_count_verdicts(path, "coloured path"));
+  EXPECT_FALSE(expect_count_verdicts(make_loop_star(6), "loop star"));
+  EXPECT_TRUE(expect_count_verdicts(make_directed_cycle(6), "directed C6"));
+  // Loopless: the count is 0 and the factor graph decides every k >= 1.
+  EXPECT_FALSE(expect_count_verdicts(greedy_edge_coloring(make_cycle(9)),
+                                     "odd cycle"));
+  expect_count_verdicts(greedy_edge_coloring(make_complete(6)), "K6");
+  Rng rng{21};
+  for (int k : {2, 4, 8}) {
+    const Multigraph g = make_loopy_tree(5, 5, rng);
+    expect_count_verdicts(g, "fig3 base");
+    expect_count_verdicts(involution_lift(g, std::max(k, 8)).graph,
+                          "fig3 lift");
+  }
+}
+
+TEST(LoopinessByCount, PoDigraphs) {
+  for (NodeId n : {1, 2, 5, 12}) {
+    expect_count_verdicts(make_directed_cycle(n), "directed cycle");
+  }
+  Rng rng{73};
+  for (int trial = 0; trial < 40; ++trial) {
+    const Digraph base = make_random_po_graph(
+        static_cast<NodeId>(rng.next_in(2, 12)), 0.4, rng);
+    if (!base.underlying_multigraph().is_connected()) continue;
+    expect_count_verdicts(base, "random PO graph");
+    const Digraph lifted = po_lift(base, 3, rng);
+    if (lifted.underlying_multigraph().is_connected()) {
+      expect_count_verdicts(lifted, "random PO lift");
+    }
+  }
+  // Two directed loops at one node: the count decides up to 2; its lifts
+  // turn the loops into cycles and take the fallback.
+  Digraph loops(1);
+  loops.add_arc(0, 0, 0);
+  loops.add_arc(0, 0, 1);
+  EXPECT_FALSE(expect_count_verdicts(loops, "two directed loops"));
+  int fallbacks = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const Digraph lifted = po_lift(loops, 6, rng);
+    if (lifted.underlying_multigraph().is_connected()) {
+      fallbacks += expect_count_verdicts(lifted, "two directed loops lift");
+    }
+  }
+  EXPECT_GT(fallbacks, 0);
+}
+
+TEST(LoopinessByCount, SingleNodeAndEmptyGraph) {
+  expect_count_verdicts(Multigraph(1), "bare node");
+  expect_count_verdicts(Digraph(1), "bare PO node");
+  EXPECT_EQ(loopiness(Multigraph()), 0);
+  EXPECT_EQ(loopiness(Digraph()), 0);
+  for (int k : {-1, 0, 1, 2}) {
+    EXPECT_EQ(is_k_loopy(Multigraph(), k), k <= 0) << k;
+    EXPECT_EQ(is_k_loopy_prechecked(Multigraph(), k), k <= 0) << k;
+    EXPECT_EQ(is_k_loopy(Digraph(), k), k <= 0) << k;
+  }
+}
+
+// The count never answers for a graph loopiness rejects, even when every
+// node has enough loops.
+TEST(LoopinessByCount, RejectsWhatLoopinessRejects) {
+  Multigraph apart(2);
+  apart.add_edge(0, 0, 0);
+  apart.add_edge(1, 1, 0);
+  Multigraph clash(1);
+  clash.add_edge(0, 0, 0);
+  clash.add_edge(0, 0, 0);
+  Multigraph uncoloured(1);
+  uncoloured.add_edge(0, 0);
+  for (const Multigraph* g : {&apart, &clash, &uncoloured}) {
+    EXPECT_THROW((void)loopiness(*g), ContractViolation);
+    for (int k : {0, 1}) {
+      EXPECT_THROW((void)is_k_loopy(*g, k), ContractViolation) << k;
+    }
+  }
+  Digraph po_apart(2);
+  po_apart.add_arc(0, 0, 0);
+  po_apart.add_arc(1, 1, 0);
+  Digraph po_clash(1);
+  po_clash.add_arc(0, 0, 0);
+  po_clash.add_arc(0, 0, 0);
+  for (const Digraph* g : {&po_apart, &po_clash}) {
+    EXPECT_THROW((void)loopiness(*g), ContractViolation);
+    for (int k : {0, 1}) {
+      EXPECT_THROW((void)is_k_loopy(*g, k), ContractViolation) << k;
+    }
+  }
+}
+
+// §4.3's unfold and mix steps each take at most one loop from a node,
+// starting from the base case's Δ and Δ−1, so every node of G_i and H_i
+// keeps Δ−1−i loops: on the adversary's chains the count alone decides
+// (P2), and no factor graph is built. The refinement kernel charges its
+// scratch through charge_alloc, so under a zero budget is_k_loopy can
+// answer only if it never reaches the kernel (unless the slow-checks
+// oracle is on, which re-derives every count verdict through it).
+void expect_count_decides_chain(const std::string& kind, int delta) {
+  ChainSubject s = make_chain_subject(kind, delta);
+  AdversaryOptions opts;
+  opts.max_rounds = 40000;
+  const LowerBoundCertificate cert = run_adversary(*s.alg, delta, opts);
+  ASSERT_EQ(cert.certified_radius(), delta - 2) << kind << " Δ=" << delta;
+  for (const CertificateLevel& lv : cert.levels) {
+    const std::string at = kind + " Δ=" + std::to_string(delta) + " level " +
+                           std::to_string(lv.level);
+    const int need = delta - 1 - lv.level;
+    EXPECT_GE(fewest_node_loops(lv.g), need) << at << " G";
+    EXPECT_GE(fewest_node_loops(lv.h), need) << at << " H";
+    if (slow_checks_enabled()) continue;
+    ScopedAllocBudget none(0);
+    EXPECT_TRUE(is_k_loopy(lv.g, need)) << at << " G";
+    EXPECT_TRUE(is_k_loopy(lv.h, need)) << at << " H";
+    EXPECT_THROW((void)loopiness(lv.g), std::bad_alloc) << at;
+  }
+}
+
+TEST(LoopinessByCount, CountDecidesEveryChainLevel) {
+  for (const char* kind : {"seq", "two", "po"}) {
+    for (int delta = 3; delta <= 11; ++delta) {
+      expect_count_decides_chain(kind, delta);
+    }
+  }
+}
+
+TEST(LoopinessByCount, CountDecidesSeqChainDelta14) {
+  expect_count_decides_chain("seq", 14);
 }
 
 }  // namespace

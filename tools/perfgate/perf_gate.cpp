@@ -19,9 +19,10 @@
 // The baseline file holds one number: the reference min wall time in
 // milliseconds (regenerate with --measure on a quiet machine). The gate
 // fails when measured > factor * baseline (default factor 2.0).
-// --loopiness validates with (P2) on, so the timed chain also covers the
-// factor-graph kernel (cover/factor_graph) behind loopiness; without it
-// validation checks (P1) and (P3) only.
+// --loopiness validates with (P2) on, so the timed chain also covers
+// is_k_loopy (cover/loopiness). On the adversary's chains its one-pass loop
+// count decides every level, so the factor-graph kernel (cover/factor_graph)
+// is not reached; without --loopiness validation checks (P1) and (P3) only.
 // --stream times the certificate-log path instead: the chain is built and
 // its log written once, untimed, and each rep times
 // CertificateLog::serialize plus validate_certificate_log over that log —
@@ -203,7 +204,7 @@ int main(int argc, char** argv) {
               << factor << " x " << baseline << " ms; the "
               << (stream                ? "text codec's"
                   : algorithm != "seq"  ? "closed-form evaluator's"
-                  : check_loopiness     ? "factor-graph kernel's"
+                  : check_loopiness     ? "(P2) loop count's"
                                         : "adversary and (P1) kernel's")
               << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
