@@ -30,9 +30,6 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
-#include "ldlb/util/ipc.hpp"
-#include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 #include "ldlb/util/thread_pool.hpp"
 
@@ -87,29 +84,21 @@ int measured_rounds_on_loopy_graphs(EcAlgorithm& alg, int delta) {
 
 // One engine configuration to sweep: `threads` is the global pool size
 // (1 = serial, 0 = hardware default), `workers` the fleet process count
-// (0 = in-process run_adversary; >0 = run_adversary_fleet, whose output
-// is byte-identical but whose wall time includes the IPC round-trips).
-// `socket` routes the fleet over the TCP transport to a freshly forked
-// localhost daemon instead of forked pipe workers, so the telemetry
-// separates framing/handshake/heartbeat overhead from fork overhead.
+// (0 = in-process run_adversary; >0 = run_adversary_fleet over forked pipe
+// workers, whose output is byte-identical but whose wall time includes the
+// IPC round-trips).
 struct SweepConfig {
   int threads = 1;
   int workers = 0;
-  bool socket = false;
   bool print_table = false;
 };
-
-const char* transport_name(const SweepConfig& config) {
-  if (config.workers == 0) return "in-process";
-  return config.socket ? "socket" : "pipe";
-}
 
 void sweep(bench::JsonWriter& json, const SweepConfig& config,
            const std::map<int, double>& baseline) {
   ThreadPool::set_global_threads(config.threads);
-  const std::string snapshot =
+  const std::string log_path =
       (std::filesystem::temp_directory_path() /
-       ("ldlb_bench_" + std::to_string(::getpid()) + ".snap"))
+       ("ldlb_bench_" + std::to_string(::getpid()) + ".ldcl"))
           .string();
 
   bench::Table table{{"delta", "lower>=(adv)", "SeqColor", "TwoPhase",
@@ -125,7 +114,7 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
   json.begin_object()
       .key("threads").value(global_pool().size())
       .key("workers").value(config.workers)
-      .key("transport").value(transport_name(config))
+      .key("transport").value(config.workers == 0 ? "in-process" : "pipe")
       .key("runs").begin_array();
   for (int delta = 3; delta <= max_delta; ++delta) {
     SeqColorPacking seq{delta};
@@ -133,19 +122,6 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     const AlgorithmFactory factory = [delta]() {
       return std::make_unique<SeqColorPacking>(delta);
     };
-    // Socket configs serve every rep's worker connections for this delta
-    // from one localhost daemon (the daemon forks a child per connection,
-    // so the measured cost is framing + handshake, not daemon startup).
-    pid_t daemon_pid = -1;
-    std::vector<RemoteEndpoint> remotes;
-    if (config.workers > 0 && config.socket) {
-      net::Listener listener = net::Listener::on("127.0.0.1", 0);
-      remotes.push_back({"127.0.0.1", listener.port()});
-      daemon_pid = ipc::spawn_child([&listener, factory, delta]() {
-        return run_fleet_daemon(factory, delta, listener);
-      });
-      listener.close();
-    }
     // Min over a few repetitions: single-shot wall times on shared CI
     // machines jitter by 10-20%, enough to blur a 2x comparison. Past
     // Δ = 14 a single repetition keeps the sweep bounded; at that size the
@@ -158,13 +134,12 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
     for (int rep = 0; rep < reps; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
       if (config.workers > 0) {
-        SnapshotStore store{snapshot};
-        store.remove();  // a fresh chain every rep, never a resume
+        CertificateLog log{log_path};
+        log.remove();  // a fresh chain every rep, never a resume
         FleetOptions options;
         options.workers = config.workers;
-        options.remotes = remotes;
-        cert = run_adversary_fleet(factory, delta, store, options);
-        store.remove();
+        cert = run_adversary_fleet(factory, delta, log, options);
+        log.remove();
       } else {
         cert = run_adversary(seq, delta);
       }
@@ -174,10 +149,6 @@ void sweep(bench::JsonWriter& json, const SweepConfig& config,
       const double v = elapsed_ms(t0);
       if (rep == 0 || a < adversary_ms) adversary_ms = a;
       if (rep == 0 || v < validate_ms) validate_ms = v;
-    }
-    if (daemon_pid > 0) {
-      ipc::kill_process(daemon_pid);
-      (void)ipc::wait_exit(daemon_pid, Deadline::in(10.0));
     }
     int lower = cert.certified_radius() + 1;  // needs > Δ-2, i.e. >= Δ-1
     int seq_rounds = measured_rounds_on_loopy_graphs(seq, delta);
@@ -222,18 +193,14 @@ void report() {
   const std::map<int, double> baseline = parse_baseline_env();
 
   // Serial reference (prints the reproduction table), the multi-threaded
-  // speculative engine, and the coordinator/worker fleet at two sizes on
-  // each transport — all producing byte-identical certificates, so the
-  // telemetry compares pure engine overheads/speedups on one axis per
-  // config (and socket vs pipe isolates the TCP framing cost).
+  // speculative engine, and the coordinator/worker fleet at two sizes —
+  // all producing byte-identical certificates, so the telemetry compares
+  // pure engine overheads/speedups on one axis per config.
   const SweepConfig configs[] = {
-      {/*threads=*/1, /*workers=*/0, /*socket=*/false, /*print_table=*/true},
-      {/*threads=*/0, /*workers=*/0, /*socket=*/false,
-       /*print_table=*/false},  // hw threads
-      {/*threads=*/1, /*workers=*/2, /*socket=*/false, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/4, /*socket=*/false, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/2, /*socket=*/true, /*print_table=*/false},
-      {/*threads=*/1, /*workers=*/4, /*socket=*/true, /*print_table=*/false},
+      {/*threads=*/1, /*workers=*/0, /*print_table=*/true},
+      {/*threads=*/0, /*workers=*/0, /*print_table=*/false},  // hw threads
+      {/*threads=*/1, /*workers=*/2, /*print_table=*/false},
+      {/*threads=*/1, /*workers=*/4, /*print_table=*/false},
   };
   bench::JsonWriter json;
   json.begin_object()

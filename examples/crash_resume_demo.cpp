@@ -4,13 +4,14 @@
 //
 // 1. Runs the Section-4 adversary uninterrupted as the reference.
 // 2. Runs it resumably with an injected crash-stop right after level
-//    `crash_level` is checkpointed; the process "dies" with the snapshot
-//    store holding levels 0..crash_level.
-// 3. Corrupts the snapshot tail on purpose and shows the store degrading
-//    to the longest valid prefix with a RecoveryReport.
-// 4. Resumes: the loaded prefix is re-validated against the algorithm,
-//    construction continues, and the final certificate is byte-identical
-//    to the uninterrupted reference.
+//    `crash_level` is checkpointed; the process "dies" with the
+//    certificate log holding levels 0..crash_level.
+// 3. Tears the log's tail on purpose and shows the load salvaging the
+//    intact records before the torn one, with a RecoveryReport.
+// 4. Resumes: the torn tail is truncated away, the loaded prefix is
+//    re-validated against the algorithm, construction continues, and the
+//    final certificate — and the repaired log — are byte-identical to the
+//    uninterrupted reference.
 //
 // Exits non-zero if any of that fails, so CI can smoke-run it.
 #include <cstdlib>
@@ -19,9 +20,9 @@
 #include <iostream>
 
 #include "ldlb/core/certificate_io.hpp"
-#include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
+#include "ldlb/recover/resumable_adversary.hpp"
 #include "ldlb/util/atomic_file.hpp"
 
 int main(int argc, char** argv) {
@@ -33,11 +34,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string snap =
-      (std::filesystem::temp_directory_path() / "ldlb_crash_resume_demo.snap")
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ldlb_crash_resume_demo.ldcl")
           .string();
-  SnapshotStore store{snap};
-  store.remove();
+  CertificateLog log{path};
+  log.remove();
 
   try {
     std::cout << "== reference: uninterrupted run (delta " << delta << ") ==\n";
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
       ResumeOptions options;
       options.on_checkpoint = crash_at_level(crash_level);
       try {
-        run_adversary_resumable(alg, delta, store, options);
+        run_adversary_resumable(alg, delta, log, options);
         std::cerr << "  BUG: the injected crash never fired\n";
         return 1;
       } catch (const FaultInjected& e) {
@@ -63,17 +64,17 @@ int main(int argc, char** argv) {
     }
     {
       RecoveryReport report;
-      (void)store.load(&report);
+      (void)log.load(&report);
       std::cout << "  " << report.to_string() << "\n";
     }
 
-    std::cout << "\n== corrupting the snapshot tail ==\n";
+    std::cout << "\n== tearing the log tail ==\n";
     {
-      std::string bytes = read_file(snap);
+      std::string bytes = read_file(path);
       // Chop into the last record's payload: strictly worse than the crash.
-      write_file_atomic(snap, bytes.substr(0, bytes.size() * 3 / 4));
+      write_file_atomic(path, bytes.substr(0, bytes.size() * 3 / 4));
       RecoveryReport report;
-      (void)store.load(&report);
+      (void)log.load(&report);
       std::cout << "  " << report.to_string() << "\n";
     }
 
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
     SeqColorPacking alg{delta};
     ResumeInfo info;
     LowerBoundCertificate resumed =
-        run_adversary_resumable(alg, delta, store, {}, &info);
+        run_adversary_resumable(alg, delta, log, {}, &info);
     std::cout << "  salvaged " << info.loaded_levels << " level(s), trusted "
               << info.trusted_levels << " after re-validation, recomputed "
               << info.computed_levels << "\n";
@@ -89,8 +90,12 @@ int main(int argc, char** argv) {
     const bool identical = certificate_to_string(resumed) == reference_text;
     std::cout << "  final certificate byte-identical to reference: "
               << (identical ? "yes" : "NO") << "\n";
-    store.remove();
-    return identical ? 0 : 1;
+    const bool repaired =
+        read_file(path) == CertificateLog::serialize(reference);
+    std::cout << "  repaired log byte-identical to a never-torn one: "
+              << (repaired ? "yes" : "NO") << "\n";
+    log.remove();
+    return identical && repaired ? 0 : 1;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -8,14 +8,11 @@
 # then an AddressSanitizer+UBSan build (see LDLB_SANITIZE in the top
 # CMakeLists) — plus a ThreadSanitizer pass over the concurrency-bearing
 # suites with the thread pool forced wide, a bounded chaos-soak stage
-# (randomized cancel/crash/env-fault/resume/fleet-kill/net-fault cycles) on
-# the plain and ASan trees, a fleet-determinism stage that byte-compares
-# the coordinator/worker engine's certificates across worker counts, kill-9
-# histories, both checkpoint stores and a crash/resume cycle, and a
-# socket-fleet stage that repeats the byte-comparison over the TCP
-# transport against a live worker daemon (plus disconnect chaos, the
-# certificate-log store, and the exit-4 / degradation ladder smokes), a
-# certificate-log streaming stage (a Δ=20 chain built once into the
+# (randomized cancel/crash/env-fault/resume/fleet-kill/writer-kill cycles
+# over the certificate log) on the plain and ASan trees, a
+# fleet-determinism stage that byte-compares the coordinator/worker
+# engine's certificates across worker counts, kill-9 histories and a
+# crash/resume cycle, a certificate-log streaming stage (a Δ=20 chain built once into the
 # append-only log, stream-validated in bounded memory with the peak RSS
 # pinned below the fully-resident validator, format round-trips, torn-tail
 # resume and env-fault injection smokes), and a perf-regression gate that
@@ -50,16 +47,14 @@ run_suite() {
 
 run_chaos() {
   local dir="$1" cycles="$2"
-  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}, fleet-kill + net-fault + certlog on) =="
+  echo "== chaos soak ($dir, ${cycles} cycles, seed ${chaos_seed}, fleet-kill + certlog on) =="
   # LDLB_CHAOS_KILL=1 keeps the worker-SIGKILL fleet scenario in the
-  # rotation, LDLB_CHAOS_NET=1 the socket-fleet network-fault scenario, and
-  # LDLB_CHAOS_CERTLOG=1 the certificate-log writer-kill scenario (plus the
-  # per-cycle snapshot/log store alternation); set any to 0 to soak without
-  # that interference (e.g. under a debugger).
+  # rotation and LDLB_CHAOS_CERTLOG=1 the certificate-log writer-kill
+  # scenario; set either to 0 to soak without that interference (e.g.
+  # under a debugger).
   if ! LDLB_CHAOS_SEED="$chaos_seed" LDLB_CHAOS_CYCLES="$cycles" \
       LDLB_SLOW_CHECKS=1 \
       LDLB_CHAOS_KILL="${LDLB_CHAOS_KILL:-1}" \
-      LDLB_CHAOS_NET="${LDLB_CHAOS_NET:-1}" \
       LDLB_CHAOS_CERTLOG="${LDLB_CHAOS_CERTLOG:-1}" \
       "$dir/tests/chaos_soak"; then
     echo "chaos soak failed; reproduce with LDLB_CHAOS_SEED=${chaos_seed}" >&2
@@ -68,41 +63,33 @@ run_chaos() {
 }
 
 # Byte-compares ldlb_fleet certificates across worker counts and kill
-# histories, over the snapshot store and the append-only certificate log,
-# then smokes the crash-stop/resume cycle. The kill seeds are fixed (and
-# logged by the driver) so a divergence is replayable.
+# histories over the certificate log, then smokes the crash-stop/resume
+# cycle. The kill seeds are fixed (and logged by ldlb_fleet) so a
+# divergence is replayable.
 run_fleet_determinism() {
   local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
   local tmp; tmp="$(mktemp -d)"
   echo "== fleet determinism ($dir, delta 4..10, 14, 16 x workers 0/1/2/4 + chaos) =="
-  # Every run checkpoints into the snapshot store; Δ 6 and 8 repeat the
-  # comparison over the append-only certificate log, and Δ 14 and 16 (the
-  # sizes whose frames outgrow the 64 KiB pipe buffers) run over it only.
-  local run delta store workers
-  for run in 4:snapshot 5:snapshot 6:snapshot 6:log 7:snapshot 8:snapshot \
-      8:log 9:snapshot 10:snapshot 14:log 16:log; do
-    delta="${run%:*}" store="${run#*:}"
-    "$bin" --delta "$delta" --workers 0 --"$store" "$tmp/ref.$store" \
+  # Δ 14 and 16 are the sizes whose frames outgrow the 64 KiB pipe buffers.
+  local delta workers
+  for delta in 4 5 6 7 8 9 10 14 16; do
+    "$bin" --delta "$delta" --workers 0 --log "$tmp/ref.log" \
       --print > "$tmp/ref.txt"
     for workers in 1 2 4; do
-      "$bin" --delta "$delta" --workers "$workers" --"$store" "$tmp/w.$store" \
+      "$bin" --delta "$delta" --workers "$workers" --log "$tmp/w.log" \
         --print > "$tmp/w.txt"
       if ! cmp -s "$tmp/ref.txt" "$tmp/w.txt"; then
-        echo "fleet certificate diverged: delta $delta, $workers workers," \
-          "$store store" >&2
+        echo "fleet certificate diverged: delta $delta, $workers workers" >&2
         exit 1
       fi
     done
     "$bin" --delta "$delta" --workers 2 --kill-every-level "$((delta * 1009))" \
-      --"$store" "$tmp/k.$store" --print > "$tmp/k.txt"
+      --log "$tmp/k.log" --print > "$tmp/k.txt"
     if ! cmp -s "$tmp/ref.txt" "$tmp/k.txt"; then
-      echo "fleet certificate diverged under kill-9 chaos at delta $delta," \
-        "$store store" >&2
+      echo "fleet certificate diverged under kill-9 chaos at delta $delta" >&2
       exit 1
     fi
   done
-  # The crash/resume smoke runs over the append-only certificate log so
-  # the fleet + cert-log checkpoint path is part of the gate.
   local rc=0
   "$bin" --delta 8 --workers 2 --abort-after-level 3 \
     --log "$tmp/resume.log" > /dev/null || rc=$?
@@ -112,82 +99,10 @@ run_fleet_determinism() {
   fi
   "$bin" --delta 8 --workers 2 --resume --log "$tmp/resume.log" \
     --print > "$tmp/resumed.txt"
-  "$bin" --delta 8 --workers 0 --snapshot "$tmp/ref.snap" \
+  "$bin" --delta 8 --workers 0 --log "$tmp/ref.log" \
     --print > "$tmp/ref.txt"
   if ! cmp -s "$tmp/ref.txt" "$tmp/resumed.txt"; then
     echo "fleet certificate diverged across the crash/resume cycle" >&2
-    exit 1
-  fi
-  rm -rf "$tmp"
-}
-
-# Repeats the byte-comparison over the TCP transport: one live worker
-# daemon per delta (ephemeral port, parsed from its announcement line),
-# a clean socket run and a disconnect-chaos run against it, then the
-# documented remote failure modes — exit 4 when a dead endpoint may not
-# degrade, and the full socket→pipe fallback with reference bytes when it
-# may.
-run_socket_fleet_determinism() {
-  local dir="$1" bin="$1/tools/fleet/ldlb_fleet"
-  local tmp; tmp="$(mktemp -d)"
-  echo "== socket fleet determinism ($dir, delta 4..8, 14 + disconnect chaos + degradation smokes) =="
-  local delta port daemon_pid stores store
-  for delta in 4 5 6 7 8 14; do
-    "$bin" --delta "$delta" --workers 0 --snapshot "$tmp/ref.snap" \
-      --print > "$tmp/ref.txt"
-    "$bin" --delta "$delta" --listen 0 > "$tmp/daemon.$delta.log" &
-    daemon_pid=$!
-    port=""
-    for _ in $(seq 1 100); do
-      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' \
-        "$tmp/daemon.$delta.log")"
-      [ -n "$port" ] && break
-      sleep 0.05
-    done
-    if [ -z "$port" ]; then
-      echo "socket fleet daemon did not announce a port (delta $delta)" >&2
-      kill "$daemon_pid" 2>/dev/null || true
-      exit 1
-    fi
-    # Δ=6 repeats both runs over the append-only certificate log.
-    stores=snapshot
-    [ "$delta" = 6 ] && stores="snapshot log"
-    for store in $stores; do
-      "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-        --"$store" "$tmp/s.$store" --print > "$tmp/s.txt"
-      if ! cmp -s "$tmp/ref.txt" "$tmp/s.txt"; then
-        echo "socket fleet certificate diverged: delta $delta, $store store" >&2
-        exit 1
-      fi
-      "$bin" --delta "$delta" --workers 2 --connect "127.0.0.1:$port" \
-        --kill-every-level "$((delta * 2027))" \
-        --"$store" "$tmp/sk.$store" --print > "$tmp/sk.txt"
-      if ! cmp -s "$tmp/ref.txt" "$tmp/sk.txt"; then
-        echo "socket fleet diverged under disconnect chaos at delta $delta," \
-          "$store store" >&2
-        exit 1
-      fi
-    done
-    kill "$daemon_pid" 2>/dev/null || true
-    wait "$daemon_pid" 2>/dev/null || true
-  done
-  # A dead endpoint with degradation refused must exit 4 (remote transport
-  # exhausted), the code the --help contract documents for automation.
-  local rc=0
-  "$bin" --delta 5 --workers 2 --connect 127.0.0.1:1 --no-degrade \
-    --snapshot "$tmp/dead.snap" > /dev/null 2>&1 || rc=$?
-  if [ "$rc" -ne 4 ]; then
-    echo "socket exhaustion smoke: expected exit 4, got $rc" >&2
-    exit 1
-  fi
-  # The same dead endpoint with degradation on must walk the ladder to the
-  # pipe transport and still produce the reference bytes.
-  "$bin" --delta 5 --workers 0 --snapshot "$tmp/ref.snap" \
-    --print > "$tmp/ref.txt"
-  "$bin" --delta 5 --workers 2 --connect 127.0.0.1:1 \
-    --snapshot "$tmp/deg.snap" --print > "$tmp/deg.txt"
-  if ! cmp -s "$tmp/ref.txt" "$tmp/deg.txt"; then
-    echo "degraded socket fleet diverged from the reference bytes" >&2
     exit 1
   fi
   rm -rf "$tmp"
@@ -228,8 +143,8 @@ run_certlog_stream() {
   "$fleet" --delta 20 --workers 0 --resume --log "$tmp/torn.log" > /dev/null
   cmp "$tmp/d20.log" "$tmp/torn.log"
   # Injected environment faults surface as exit 5 — never as log damage
-  # (the injected-truncate repair path is pinned by the chaos soak's
-  # certificate-log store rotation).
+  # (the injected-truncate repair path is pinned by env_fault_test's
+  # EnvFaultSweep.TornTailRepairSurvivesAFailedTruncate).
   local rc op
   for op in read:eio:2:verify write:enospc:1:generate fsync:eio:1:generate; do
     rc=0
@@ -300,7 +215,6 @@ build/tools/perfgate/ldlb_perf_gate scripts/perf_baseline_delta11_po_ms.txt \
   --delta 11 --loopiness --algorithm po
 run_chaos build 25
 run_fleet_determinism build
-run_socket_fleet_determinism build
 run_certlog_stream build
 
 echo "== address+undefined sanitizer build =="
@@ -312,9 +226,7 @@ run_chaos build-asan 10
 
 # ThreadSanitizer stage: the suites that exercise the thread pool (the
 # parallel simulator, speculative adversary, concurrent validator, and the
-# serial/parallel byte-identity tests) plus the thread-based socket
-# transport suite (net_test is fork-free by design so TSan can watch the
-# heartbeat/deadline threads), run with LDLB_THREADS=8 so races are
+# serial/parallel byte-identity tests), run with LDLB_THREADS=8 so races are
 # reachable even on single-core CI machines. TSan and ASan cannot be
 # combined, hence the separate build tree.
 echo "== thread sanitizer build =="
@@ -323,6 +235,6 @@ cmake --build build-tsan -j "$jobs"
 LDLB_THREADS=8 LDLB_SLOW_CHECKS=1 \
   LDLB_CANCEL_LATENCY_MS="${LDLB_CANCEL_LATENCY_MS:-2000}" \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|net_test|p1_kernel_test'
+  -R 'simulator_test|full_info_test|adversary_test|certificate_test|parallel_determinism_test|cancellation_test|p1_kernel_test'
 
-echo "CI green: lint+analyze, plain (werror), perf-gate, fleet-determinism (pipe + socket), certlog-stream, asan/ubsan, tsan, and chaos-soak stages all pass."
+echo "CI green: lint+analyze, plain (werror), perf-gate, fleet-determinism, certlog-stream, asan/ubsan, tsan, and chaos-soak stages all pass."

@@ -10,24 +10,20 @@
 #include <sstream>
 #include <utility>
 
-#include "ldlb/core/base_case.hpp"
 #include "ldlb/core/certificate_io.hpp"
-#include "ldlb/fault/transport.hpp"
 #include "ldlb/graph/graph_io.hpp"
 #include "ldlb/local/simulator.hpp"
-#include "ldlb/util/checksum.hpp"
 #include "ldlb/util/ipc.hpp"
 #include "ldlb/util/line_reader.hpp"
-#include "ldlb/util/net.hpp"
 
 namespace ldlb {
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire protocol (net::kNetProtocolVersion 2). Every frame payload is
-// "<header line>\n<body>"; the header is whitespace-separated tokens, the
-// body is one of the repo's line formats. Requests:
+// Wire protocol, version 2. Every frame payload is "<header line>\n<body>";
+// the header is whitespace-separated tokens, the body is one of the repo's
+// line formats. Requests:
 //
 //   run <id> <max_rounds>               body: multigraph (graph_io)
 //   validate <id> <delta> <loopiness>   body: one level (certificate_io);
@@ -233,50 +229,6 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
   }
 }
 
-// The socket cousin of fleet_worker_main: one accepted connection, served
-// until the coordinator hangs up. Heartbeats are sent only while *idle* —
-// recv with no deadline but a staleness window of one heartbeat interval
-// wakes us exactly when the link has been quiet that long, so a computing
-// worker stays silent and a waiting one breathes.
-int serve_connection(EcAlgorithm& algorithm, net::FrameChannel& channel,
-                     std::uint64_t fingerprint, double heartbeat_interval) {
-  try {
-    net::server_handshake(channel, fingerprint, Deadline::in(30.0));
-  } catch (const HandshakeMismatch&) {
-    return 4;  // foreign coordinator; the reject frame already explained
-  } catch (const IoError&) {
-    return 2;  // peer vanished mid-handshake
-  }
-  for (;;) {
-    net::RecvResult request;
-    try {
-      request = channel.recv(Deadline(), heartbeat_interval);
-    } catch (const IoError&) {
-      return 2;  // connection reset under us
-    }
-    if (request.frame.status == ipc::FrameStatus::kTimeout) {
-      // Only the staleness window can fire here (no deadline): idle.
-      try {
-        channel.send_heartbeat();
-      } catch (const IoError&) {
-        return 2;
-      }
-      continue;
-    }
-    if (request.frame.status == ipc::FrameStatus::kEof) return 0;
-    if (request.frame.status != ipc::FrameStatus::kOk) return 3;
-    bool shutdown = false;
-    const std::string reply =
-        handle_request(algorithm, request.frame.payload, shutdown);
-    if (shutdown) return 0;
-    try {
-      channel.send(reply);
-    } catch (const IoError&) {
-      return 2;
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -315,66 +267,6 @@ std::optional<std::vector<Rational>> read_weight_list(std::string_view body,
 
 }  // namespace detail
 
-std::uint64_t fleet_fingerprint(int delta,
-                                const std::string& algorithm_name) {
-  std::ostringstream os;
-  os << "ldlb-fleet " << delta << " " << algorithm_name;
-  return fnv1a_64(os.str());
-}
-
-int run_fleet_daemon(const AlgorithmFactory& factory, int delta,
-                     net::Listener& listener,
-                     const FleetDaemonOptions& options) {
-  LDLB_REQUIRE(delta >= 2);
-  LDLB_REQUIRE_MSG(factory != nullptr, "fleet daemon needs a factory");
-  LDLB_REQUIRE_MSG(listener.valid(), "fleet daemon needs a bound listener");
-  const std::unique_ptr<EcAlgorithm> algorithm = factory();
-  LDLB_REQUIRE_MSG(algorithm != nullptr, "algorithm factory returned null");
-  const std::uint64_t fingerprint =
-      fleet_fingerprint(delta, algorithm->name());
-
-  std::vector<pid_t> children;
-  long long served = 0;
-  for (;;) {
-    std::optional<net::FrameChannel> accepted =
-        listener.accept_channel(Deadline::in(0.25));
-    // Opportunistic reap between accepts, so finished connection children
-    // never pile up as zombies.
-    for (std::size_t i = 0; i < children.size();) {
-      if (ipc::poll_exit(children[i]).kind != ipc::ExitKind::kRunning) {
-        children[i] = children.back();
-        children.pop_back();
-      } else {
-        ++i;
-      }
-    }
-    if (!accepted.has_value()) {
-      if (options.max_connections > 0 && served >= options.max_connections &&
-          children.empty()) {
-        return 0;
-      }
-      continue;
-    }
-    ++served;
-    net::FrameChannel connection = std::move(*accepted);
-    const double heartbeat = options.heartbeat_interval_seconds;
-    try {
-      const pid_t pid = ipc::spawn_child([&]() {
-        listener.close();  // the child serves one connection, never accepts
-        const std::unique_ptr<EcAlgorithm> worker = factory();
-        LDLB_REQUIRE_MSG(worker != nullptr,
-                         "algorithm factory returned null");
-        return serve_connection(*worker, connection, fingerprint, heartbeat);
-      });
-      children.push_back(pid);
-    } catch (const IoError&) {
-      // Cannot fork right now: dropping the connection tells the
-      // coordinator to back off and reconnect.
-    }
-    connection.close();  // parent keeps only the listener
-  }
-}
-
 int fleet_worker_main(const AlgorithmFactory& factory, int in_fd, int out_fd) {
   LDLB_REQUIRE_MSG(factory != nullptr, "fleet worker needs a factory");
   const std::unique_ptr<EcAlgorithm> algorithm = factory();
@@ -402,73 +294,51 @@ int fleet_worker_main(const AlgorithmFactory& factory, int in_fd, int out_fd) {
 
 namespace {
 
+// How long a teardown waits for a worker to take its shutdown frame, and
+// then to exit, before killing it.
+constexpr double kGraceSeconds = 5.0;
+
 // The coordinator's view of the worker pool: fixed slots, each holding a
-// live transport link and the requests it has not answered yet. All chain
-// state lives in the coordinator, so a slot can be killed, disconnected,
-// reopened and replayed at any moment without touching the chain.
+// forked worker and the requests it has not answered yet. All chain state
+// lives in the coordinator, so a slot can be killed, respawned and replayed
+// at any moment without touching the chain.
 class Fleet {
  public:
-  Fleet(Transport& transport, std::string algorithm_name,
-        const FleetOptions& options, FleetReport& report)
-      : transport_(transport),
-        options_(options),
-        report_(report),
-        algorithm_name_(std::move(algorithm_name)) {}
+  Fleet(ipc::WorkerMain body, const FleetOptions& options,
+        FleetReport& report)
+      : body_(std::move(body)), options_(options), report_(report) {}
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
   ~Fleet() { terminate_all(); }
 
-  /// Opens the initial pool. For the pipe transport an IoError (fork
-  /// refused) propagates — the caller degrades to the in-process engine.
-  /// For the socket transport each failed connect/handshake consumes the
-  /// kConnectSetupLevel respawn budget and retries with backoff (a remote
-  /// may be rebooting); exhaustion throws WorkerLost and the caller
-  /// degrades to the pipe fleet.
+  /// Forks the initial pool. An IoError (fork refused) propagates after
+  /// the workers already forked are reaped, so the in-process engine the
+  /// caller degrades to runs without them; anything else reaps them in the
+  /// destructor.
   void spawn_all() {
     slots_ = std::vector<Slot>(static_cast<std::size_t>(options_.workers));
     try {
-      for (int i = 0; i < options_.workers; ++i) {
-        Slot& slot = slots_[static_cast<std::size_t>(i)];
-        try {
-          slot.link = transport_.open(i);
-          ++report_.workers_spawned;
-        } catch (const HandshakeMismatch& e) {
-          revive(kConnectSetupLevel, i, "handshake", e.what());
-          ++report_.workers_spawned;
-        } catch (const IoError& e) {
-          if (!transport_.open_retries()) throw;
-          revive(kConnectSetupLevel, i, transport_.open_failure_kind(),
-                 e.what());
-          ++report_.workers_spawned;
-        }
+      for (Slot& slot : slots_) {
+        slot.proc = ipc::spawn_worker(body_);
+        ++report_.workers_spawned;
       }
-      // ldlb-lint: allow(catch-all): whatever aborts the initial spawn
-      // (WorkerLost, Cancelled, bad_alloc) must not leak live workers.
-    } catch (...) {
+    } catch (const IoError&) {
       terminate_all();
       throw;
     }
-  }
-
-  [[nodiscard]] std::vector<pid_t> pids() const {
-    std::vector<pid_t> out;
-    out.reserve(slots_.size());
-    for (const Slot& slot : slots_) {
-      out.push_back(slot.link != nullptr ? slot.link->pid() : -1);
-    }
-    return out;
   }
 
   /// One fleet-executed adversary step, as lazy as the in-process one:
   /// plan in-process, ship GH alone, and ship the unfolding its mix weight
   /// selects only when combine_adversary_step fetches it. Two requests a
   /// level, one in flight at a time, on consecutive slots.
-  CertificateLevel step(int delta, const CertificateLevel& prev, int rounds) {
+  CertificateLevel step(int delta, const CertificateLevel& prev, int rounds,
+                        const std::string& algorithm_name) {
     AdversaryStepPlan plan = plan_adversary_step(prev);
     const int level = prev.level + 1;
-    run_chaos_hooks(level);
+    if (options_.on_level) options_.on_level(level, pids());
 
     FractionalMatching y_gh = run_remote(level, 0, rounds, plan.gh);
     // `plan` outlives the combine call, so the reference capture is sound.
@@ -477,7 +347,7 @@ class Fleet {
                      : run_remote(level, 2, rounds, plan.hh.graph);
     };
     return combine_adversary_step(delta, prev, std::move(plan),
-                                  std::move(y_gh), fetch, algorithm_name_,
+                                  std::move(y_gh), fetch, algorithm_name,
                                   options_.adversary);
   }
 
@@ -506,62 +376,77 @@ class Fleet {
   }
 
   /// Graceful teardown: every slot's shutdown frame goes out before any
-  /// worker is reaped (pipes; stragglers are killed), so the exits overlap.
+  /// worker is reaped (stragglers are killed), so the exits overlap.
   void shutdown() {
+    for (Slot& slot : slots_) request_shutdown(slot.proc);
     for (Slot& slot : slots_) {
-      if (slot.link != nullptr) slot.link->request_shutdown();
-    }
-    for (Slot& slot : slots_) {
-      if (slot.link == nullptr) continue;
-      slot.link->finish();
-      slot.link.reset();
+      if (!slot.proc.valid()) continue;
+      const ipc::ExitStatus status =
+          ipc::wait_exit(slot.proc.pid, Deadline::in(kGraceSeconds));
+      if (status.kind == ipc::ExitKind::kRunning) {
+        ipc::kill_process(slot.proc.pid);
+        (void)ipc::wait_exit(slot.proc.pid, Deadline::in(kGraceSeconds));
+      }
+      slot.proc = {};
     }
   }
 
   /// The incident-accounting bucket for revalidation exchanges.
   static constexpr int kRevalidationLevel = -1;
-  /// The incident-accounting bucket for the initial socket connects.
-  static constexpr int kConnectSetupLevel = -2;
 
  private:
   struct Slot {
-    std::unique_ptr<WorkerLink> link;
+    ipc::WorkerProcess proc;
     std::deque<std::pair<int, std::string>> outstanding;  // id, payload
   };
+
+  [[nodiscard]] std::vector<pid_t> pids() const {
+    std::vector<pid_t> out;
+    out.reserve(slots_.size());
+    for (const Slot& slot : slots_) out.push_back(slot.proc.pid);
+    return out;
+  }
+
+  // Best-effort shutdown frame, then close the coordinator's ends without
+  // waiting for the worker.
+  static void request_shutdown(ipc::WorkerProcess& proc) {
+    if (proc.to_fd < 0) return;
+    try {
+      ipc::write_frame(proc.to_fd, "shutdown", Deadline::in(kGraceSeconds));
+    } catch (const IoError&) {
+      // Already gone (or not reading); the reap in shutdown() cleans up.
+    }
+    ipc::close_worker_fds(proc);
+  }
 
   // Unconditional teardown for destruction and failed spawn_all: close,
   // kill, reap, never throw.
   void terminate_all() noexcept {
     for (Slot& slot : slots_) {
-      if (slot.link == nullptr) continue;
-      slot.link->terminate();
-      slot.link.reset();
+      if (!slot.proc.valid()) continue;
+      try {
+        ipc::close_worker_fds(slot.proc);
+        ipc::kill_process(slot.proc.pid);
+        (void)ipc::wait_exit(slot.proc.pid, Deadline::in(kGraceSeconds));
+        // ldlb-lint: allow(catch-all): teardown must not throw out of a
+        // destructor; a worker we cannot reap is abandoned to init.
+      } catch (...) {
+      }
+      slot.proc = {};
     }
   }
 
-  // The chaos seams, fired before each level's requests go out.
-  void run_chaos_hooks(int level) {
-    if (options_.on_level) options_.on_level(level, pids());
-    if (options_.on_level_drop) {
-      options_.on_level_drop(
-          level, static_cast<int>(slots_.size()), [this](int s) {
-            LDLB_REQUIRE_MSG(
-                s >= 0 && s < static_cast<int>(slots_.size()),
-                "on_level_drop slot " << s << " out of range");
-            Slot& slot = slots_[static_cast<std::size_t>(s)];
-            if (slot.link != nullptr) slot.link->drop();
-          });
-    }
-  }
-
-  // Survives the loss of slot `s`: records the incident, enforces the
-  // per-level respawn budget (throwing WorkerLost once it is spent), waits
-  // out the geometric backoff and reopens the slot through the transport.
-  // A refused reopen is itself an incident ("spawn"/"connect"/"handshake")
-  // and consumes budget like any other. Does NOT replay the slot's
-  // outstanding requests — callers rewrite them.
+  // Survives the loss of slot `s`: kills and reaps the worker, records the
+  // incident, enforces the per-level respawn budget (throwing WorkerLost
+  // once it is spent), waits out the geometric backoff and respawns the
+  // slot. A refused respawn is itself a "spawn" incident and consumes
+  // budget like any other. An empty `hint_kind` classifies by how the
+  // worker died ("exit" or "signal"); a hang or corrupt frame keeps its
+  // frame-level kind (the kill here then shows as SIGKILL, which would
+  // mislabel it "signal"). Does NOT replay the slot's outstanding
+  // requests — callers rewrite them.
   void revive(int level, int s, const std::string& hint_kind,
-              std::string detail) {
+              const std::string& detail) {
     Slot& slot = slots_[static_cast<std::size_t>(s)];
     if (incident_level_ != level) {
       incident_level_ = level;
@@ -571,15 +456,20 @@ class Fleet {
     WorkerIncident incident;
     incident.level = level;
     incident.worker_slot = s;
-    if (slot.link != nullptr) {
-      const LinkLoss loss = slot.link->close_after_loss(hint_kind, detail);
-      slot.link.reset();
-      incident.kind = loss.kind;
-      incident.detail = loss.detail;
-    } else {
-      incident.kind =
-          hint_kind.empty() ? transport_.open_failure_kind() : hint_kind;
-      incident.detail = std::move(detail);
+    incident.kind = hint_kind;
+    incident.detail = detail;
+    if (slot.proc.valid()) {
+      ipc::close_worker_fds(slot.proc);
+      ipc::kill_process(slot.proc.pid);
+      const ipc::ExitStatus status =
+          ipc::wait_exit(slot.proc.pid, Deadline::in(10.0));
+      if (incident.kind.empty()) {
+        incident.kind =
+            status.kind == ipc::ExitKind::kSignaled ? "signal" : "exit";
+      }
+      incident.detail = detail.empty() ? status.to_string()
+                                       : detail + "; " + status.to_string();
+      slot.proc = {};
     }
 
     ++incidents_this_level_;
@@ -604,39 +494,29 @@ class Fleet {
     ipc::sleep_seconds(delay, options_.adversary.cancel);
 
     try {
-      slot.link = transport_.open(s);
+      slot.proc = ipc::spawn_worker(body_);
       ++report_.respawns;
       incident.respawned = true;
       report_.incidents.push_back(incident);
-    } catch (const HandshakeMismatch& e) {
-      incident.respawned = false;
-      report_.incidents.push_back(incident);
-      // Recursion is bounded by the respawn budget consumed above.
-      revive(level, s, "handshake", e.what());
     } catch (const IoError& e) {
       incident.respawned = false;
       report_.incidents.push_back(incident);
-      revive(level, s, transport_.open_failure_kind(), e.what());
+      // Recursion is bounded by the respawn budget consumed above.
+      revive(level, s, "spawn", e.what());
     }
   }
 
-  // Used when no frame-level classification applies (the transport then
-  // classifies: pipes from the reaped exit status, sockets "disconnect").
-  static std::string no_hint() { return std::string(); }
-
   // (Re)writes every outstanding request of slot `s`, reviving on write
   // failure until the slot holds a worker that accepted them all. Each
-  // frame gets the reply deadline to be taken; a write that fails once
-  // that deadline has passed is a "write-hang" (a socket's own ETIMEDOUT,
-  // from TCP giving up on a dead peer, stays a disconnect).
+  // frame gets the reply deadline to be taken; a write that runs out of it
+  // (ETIMEDOUT) is a "write-hang".
   void flush_slot(int level, int s, bool replay) {
     for (;;) {
       Slot& slot = slots_[static_cast<std::size_t>(s)];
-      Deadline deadline;
       try {
         for (const auto& [id, payload] : slot.outstanding) {
-          deadline = Deadline::in(options_.reply_deadline_seconds);
-          slot.link->send(payload, deadline);
+          ipc::write_frame(slot.proc.to_fd, payload,
+                           Deadline::in(options_.reply_deadline_seconds));
         }
         if (replay) {
           report_.requests_replayed +=
@@ -644,8 +524,8 @@ class Fleet {
         }
         return;
       } catch (const IoError& e) {
-        const bool hung = e.error_code() == ETIMEDOUT && deadline.expired();
-        revive(level, s, hung ? "write-hang" : no_hint(), e.what());
+        revive(level, s, e.error_code() == ETIMEDOUT ? "write-hang" : "",
+               e.what());
         replay = true;
       }
     }
@@ -689,15 +569,13 @@ class Fleet {
     for (int s = 0; s < width; ++s) {
       Slot& slot = slots_[static_cast<std::size_t>(s)];
       while (!slot.outstanding.empty()) {
-        const net::RecvResult received = slot.link->recv(
-            Deadline::in(options_.reply_deadline_seconds));
-        const ipc::FrameResult& frame = received.frame;
+        const ipc::FrameResult frame = ipc::read_frame(
+            slot.proc.from_fd, Deadline::in(options_.reply_deadline_seconds));
         if (frame.status != ipc::FrameStatus::kOk) {
-          const std::string hint =
-              received.stale ? "stale-heartbeat"
-              : frame.status == ipc::FrameStatus::kTimeout ? "hang"
+          const char* hint =
+              frame.status == ipc::FrameStatus::kTimeout   ? "hang"
               : frame.status == ipc::FrameStatus::kCorrupt ? "corrupt-frame"
-                                                           : no_hint();
+                                                           : "";
           revive(level, s, hint, frame.detail);
           flush_slot(level, s, /*replay=*/true);
           continue;
@@ -705,8 +583,7 @@ class Fleet {
         std::optional<Reply> reply =
             parse_reply(frame.payload, slot.outstanding.front().first);
         if (!reply.has_value()) {
-          revive(level, s, "corrupt-frame",
-                 "reply payload failed to parse");
+          revive(level, s, "corrupt-frame", "reply payload failed to parse");
           flush_slot(level, s, /*replay=*/true);
           continue;
         }
@@ -729,86 +606,14 @@ class Fleet {
     return std::move(reply.matching);
   }
 
-  Transport& transport_;
+  ipc::WorkerMain body_;
   const FleetOptions& options_;
   FleetReport& report_;
-  const std::string algorithm_name_;
   std::vector<Slot> slots_;
   int next_slot_ = 0;  ///< where the next exchange's first request goes
   int incident_level_ = INT_MIN;
   int incidents_this_level_ = 0;
 };
-
-// Per-level supervision, mirroring the retry semantics of the in-process
-// resumable engine: transient failures retry with an escalated round
-// budget; permanent ones (including WorkerLost — its respawn budget is
-// already spent by the time it surfaces) rethrow immediately. Every attempt
-// lands in `log`.
-template <typename Build>
-CertificateLevel supervised_fleet_level(const RetryPolicy& policy,
-                                        int base_rounds, SupervisionLog& log,
-                                        Build&& build) {
-  for (int attempt = 1;; ++attempt) {
-    RunBudget base;
-    base.max_rounds = base_rounds;
-    const int rounds = policy.escalated(base, attempt).max_rounds;
-    SupervisionAttempt record;
-    record.attempt = attempt;
-    record.max_rounds = rounds;
-    try {
-      CertificateLevel lv = build(rounds);
-      record.status = RunStatus::kOk;
-      log.attempts.push_back(std::move(record));
-      return lv;
-    } catch (const BudgetExceeded& e) {
-      record.status = RunStatus::kBudgetExceeded;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const FaultInjected& e) {
-      record.status = RunStatus::kFaultInjected;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.retry_fault_injected) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const Cancelled& e) {
-      record.status = RunStatus::kCancelled;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const IoError& e) {
-      record.status = RunStatus::kEnvFault;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.transient(RunStatus::kEnvFault, e.error_code())) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const WorkerLost& e) {
-      record.status = RunStatus::kWorkerLost;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const ModelViolation& e) {
-      record.status = RunStatus::kModelViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const Error& e) {
-      record.status = RunStatus::kContractViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    }
-  }
-}
 
 // Catch ladder recording the terminating error's classification in the
 // report before rethrowing — a fleet failure is observable even when the
@@ -854,8 +659,6 @@ std::string WorkerIncident::to_string() const {
   std::ostringstream os;
   if (level == Fleet::kRevalidationLevel) {
     os << "revalidation";
-  } else if (level == Fleet::kConnectSetupLevel) {
-    os << "connect-setup";
   } else {
     os << "level " << level;
   }
@@ -870,9 +673,6 @@ std::string FleetReport::to_string() const {
      << " workers, " << respawns << " respawns, " << requests_sent
      << " requests (" << requests_replayed << " replayed)";
   if (!transport.empty()) os << ", transport " << transport;
-  for (const std::string& step : degrades) {
-    os << "\ndegraded: " << step;
-  }
   if (degraded_in_process) {
     os << "\ndegraded in-process: " << degrade_reason;
   }
@@ -885,7 +685,7 @@ std::string FleetReport::to_string() const {
 }
 
 LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
-                                          int delta, CheckpointStore& store,
+                                          int delta, CertificateLog& log,
                                           const FleetOptions& options,
                                           FleetReport* report) {
   LDLB_REQUIRE(delta >= 2);
@@ -901,135 +701,52 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
   const std::unique_ptr<EcAlgorithm> algorithm = factory();
   LDLB_REQUIRE_MSG(algorithm != nullptr, "algorithm factory returned null");
 
+  ResumeOptions resume_options;
+  resume_options.adversary = options.adversary;
+  resume_options.retry = options.retry;
+  resume_options.revalidate = options.revalidate;
+  resume_options.on_checkpoint = options.on_checkpoint;
+
   const auto run_in_process =
       [&](const std::string& degrade_reason) -> LowerBoundCertificate {
     rep.transport = "in-process";
     rep.degraded_in_process = !degrade_reason.empty();
     rep.degrade_reason = degrade_reason;
-    ResumeOptions resume_options;
-    resume_options.adversary = options.adversary;
-    resume_options.retry = options.retry;
-    resume_options.revalidate = options.revalidate;
-    resume_options.on_checkpoint = options.on_checkpoint;
-    return run_adversary_resumable(*algorithm, delta, store, resume_options,
+    return run_adversary_resumable(*algorithm, delta, log, resume_options,
                                    &rep.resume);
-  };
-
-  // The whole chain run over one (already spawned) fleet. Resuming is free
-  // across degradation steps: every certified level is already in the
-  // store, so a fall-back transport picks up exactly where the failed one
-  // stopped, without recomputing a level.
-  const auto run_with = [&](Fleet& fleet) -> LowerBoundCertificate {
-    LowerBoundCertificate chain = store.load(&rep.resume.recovery);
-    rep.resume.loaded_levels = static_cast<int>(chain.levels.size());
-
-    // A stored chain for a different job is worthless, however intact it is.
-    if (!chain.levels.empty() &&
-        (chain.delta != delta ||
-         chain.algorithm_name != algorithm->name())) {
-      std::ostringstream os;
-      os << "stored chain is for delta=" << chain.delta << ", algorithm '"
-         << chain.algorithm_name << "'; this run wants delta=" << delta
-         << ", algorithm '" << algorithm->name() << "'";
-      rep.resume.discard_reason = os.str();
-      chain.levels.clear();
-    }
-
-    // Re-validation of the loaded prefix, sharded across the fleet.
-    if (options.revalidate && !chain.levels.empty()) {
-      const std::size_t keep = fleet.revalidate(chain);
-      if (keep < chain.levels.size()) {
-        std::ostringstream os;
-        os << "loaded level " << chain.levels[keep].level
-           << " failed fleet re-validation against '" << algorithm->name()
-           << "'";
-        rep.resume.discard_reason = os.str();
-        chain.levels.resize(keep);
-      }
-    }
-    rep.resume.trusted_levels = static_cast<int>(chain.levels.size());
-
-    chain.delta = delta;
-    chain.algorithm_name = algorithm->name();
-
-    const int base_rounds = adversary_round_budget(delta, options.adversary);
-    const auto checkpoint = [&](const CertificateLevel& lv) {
-      store.checkpoint(chain);
-      ++rep.resume.computed_levels;
-      if (options.on_checkpoint) options.on_checkpoint(lv);
-    };
-
-    if (options.adversary.cancel) options.adversary.cancel->check();
-
-    if (chain.levels.empty()) {
-      // The base case is one node with Δ loops — not worth a round-trip.
-      CertificateLevel base = supervised_fleet_level(
-          options.retry, base_rounds, rep.resume.supervision,
-          [&](int rounds) {
-            return build_base_case(*algorithm, delta, rounds);
-          });
-      chain.levels.push_back(std::move(base));
-      checkpoint(chain.levels.back());
-    }
-
-    while (chain.certified_radius() < delta - 2) {
-      if (options.adversary.cancel) options.adversary.cancel->check();
-      CertificateLevel next = supervised_fleet_level(
-          options.retry, base_rounds, rep.resume.supervision,
-          [&](int rounds) {
-            return fleet.step(delta, chain.levels.back(), rounds);
-          });
-      chain.levels.push_back(std::move(next));
-      checkpoint(chain.levels.back());
-    }
-
-    LDLB_ENSURE(chain.certified_radius() == delta - 2);
-    fleet.shutdown();
-    return chain;
   };
 
   return classify_into_report(rep, [&]() -> LowerBoundCertificate {
     if (options.workers == 0) return run_in_process("");
 
-    const ipc::WorkerMain body = [factory](int in_fd, int out_fd) {
-      return fleet_worker_main(factory, in_fd, out_fd);
-    };
-
-    const auto run_pipe = [&]() -> LowerBoundCertificate {
-      rep.transport = "pipe";
-      const std::unique_ptr<Transport> pipe = make_pipe_transport(body);
-      Fleet fleet(*pipe, algorithm->name(), options, rep);
-      try {
-        fleet.spawn_all();
-      } catch (const IoError& e) {
-        // Mirrors ThreadPool::construction_error(): an environment that
-        // cannot fork still certifies, just without isolation.
-        if (!options.degrade) throw;
-        rep.degrades.push_back(std::string("pipe -> in-process: ") +
-                               e.what());
-        return run_in_process(e.what());
-      }
-      return run_with(fleet);
-    };
-
-    if (options.remotes.empty()) return run_pipe();
-
-    rep.transport = "socket";
-    const std::unique_ptr<Transport> socket = make_socket_transport(
-        options.remotes, fleet_fingerprint(delta, algorithm->name()),
-        SocketTuning{options.connect_timeout_seconds,
-                     options.stale_after_seconds});
+    rep.transport = "pipe";
+    Fleet fleet(
+        [factory](int in_fd, int out_fd) {
+          return fleet_worker_main(factory, in_fd, out_fd);
+        },
+        options, rep);
     try {
-      Fleet fleet(*socket, algorithm->name(), options, rep);
       fleet.spawn_all();
-      return run_with(fleet);
-    } catch (const WorkerLost& e) {
-      // The remote fleet is exhausted; the chain so far is checkpointed,
-      // so the pipe fleet resumes it without recomputing a level.
+    } catch (const IoError& e) {
+      // Mirrors ThreadPool::construction_error(): an environment that
+      // cannot fork still certifies, just without isolation.
       if (!options.degrade) throw;
-      rep.degrades.push_back(std::string("socket -> pipe: ") + e.what());
-      return run_pipe();
+      return run_in_process(e.what());
     }
+
+    // The resumable engine's loop, with simulations and re-validation
+    // shipped to the workers.
+    ChainExecutor workers;
+    workers.revalidate = [&fleet](const LowerBoundCertificate& chain) {
+      return fleet.revalidate(chain);
+    };
+    workers.step = [&](const CertificateLevel& prev, int rounds) {
+      return fleet.step(delta, prev, rounds, algorithm->name());
+    };
+    LowerBoundCertificate chain = resume_chain(
+        *algorithm, delta, log, resume_options, workers, rep.resume);
+    fleet.shutdown();
+    return chain;
   });
 }
 

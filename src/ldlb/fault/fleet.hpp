@@ -1,10 +1,10 @@
 // Crash-tolerant multi-process adversary fleet.
 //
 // run_adversary_fleet is the adversary chain (core/adversary.hpp) executed
-// coordinator/worker style: the coordinator owns the chain, the checkpoint
-// store and every decision; N forked worker processes (util/ipc.hpp) run
-// the simulations — each step's mix GH, then the one unfolding (GG or HH)
-// its mix-edge weight selects, exactly the two runs the in-process engine
+// coordinator/worker style: the coordinator owns the chain, the certificate
+// log and every decision; N forked worker processes (util/ipc.hpp) run the
+// simulations — each step's mix GH, then the one unfolding (GG or HH) its
+// mix-edge weight selects, exactly the two runs the in-process engine
 // makes — and the re-validation of resumed levels, and are *expendable*.
 // The fleet is crash isolation, not a speed-up: the simulations take the
 // same closed form they take in-process, and the coordinator adds the
@@ -18,33 +18,27 @@
 //   hung worker         reply frame deadline expired   transient
 //   stopped reading     request write deadline expired transient
 //   corrupt frame       bad magic / checksum / torn    transient
-//   disconnect          socket EOF / EPIPE / RST       transient
-//   stale heartbeat     no frame in staleness window   transient
-//   handshake mismatch  wrong version / fingerprint    transient
 //   respawns exhausted  too many incidents one level   permanent
 //   fork(2) refused     IoError from spawn_worker      degrade in-process
-//   remotes exhausted   WorkerLost on the socket path  degrade to pipe
 //
-// The coordinator talks to workers through the Transport abstraction
-// (fault/transport.hpp): forked pipe workers on this host, or — when
-// FleetOptions::remotes names worker daemons — TCP connections speaking
-// the same frames with a versioned handshake and idle heartbeats. A
-// transient incident tears the link down (kill+reap / close), waits out a
-// geometric backoff, reopens the same slot (respawn / reconnect) and
-// replays that slot's outstanding requests — the chain state lives only in
-// the coordinator, so nothing is lost but time. While certifying, a slot
-// never holds more than one request, and every request write and reply
-// read runs under `reply_deadline_seconds`, so no exchange can block
-// forever. Once one level accumulates more than `max_respawns_per_level`
-// incidents the run fails permanently with WorkerLost (classified
-// RunStatus::kWorkerLost), carrying the incident log in the FleetReport.
+// Each worker slot holds one forked process and its pipe pair. A transient
+// incident kills and reaps the worker, waits out a geometric backoff,
+// respawns the slot and replays its outstanding requests — the chain state
+// lives only in the coordinator, so nothing is lost but time. While
+// certifying, a slot never holds more than one request, and every request
+// write and reply read runs under `reply_deadline_seconds`, so no exchange
+// can block forever. Once one level accumulates more than
+// `max_respawns_per_level` incidents the run fails permanently with
+// WorkerLost (classified RunStatus::kWorkerLost), carrying the incident log
+// in the FleetReport.
 //
-// Degradation runs outward-in: a socket fleet whose respawn budget is
-// spent falls back to the pipe fleet (resuming from the checkpoint store,
-// so no certified level is recomputed), and a host that cannot fork
-// degrades to the in-process resumable engine, mirroring
-// ThreadPool::construction_error(). Every step of the ladder produces the
-// byte-identical certificate; set `degrade = false` to fail fast instead.
+// The chain itself runs on the resumable engine's loop (resume_chain in
+// recover/resumable_adversary.hpp): load, job check, re-validation, base
+// case, per-level retry and checkpoint are the in-process engine's own, and
+// the fleet supplies only the step and the sharded re-validation. A host
+// that cannot fork degrades to the in-process resumable engine, mirroring
+// ThreadPool::construction_error(); both produce the byte-identical
+// certificate. Set `degrade = false` to fail fast instead.
 //
 // Determinism: workers only ever *simulate* — every decision (case choice,
 // propagation, verification) happens in the coordinator, and the simulator
@@ -70,12 +64,10 @@
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/fault/guarded_run.hpp"
-#include "ldlb/fault/transport.hpp"
 #include "ldlb/matching/fractional_matching.hpp"
-#include "ldlb/recover/checkpoint.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
 #include "ldlb/recover/supervisor.hpp"
-#include "ldlb/util/net.hpp"
 
 namespace ldlb {
 
@@ -87,7 +79,7 @@ using AlgorithmFactory = std::function<std::unique_ptr<EcAlgorithm>()>;
 /// Tuning knobs for a fleet run.
 struct FleetOptions {
   /// Worker processes to spawn; 0 runs the in-process resumable engine
-  /// (still checkpointing into the store) — byte-identical output.
+  /// (still checkpointing into the log) — byte-identical output.
   int workers = 2;
   /// Forwarded into every adversary step the coordinator performs. See the
   /// header comment for the hooks/diagnostics caveat.
@@ -107,38 +99,18 @@ struct FleetOptions {
   /// to take one request frame, before declaring the worker hung (killed,
   /// reaped, respawned; incident "hang" or "write-hang").
   double reply_deadline_seconds = 120.0;
-  /// Re-validate a loaded store prefix (sharded across the fleet, (P2)
+  /// Re-validate a loaded log prefix (sharded across the fleet, (P2)
   /// included) before trusting it; levels from the first invalid one
   /// onward are recomputed.
   bool revalidate = true;
-  /// Worker daemons to connect to instead of forking: non-empty switches
-  /// the fleet to the socket transport, slots mapping onto endpoints
-  /// round-robin. The daemons must serve the same delta and algorithm
-  /// (enforced by the handshake fingerprint).
-  std::vector<RemoteEndpoint> remotes;
-  /// Walk the degradation ladder (socket → pipe → in-process) instead of
-  /// failing fast when a transport is exhausted.
+  /// Degrade to the in-process engine when fork(2) refuses the initial
+  /// spawn, instead of failing fast.
   bool degrade = true;
-  /// Socket transport: how long one connect + handshake may take.
-  double connect_timeout_seconds = 5.0;
-  /// Socket transport: a reply wait going this long without even a
-  /// heartbeat classifies the worker as stale (idle workers heartbeat
-  /// every few hundred ms; a computing worker is silent, so this must
-  /// exceed the worst-case single-request compute time).
-  double stale_after_seconds = 30.0;
   /// Chaos seam: called before each level's requests go out, with the live
-  /// worker pids. Tests SIGKILL a pid here (via ipc::kill_process) to drive
-  /// the kill-respawn-replay path deterministically. Pipe transport only
-  /// (socket slots have no local pid) — prefer on_level_drop.
+  /// worker pids (one per slot). Tests and `ldlb_fleet --kill-every-level`
+  /// SIGKILL (or SIGSTOP) a pid here via ipc::kill_process to drive the
+  /// kill-respawn-replay path deterministically.
   std::function<void(int level, const std::vector<pid_t>& pids)> on_level;
-  /// Transport-agnostic chaos seam: called before each level's requests go
-  /// out with the slot count and a `drop` function that violently severs
-  /// one slot's link (SIGKILL for pipe workers, an abortive RST close for
-  /// sockets). Drives the lose-reconnect-replay path deterministically on
-  /// either transport.
-  std::function<void(int level, int slots,
-                     const std::function<void(int slot)>& drop)>
-      on_level_drop;
   /// Called after each freshly certified level is durably checkpointed
   /// (same contract as ResumeOptions::on_checkpoint, including
   /// crash_at_level).
@@ -147,12 +119,9 @@ struct FleetOptions {
 
 /// One worker failure, as the coordinator classified and survived it.
 struct WorkerIncident {
-  int level = 0;        ///< chain level being built (-1: revalidation,
-                        ///< -2: initial connection setup)
+  int level = 0;        ///< chain level being built (-1: revalidation)
   int worker_slot = 0;  ///< 0-based slot of the lost worker
-  /// "exit", "signal", "spawn" (pipe); "hang", "write-hang",
-  /// "corrupt-frame" (both); "disconnect", "stale-heartbeat", "handshake",
-  /// "connect" (socket).
+  /// "exit", "signal", "spawn", "hang", "write-hang" or "corrupt-frame".
   std::string kind;
   std::string detail;   ///< exit status / frame defect / errno text
   bool respawned = false;  ///< false only for the final, fatal incident
@@ -168,15 +137,13 @@ struct FleetReport {
   int respawns = 0;         ///< replacement workers over the whole run
   int requests_sent = 0;    ///< run/validate requests dispatched
   int requests_replayed = 0;  ///< re-sent to a replacement worker
-  /// Transport that produced the final certificate: "socket", "pipe" or
+  /// Transport that produced the final certificate: "pipe" or
   /// "in-process".
   std::string transport;
-  /// One entry per degradation step taken ("socket -> pipe: <why>", ...).
-  std::vector<std::string> degrades;
   bool degraded_in_process = false;  ///< fork refused; in-process engine ran
   std::string degrade_reason;        ///< why ("" unless degraded)
   std::vector<WorkerIncident> incidents;
-  ResumeInfo resume;  ///< store recovery + per-level supervision log
+  ResumeInfo resume;  ///< log recovery + per-level supervision log
   /// Final classification: kOk, or the status of the terminating error
   /// (kWorkerLost when the respawn budget ran out).
   RunStatus status = RunStatus::kOk;
@@ -191,12 +158,12 @@ struct FleetReport {
 };
 
 /// Runs the full adversary at maximum degree `delta`, checkpointing into
-/// (and resuming from) `store`, running simulation and revalidation in
+/// (and resuming from) `log`, running simulation and revalidation in
 /// `options.workers` processes. Returns the complete chain, exactly
 /// as run_adversary would; throws the classified error on permanent failure
 /// (after filling `report`). Requires delta >= 2 and workers >= 0.
 LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
-                                          int delta, CheckpointStore& store,
+                                          int delta, CertificateLog& log,
                                           const FleetOptions& options = {},
                                           FleetReport* report = nullptr);
 
@@ -219,32 +186,5 @@ namespace detail {
     std::string_view body, long long count);
 
 }  // namespace detail
-
-/// The handshake fingerprint of a fleet job: FNV-1a over the delta and the
-/// algorithm name. A coordinator only ever shards work to daemons serving
-/// the same job, so a stale daemon (wrong delta, different algorithm)
-/// surfaces as a typed HandshakeMismatch before any request goes out.
-[[nodiscard]] std::uint64_t fleet_fingerprint(int delta,
-                                              const std::string& algorithm_name);
-
-/// Tuning for a worker daemon (run_fleet_daemon).
-struct FleetDaemonOptions {
-  /// Idle connections send a heartbeat frame this often, so a coordinator
-  /// waiting out a long backoff still sees a breathing peer.
-  double heartbeat_interval_seconds = 0.25;
-  /// Stop accepting once this many connections have been served *and*
-  /// every per-connection child has exited; 0 serves forever.
-  long long max_connections = 0;
-};
-
-/// Serves fleet workers on `listener` until killed (or `max_connections`
-/// is reached): each accepted connection is handed to a forked child
-/// (ipc::spawn_child) that answers the versioned handshake for
-/// fleet_fingerprint(delta, algorithm name) and then serves run/validate
-/// requests — heartbeating while idle — until the coordinator hangs up.
-/// Returns the daemon's exit code.
-int run_fleet_daemon(const AlgorithmFactory& factory, int delta,
-                     net::Listener& listener,
-                     const FleetDaemonOptions& options = {});
 
 }  // namespace ldlb

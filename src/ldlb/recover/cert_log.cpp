@@ -289,6 +289,22 @@ std::string CertLogReport::to_string() const {
   return os.str();
 }
 
+std::string RecoveryReport::to_string() const {
+  std::ostringstream os;
+  os << "store '" << path << "': ";
+  if (!file_found) {
+    os << "not found";
+    return os.str();
+  }
+  os << levels_loaded << " level(s) salvaged";
+  if (complete) {
+    os << ", complete";
+  } else {
+    os << ", tail dropped at line " << drop_line << ": " << drop_reason;
+  }
+  return os.str();
+}
+
 CertificateLog::CertificateLog(std::string path) : path_(std::move(path)) {
   LDLB_REQUIRE_MSG(!path_.empty(), "certificate log needs a path");
 }
@@ -440,7 +456,7 @@ void CertificateLog::checkpoint(const LowerBoundCertificate& chain) {
     geom_.damage = LogDamage::kNone;
   }
 
-  // The engine's prefix-stability contract (CheckpointStore::checkpoint)
+  // The engine's prefix-stability contract (CertificateLog::checkpoint)
   // vouches for every record before the chain's freshly built tail; any
   // record the file holds beyond that is a revalidation-rejected suffix
   // and is truncated away.

@@ -1,11 +1,11 @@
 // Append-only streaming certificate log ("LDCL"): the durable,
-// tamper-evident on-disk form of a lower-bound certificate chain.
+// tamper-evident on-disk form of a lower-bound certificate chain, and the
+// one checkpoint store of the resumable and fleet adversary runs.
 //
-// The snapshot store (snapshot_store.hpp) rewrites the whole file on every
-// checkpoint — O(chain) per level, O(chain) peak memory to read back. The
-// certificates of the Δ=20 era are too big for that to stay free, and a
-// certificate is inherently level-structured, so this store appends one
-// *record* per certified level and never touches earlier bytes again:
+// A certificate is level-structured and each level is a deterministic
+// function of the one before, so the store appends one *record* per
+// certified level and never touches earlier bytes again — O(one level) per
+// checkpoint, O(one level) of payload to read back:
 //
 //   ldlb-cert-log 1
 //   delta <d>
@@ -61,10 +61,22 @@
 #include <vector>
 
 #include "ldlb/core/certificate.hpp"
-#include "ldlb/recover/checkpoint.hpp"
 #include "ldlb/util/checksum.hpp"
 
 namespace ldlb {
+
+/// What CertificateLog::load salvaged and why it stopped where it did.
+struct RecoveryReport {
+  std::string path;
+  bool file_found = false;  ///< log file existed
+  bool complete = false;    ///< header and every record verified
+  int levels_loaded = 0;    ///< records salvaged (the longest valid prefix)
+  std::string drop_reason;  ///< why the tail was dropped ("" when complete)
+  int drop_line = 0;        ///< 1-based line of the first defect (0 if none)
+
+  /// One-line human-readable summary.
+  [[nodiscard]] std::string to_string() const;
+};
 
 /// The typed damage taxonomy of a certificate log (see header comment).
 enum class LogDamage {
@@ -136,17 +148,17 @@ struct CertLogRecordInfo {
   Checksum128 chain;               ///< running chain state after this record
 };
 
-/// The append-only certificate log as a CheckpointStore: the durable home
-/// of a resumable (or fleet) adversary run. checkpoint() appends only the
-/// records the file is missing — O(one level) per certified level — after
-/// truncating a torn tail or resetting an unrecoverable file.
-class CertificateLog : public CheckpointStore {
+/// The append-only certificate log: the durable home of a resumable (or
+/// fleet) adversary run. checkpoint() appends only the records the file is
+/// missing — O(one level) per certified level — after truncating a torn
+/// tail or resetting an unrecoverable file.
+class CertificateLog {
  public:
   /// A log at `path`; the file need not exist yet.
   explicit CertificateLog(std::string path);
 
-  [[nodiscard]] const std::string& path() const override { return path_; }
-  [[nodiscard]] bool exists() const override;
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] bool exists() const;
 
   /// Classifies the log per the damage taxonomy, streaming — O(one level)
   /// of payload in memory. Throws only on environmental IO failure.
@@ -155,19 +167,24 @@ class CertificateLog : public CheckpointStore {
   /// Loads the verified prefix when the report is recoverable() — torn
   /// tails salvage their intact records — and an *empty* chain otherwise
   /// (mid-file damage rejects the artefact; the RecoveryReport carries the
-  /// taxonomy verdict in drop_reason). Never throws on damage.
-  [[nodiscard]] LowerBoundCertificate load(
-      RecoveryReport* report = nullptr) override;
+  /// taxonomy verdict in drop_reason). Never throws on damage, only on
+  /// environmental IO failure. The returned chain's delta / algorithm_name
+  /// are zero/empty when the header itself could not be salvaged.
+  [[nodiscard]] LowerBoundCertificate load(RecoveryReport* report = nullptr);
 
-  /// Durably makes the log equal `chain` (see CheckpointStore for the
-  /// prefix-stability contract): appends the missing records with
+  /// Durably makes the log equal `chain`: appends the missing records with
   /// append + fsync, truncating a torn tail or a rejected-on-revalidation
   /// suffix first, and falling back to a full atomic rewrite when the file
-  /// is unrecoverable or names a different job.
-  void checkpoint(const LowerBoundCertificate& chain) override;
+  /// is unrecoverable or names a different job. Called once per freshly
+  /// certified level; the engine never mutates previously checkpointed
+  /// levels between calls, only appends to the chain or — after a
+  /// revalidation reject — hands over a chain whose trusted prefix is
+  /// byte-identical to what load() returned. That contract is what lets a
+  /// checkpoint append O(one level) instead of rewriting the file.
+  void checkpoint(const LowerBoundCertificate& chain);
 
   /// Deletes the log file if present.
-  void remove() override;
+  void remove();
 
   /// The exact byte content of a log holding `chain` (tests, conversion).
   [[nodiscard]] static std::string serialize(

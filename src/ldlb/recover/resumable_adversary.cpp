@@ -1,6 +1,5 @@
 #include "ldlb/recover/resumable_adversary.hpp"
 
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -11,16 +10,10 @@ namespace ldlb {
 
 namespace {
 
-// Mirrors the default budget of core/adversary.cpp so an uninterrupted
-// resumable run and run_adversary see identical budgets.
-int base_round_budget(int delta, const AdversaryOptions& options) {
-  return options.max_rounds > 0 ? options.max_rounds
-                                : 16 * (delta + 2) * (delta + 2);
-}
-
 // Builds one level under the retry policy: transient failures retry with an
-// escalated round budget, permanent ones rethrow immediately. Every attempt
-// is appended to `log`.
+// escalated round budget, permanent ones rethrow immediately (WorkerLost
+// included — the fleet has spent its respawn budget by the time it
+// surfaces). Every attempt is appended to `log`.
 template <typename Build>
 CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
                                   SupervisionLog& log, Build&& build) {
@@ -68,6 +61,11 @@ CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
         log.exhausted = true;
         throw;
       }
+    } catch (const WorkerLost& e) {
+      record.status = RunStatus::kWorkerLost;
+      record.error = e.what();
+      log.attempts.push_back(std::move(record));
+      throw;
     } catch (const ModelViolation& e) {
       record.status = RunStatus::kModelViolation;
       record.error = e.what();
@@ -84,17 +82,16 @@ CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
 
 }  // namespace
 
-LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
-                                              int delta, CheckpointStore& store,
-                                              const ResumeOptions& options,
-                                              ResumeInfo* info) {
+LowerBoundCertificate resume_chain(EcAlgorithm& algorithm, int delta,
+                                   CertificateLog& log,
+                                   const ResumeOptions& options,
+                                   const ChainExecutor& executor,
+                                   ResumeInfo& info) {
   LDLB_REQUIRE(delta >= 2);
-  ResumeInfo local_info;
-  ResumeInfo& inf = info != nullptr ? *info : local_info;
-  inf = {};
+  info = {};
 
-  LowerBoundCertificate chain = store.load(&inf.recovery);
-  inf.loaded_levels = static_cast<int>(chain.levels.size());
+  LowerBoundCertificate chain = log.load(&info.recovery);
+  info.loaded_levels = static_cast<int>(chain.levels.size());
 
   // A stored chain for a different job is worthless, however intact it is.
   if (!chain.levels.empty() &&
@@ -103,41 +100,40 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
     os << "stored chain is for delta=" << chain.delta << ", algorithm '"
        << chain.algorithm_name << "'; this run wants delta=" << delta
        << ", algorithm '" << algorithm.name() << "'";
-    inf.discard_reason = os.str();
+    info.discard_reason = os.str();
     chain.levels.clear();
   }
 
   // Re-run the algorithm on every loaded level: a stored chain cannot be
   // "trusted into" the run just because its checksums pass.
   if (options.revalidate && !chain.levels.empty()) {
-    auto validations = validate_certificate(chain, algorithm);
-    std::size_t keep = 0;
-    while (keep < validations.size() && validations[keep].ok()) ++keep;
+    const std::size_t keep = executor.revalidate(chain);
     if (keep < chain.levels.size()) {
       std::ostringstream os;
-      os << "loaded level " << validations[keep].level
+      os << "loaded level " << chain.levels[keep].level
          << " failed re-validation against '" << algorithm.name() << "'";
-      inf.discard_reason = os.str();
+      info.discard_reason = os.str();
       chain.levels.resize(keep);
     }
   }
-  inf.trusted_levels = static_cast<int>(chain.levels.size());
+  info.trusted_levels = static_cast<int>(chain.levels.size());
 
   chain.delta = delta;
   chain.algorithm_name = algorithm.name();
 
-  const int base_rounds = base_round_budget(delta, options.adversary);
+  const int base_rounds = adversary_round_budget(delta, options.adversary);
   const auto checkpoint = [&](const CertificateLevel& lv) {
-    store.checkpoint(chain);
-    ++inf.computed_levels;
+    log.checkpoint(chain);
+    ++info.computed_levels;
     if (options.on_checkpoint) options.on_checkpoint(lv);
   };
 
   if (options.adversary.cancel) options.adversary.cancel->check();
 
   if (chain.levels.empty()) {
+    // The base case is one node with Δ loops: always built in-process.
     CertificateLevel base =
-        supervised_level(options.retry, base_rounds, inf.supervision,
+        supervised_level(options.retry, base_rounds, info.supervision,
                          [&](int rounds) {
                            return build_base_case(algorithm, delta, rounds);
                          });
@@ -147,12 +143,9 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
 
   while (chain.certified_radius() < delta - 2) {
     if (options.adversary.cancel) options.adversary.cancel->check();
-    AdversaryOptions step_options = options.adversary;
     CertificateLevel next = supervised_level(
-        options.retry, base_rounds, inf.supervision, [&](int rounds) {
-          step_options.max_rounds = rounds;
-          return adversary_step(algorithm, delta, chain.levels.back(),
-                                step_options);
+        options.retry, base_rounds, info.supervision, [&](int rounds) {
+          return executor.step(chain.levels.back(), rounds);
         });
     chain.levels.push_back(std::move(next));
     checkpoint(chain.levels.back());
@@ -160,6 +153,40 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
 
   LDLB_ENSURE(chain.certified_radius() == delta - 2);
   return chain;
+}
+
+LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
+                                              int delta, CertificateLog& log,
+                                              const ResumeOptions& options,
+                                              ResumeInfo* info) {
+  ResumeInfo local_info;
+  ChainExecutor in_process;
+  // Level by level, as a fleet worker validates: a level whose validation
+  // throws (a stored graph the algorithm cannot run on) is untrusted, not
+  // fatal, so a resume reports the same ResumeInfo in-process and through
+  // the fleet.
+  in_process.revalidate = [&](const LowerBoundCertificate& chain) {
+    LowerBoundCertificate one;
+    one.delta = chain.delta;
+    one.algorithm_name = chain.algorithm_name;
+    std::size_t keep = 0;
+    for (; keep < chain.levels.size(); ++keep) {
+      one.levels.assign(1, chain.levels[keep]);
+      try {
+        if (!validate_certificate(one, algorithm)[0].ok()) break;
+      } catch (const Error&) {
+        break;
+      }
+    }
+    return keep;
+  };
+  in_process.step = [&](const CertificateLevel& prev, int rounds) {
+    AdversaryOptions step_options = options.adversary;
+    step_options.max_rounds = rounds;
+    return adversary_step(algorithm, delta, prev, step_options);
+  };
+  return resume_chain(algorithm, delta, log, options, in_process,
+                      info != nullptr ? *info : local_info);
 }
 
 std::function<void(const CertificateLevel&)> crash_at_level(int level) {

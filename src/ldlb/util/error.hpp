@@ -18,9 +18,6 @@
 //   │                       first injected fault site)
 //   ├── Cancelled           a CancellationToken (util/cancellation.hpp) was
 //   │                       polled after cancellation / deadline expiry
-//   ├── HandshakeMismatch   a network peer answered the util/net handshake
-//   │                       with the wrong protocol version or a different
-//   │                       run fingerprint — a stale or foreign peer
 //   └── WorkerLost          a fleet worker process died, hung past its
 //                           deadline, or sent a corrupt frame — and the
 //                           respawn budget ran out (fault/fleet.hpp)
@@ -102,27 +99,6 @@ class Cancelled : public Error {
 
  private:
   std::string reason_;
-};
-
-/// Thrown by the util/net handshake when a peer speaks the wrong protocol
-/// version or carries a different run fingerprint — connecting a Δ=5
-/// coordinator to a Δ=4 worker daemon, or a stale binary to a new one,
-/// must fail loudly before any work is sharded, never corrupt a run.
-/// Carries both sides of the comparison for diagnostics.
-class HandshakeMismatch : public Error {
- public:
-  HandshakeMismatch(const std::string& what, std::string expected,
-                    std::string got)
-      : Error(what), expected_(std::move(expected)), got_(std::move(got)) {}
-
-  /// What this side required, e.g. "version 1 fingerprint 0xabc".
-  [[nodiscard]] const std::string& expected() const { return expected_; }
-  /// What the peer announced.
-  [[nodiscard]] const std::string& got() const { return got_; }
-
- private:
-  std::string expected_;
-  std::string got_;
 };
 
 /// Thrown by the simulator when an algorithm breaks the output contract of

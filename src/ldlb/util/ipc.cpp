@@ -307,37 +307,6 @@ WorkerProcess spawn_worker(const WorkerMain& main) {
   return worker;
 }
 
-pid_t spawn_child(const std::function<int()>& main) {
-  LDLB_REQUIRE_MSG(main != nullptr, "spawn_child needs a child body");
-  if (g_spawn_failures_for_test > 0) {
-    --g_spawn_failures_for_test;
-    throw IoError("ipc fork failed: injected spawn failure (test seam)",
-                  "<fork>", EAGAIN);
-  }
-  ignore_sigpipe();
-
-  const pid_t pid = ::fork();
-  if (pid < 0) throw_io("fork", -1, errno);
-  if (pid == 0) {
-    ThreadPool::note_forked_child();
-    int code = 125;
-    try {
-      code = main();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "ldlb child %d: %s\n",
-                   static_cast<int>(::getpid()), e.what());
-      // ldlb-lint: allow(catch-all): process boundary — an exception
-      // escaping the child body must become a nonzero _exit code for the
-      // parent to classify, whatever its type; nothing outlives _exit.
-    } catch (...) {
-      std::fprintf(stderr, "ldlb child %d: unknown exception\n",
-                   static_cast<int>(::getpid()));
-    }
-    ::_exit(code);
-  }
-  return pid;
-}
-
 void close_worker_fds(WorkerProcess& worker) {
   if (worker.to_fd >= 0) ::close(worker.to_fd);
   if (worker.from_fd >= 0) ::close(worker.from_fd);

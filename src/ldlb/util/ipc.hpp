@@ -62,9 +62,8 @@ struct FrameResult {
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /// Serialises one frame (20-byte header + payload) into a byte string —
-/// exactly what write_frame puts on the wire. The socket layer (util/net)
-/// uses this so its fault-injection seam can corrupt, truncate or delay the
-/// raw bytes before they hit the descriptor.
+/// exactly what write_frame puts on the wire, so tests can corrupt or
+/// truncate the raw bytes before they hit a descriptor.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
 /// Writes all of `bytes` to `fd`, retrying short writes and EINTR. When a
@@ -114,14 +113,6 @@ using WorkerMain = std::function<int(int in_fd, int out_fd)>;
 /// the fleet degrades to the in-process engine on that, mirroring
 /// ThreadPool::construction_error().
 [[nodiscard]] WorkerProcess spawn_worker(const WorkerMain& main);
-
-/// Forks a plain child (no pipes) that enters post-fork serial thread-pool
-/// mode, runs `main`, and _exit()s with its return value (escaping
-/// exceptions exit 125, as in spawn_worker). Used by the socket-fleet
-/// daemon to serve each accepted connection in its own process, and by
-/// tests that need a background daemon. Throws IoError when fork(2)
-/// refuses; the set_spawn_failures_for_test seam applies here too.
-[[nodiscard]] pid_t spawn_child(const std::function<int()>& main);
 
 /// Closes both coordinator-side descriptors (idempotent).
 void close_worker_fds(WorkerProcess& worker);

@@ -2,7 +2,8 @@
 // chunk-boundary polls, the guarded layer's kCancelled classification, and
 // the headline latency contract — a cancel requested from another thread
 // interrupts a Δ=10 adversary run within LDLB_CANCEL_LATENCY_MS (default
-// 250 ms), leaves coherent partial diagnostics, and never tears a snapshot.
+// 250 ms), leaves coherent partial diagnostics, and never tears the
+// certificate log.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +19,7 @@
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/thread_pool.hpp"
 
@@ -172,9 +173,9 @@ TEST(GuardedRun, CrossThreadCancelInterruptsDelta10Run) {
   EXPECT_FALSE(diagnostics.halt_round.empty());
 }
 
-TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
+TEST(Cancellation, ResumableRunLeavesLoadableLogAndResumesIdentically) {
   const int delta = 7;
-  const std::string path = temp_path("cancel_resume.snap");
+  const std::string path = temp_path("cancel_resume.ldcl");
   std::filesystem::remove(path);
 
   // Clean reference certificate.
@@ -189,7 +190,7 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
   // Cancel a resumable run from another thread, mid-chain.
   {
     SeqColorPacking alg{delta};
-    SnapshotStore store(path);
+    CertificateLog store(path);
     CancellationToken token;
     ResumeOptions options;
     options.adversary.cancel = &token;
@@ -207,7 +208,7 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
     if (canceller.joinable()) canceller.join();
 
     // Whatever was checkpointed must load back as a fully valid prefix —
-    // cancellation must never tear the snapshot file.
+    // cancellation must never tear the log file.
     RecoveryReport report;
     LowerBoundCertificate partial = store.load(&report);
     EXPECT_TRUE(report.file_found);
@@ -220,7 +221,7 @@ TEST(Cancellation, ResumableRunLeavesLoadableSnapshotAndResumesIdentically) {
   // Resuming with a fresh token completes to the clean run's exact bytes.
   {
     SeqColorPacking alg{delta};
-    SnapshotStore store(path);
+    CertificateLog store(path);
     ResumeInfo info;
     LowerBoundCertificate resumed =
         run_adversary_resumable(alg, delta, store, {}, &info);

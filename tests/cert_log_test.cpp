@@ -1,8 +1,7 @@
 // The append-only streaming certificate log (recover/cert_log.hpp): exact
 // round-trips, O(one level) incremental appends, the typed damage taxonomy,
 // torn-tail recovery that resumes to byte-identical logs, and the
-// CheckpointStore seam that lets the resumable engine run over either
-// store shape unchanged.
+// resumable engine checkpointing into it.
 #include "ldlb/recover/cert_log.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/atomic_file.hpp"
 
 namespace ldlb {
@@ -348,9 +346,9 @@ TEST(CertLog, IncompleteChainIsValidButNotComplete) {
 }
 
 TEST(CertLog, ResumableEngineRunsOverTheLogByteIdentically) {
-  // The CheckpointStore seam end to end: crash-stop a resumable run that
-  // checkpoints into the log, resume it, and compare against both the
-  // uninterrupted run and the snapshot-store-backed run.
+  // The engine's checkpoint path end to end: crash-stop a resumable run
+  // that checkpoints into the log, resume it, and compare against the
+  // uninterrupted run.
   const int delta = 5;
   const std::string reference =
       certificate_to_string(reference_chain(delta));
@@ -377,14 +375,6 @@ TEST(CertLog, ResumableEngineRunsOverTheLogByteIdentically) {
   EXPECT_EQ(info.loaded_levels, 2);
   EXPECT_EQ(info.trusted_levels, 2);
   EXPECT_EQ(info.computed_levels, delta - 2 - 1);
-
-  SnapshotStore snap{temp_path("engine.snap")};
-  snap.remove();
-  SeqColorPacking alg2{delta};
-  const LowerBoundCertificate via_snapshot =
-      run_adversary_resumable(alg2, delta, snap, {});
-  EXPECT_EQ(certificate_to_string(via_snapshot), reference);
-  snap.remove();
   log.remove();
 }
 

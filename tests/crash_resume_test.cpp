@@ -1,7 +1,7 @@
 // Kill-and-resume determinism: an adversary run crash-stopped at any level
-// k and resumed from the snapshot store must produce a final certificate
+// k and resumed from the certificate log must produce a final certificate
 // byte-identical to an uninterrupted run, and anything untrustworthy in the
-// store (tampering, wrong algorithm, truncation) must be discarded — never
+// log (tampering, wrong algorithm, truncation) must be discarded — never
 // trusted into the chain.
 #include "ldlb/recover/resumable_adversary.hpp"
 
@@ -12,7 +12,7 @@
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
 
@@ -32,7 +32,7 @@ TEST(CrashResume, ResumedChainIsByteIdenticalForEveryCrashLevel) {
   for (int delta = 4; delta <= 7; ++delta) {
     const std::string reference = reference_text(delta);
     for (int k = 0; k <= delta - 2; ++k) {
-      SnapshotStore store{temp_path("crash_resume.snap")};
+      CertificateLog store{temp_path("crash_resume.ldcl")};
       store.remove();
 
       // Phase 1: the run dies right after checkpointing level k.
@@ -44,12 +44,12 @@ TEST(CrashResume, ResumedChainIsByteIdenticalForEveryCrashLevel) {
                      FaultInjected)
             << "delta=" << delta << " k=" << k;
       }
-      // The snapshot survived the crash with exactly levels 0..k.
+      // The log survived the crash with exactly levels 0..k.
       {
         RecoveryReport report;
-        LowerBoundCertificate snap = store.load(&report);
+        LowerBoundCertificate stored = store.load(&report);
         EXPECT_TRUE(report.complete);
-        EXPECT_EQ(static_cast<int>(snap.levels.size()), k + 1);
+        EXPECT_EQ(static_cast<int>(stored.levels.size()), k + 1);
       }
 
       // Phase 2: resume and finish.
@@ -68,9 +68,9 @@ TEST(CrashResume, ResumedChainIsByteIdenticalForEveryCrashLevel) {
   }
 }
 
-TEST(CrashResume, FreshRunNeedsNoSnapshot) {
+TEST(CrashResume, FreshRunNeedsNoLog) {
   const int delta = 5;
-  SnapshotStore store{temp_path("fresh.snap")};
+  CertificateLog store{temp_path("fresh.ldcl")};
   store.remove();
   SeqColorPacking alg{delta};
   ResumeInfo info;
@@ -85,10 +85,10 @@ TEST(CrashResume, FreshRunNeedsNoSnapshot) {
   store.remove();
 }
 
-TEST(CrashResume, TruncatedSnapshotResumesFromLongestValidPrefix) {
+TEST(CrashResume, TruncatedLogResumesFromLongestValidPrefix) {
   const int delta = 5;
   const std::string reference = reference_text(delta);
-  SnapshotStore store{temp_path("truncated.snap")};
+  CertificateLog store{temp_path("truncated.ldcl")};
   store.remove();
   {
     SeqColorPacking alg{delta};
@@ -116,7 +116,7 @@ TEST(CrashResume, TruncatedSnapshotResumesFromLongestValidPrefix) {
 TEST(CrashResume, TamperedLevelIsDiscardedByRevalidation) {
   const int delta = 5;
   const std::string reference = reference_text(delta);
-  SnapshotStore store{temp_path("tampered.snap")};
+  CertificateLog store{temp_path("tampered.ldcl")};
   store.remove();
   {
     SeqColorPacking alg{delta};
@@ -125,12 +125,12 @@ TEST(CrashResume, TamperedLevelIsDiscardedByRevalidation) {
     EXPECT_THROW(run_adversary_resumable(alg, delta, store, options),
                  FaultInjected);
   }
-  // Forge level 1 through the store API: checksums recompute, so only
-  // semantic re-validation can catch it.
-  LowerBoundCertificate snap = store.load();
-  ASSERT_EQ(snap.levels.size(), 3u);
-  snap.levels[1].g_weight = snap.levels[1].g_weight + Rational(1, 7);
-  store.save(snap);
+  // Forge level 1 and re-serialize: checksums recompute, so only semantic
+  // re-validation can catch it.
+  LowerBoundCertificate stored = store.load();
+  ASSERT_EQ(stored.levels.size(), 3u);
+  stored.levels[1].g_weight = stored.levels[1].g_weight + Rational(1, 7);
+  write_file_atomic(store.path(), CertificateLog::serialize(stored));
 
   SeqColorPacking alg{delta};
   ResumeInfo info;
@@ -144,9 +144,9 @@ TEST(CrashResume, TamperedLevelIsDiscardedByRevalidation) {
   store.remove();
 }
 
-TEST(CrashResume, SnapshotForDifferentJobIsDiscardedWholesale) {
+TEST(CrashResume, LogForDifferentJobIsDiscardedWholesale) {
   const int delta = 4;
-  SnapshotStore store{temp_path("wrong_job.snap")};
+  CertificateLog store{temp_path("wrong_job.ldcl")};
   store.remove();
   {
     // A complete delta-4 chain from a different algorithm.
@@ -166,7 +166,7 @@ TEST(CrashResume, SnapshotForDifferentJobIsDiscardedWholesale) {
 
 TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
   const int delta = 5;
-  SnapshotStore store{temp_path("hook.snap")};
+  CertificateLog store{temp_path("hook.ldcl")};
   store.remove();
   {
     SeqColorPacking alg{delta};
@@ -190,7 +190,7 @@ TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
 // rescues a run whose configured round budget is too small.
 TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
   const int delta = 4;
-  SnapshotStore store{temp_path("retry.snap")};
+  CertificateLog store{temp_path("retry.ldcl")};
   store.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;
@@ -219,7 +219,7 @@ TEST(CrashResume, PermanentFailuresAreNotRetried) {
   // correct, so use a hostile budget of attempts=1 to check the exhausted
   // path instead.
   const int delta = 4;
-  SnapshotStore store{temp_path("exhausted.snap")};
+  CertificateLog store{temp_path("exhausted.ldcl")};
   store.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;

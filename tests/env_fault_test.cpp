@@ -1,9 +1,10 @@
 // Environment fault injection round-trips: every filesystem fault point of
-// write_file_atomic (write / fsync / rename / dir-fsync × EIO / ENOSPC /
-// short-write), injected into a checkpointed adversary run, must leave a
-// loadable snapshot whose resumed run reproduces the clean certificate byte
-// for byte. Allocation-failure injection (util/alloc_guard) must classify
-// as kEnvFault and leave the library reusable afterwards.
+// the certificate log's checkpoints (write / fsync / rename / dir-fsync ×
+// EIO / ENOSPC / short-write, at occurrences 1–4), injected into a
+// checkpointed adversary run, must surface as IoError and leave a log that
+// loads a clean prefix and whose resumed run reproduces the clean
+// certificate byte for byte. Allocation-failure injection (util/alloc_guard)
+// must classify as kEnvFault and leave the library reusable afterwards.
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -18,8 +19,8 @@
 #include "ldlb/fault/env_fault.hpp"
 #include "ldlb/fault/guarded_run.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/bigint.hpp"
@@ -106,75 +107,143 @@ TEST(EnvFaultPlan, DirFsyncFaultLeavesContentInPlace) {
   fs::remove(path);
 }
 
+std::string level_text(const CertificateLevel& lv) {
+  std::string out;
+  append_certificate_level(out, lv);
+  return out;
+}
+
+// What a fault left behind must load as a clean prefix of `chain`: a torn
+// tail is salvaged and reported, mid-file damage never appears.
+void expect_loads_a_clean_prefix(const std::string& path,
+                                 const LowerBoundCertificate& chain) {
+  CertificateLog log(path);
+  const CertLogReport scan = log.scan();
+  EXPECT_TRUE(scan.damage == LogDamage::kNone ||
+              scan.damage == LogDamage::kTornTail)
+      << scan.to_string();
+  RecoveryReport report;
+  const LowerBoundCertificate loaded = log.load(&report);
+  if (scan.damage == LogDamage::kTornTail) {
+    EXPECT_FALSE(report.complete) << report.to_string();
+    EXPECT_NE(report.drop_reason.find(to_string(LogDamage::kTornTail)),
+              std::string::npos)
+        << report.to_string();
+  }
+  ASSERT_LE(loaded.levels.size(), chain.levels.size());
+  for (std::size_t i = 0; i < loaded.levels.size(); ++i) {
+    EXPECT_EQ(level_text(loaded.levels[i]), level_text(chain.levels[i]))
+        << "level " << i;
+  }
+}
+
+// Resumes the log at `path` with no fault armed: the clean run's bytes, and
+// a file equal to a never-faulted log of the same chain.
+void expect_clean_resume(const std::string& path, int delta,
+                         const std::string& clean) {
+  SeqColorPacking alg{delta};
+  CertificateLog log(path);
+  const LowerBoundCertificate resumed =
+      run_adversary_resumable(alg, delta, log, {});
+  EXPECT_EQ(certificate_bytes(resumed), clean);
+  EXPECT_EQ(read_file(path), CertificateLog::serialize(resumed));
+}
+
 // The acceptance sweep: inject each (operation, mode) pair into the nth
-// checkpoint save of a resumable adversary run, then resume with the fault
-// cleared and demand the clean run's exact certificate bytes.
+// (1–4) occurrence of that operation during a resumable adversary run that
+// checkpoints into the certificate log, then resume with the fault cleared.
+// The first checkpoint creates the log by one atomic rewrite (one write,
+// fsync, rename and dir-fsync); each later one appends a record (one write
+// and one fsync), so write and fsync occurrence n belong to checkpoint n,
+// and rename / dir-fsync fire only at occurrence 1.
 TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
   const int delta = 5;
-  std::string clean;
+  LowerBoundCertificate chain;
   {
     SeqColorPacking alg{delta};
-    clean = certificate_bytes(run_adversary(alg, delta));
+    chain = run_adversary(alg, delta);
   }
+  const std::string clean = certificate_bytes(chain);
 
-  const std::vector<std::pair<FsOp, EnvFaultMode>> points = {
-      {FsOp::kWrite, EnvFaultMode::kEio},
-      {FsOp::kWrite, EnvFaultMode::kEnospc},
-      {FsOp::kWrite, EnvFaultMode::kShortWrite},
-      {FsOp::kFsync, EnvFaultMode::kEio},
-      {FsOp::kFsync, EnvFaultMode::kEnospc},
-      {FsOp::kRename, EnvFaultMode::kEio},
-      {FsOp::kRename, EnvFaultMode::kEnospc},
-      {FsOp::kDirFsync, EnvFaultMode::kEio},
-      {FsOp::kDirFsync, EnvFaultMode::kEnospc},
-  };
-  for (const auto& [op, mode] : points) {
-    SCOPED_TRACE(std::string(to_string(op)) + "/" + to_string(mode));
-    const std::string path = temp_path(std::string("sweep_") +
-                                       to_string(op) + "_" + to_string(mode) +
-                                       ".snap");
-    fs::remove(path);
-    EnvFaultPlan plan;
-    ScopedFsFaultInjection install(&plan);
-
-    // Fault the *second* checkpoint save: level 0 lands cleanly, the fault
-    // hits mid-chain. (Each save is one write_file_atomic call; the payload
-    // fits one write() call, so write occurrence n belongs to save n.)
-    plan.arm(op, mode, 2);
-    {
-      SeqColorPacking alg{delta};
-      SnapshotStore store(path);
-      // The checkpoint save sits outside per-level supervision, so the
-      // injected IoError surfaces directly whatever the retry policy says.
-      EXPECT_THROW(run_adversary_resumable(alg, delta, store, {}), IoError);
-      EXPECT_TRUE(plan.fired());
+  int fired = 0;
+  for (const FsOp op :
+       {FsOp::kWrite, FsOp::kFsync, FsOp::kRename, FsOp::kDirFsync}) {
+    for (const EnvFaultMode mode :
+         {EnvFaultMode::kEio, EnvFaultMode::kEnospc,
+          EnvFaultMode::kShortWrite}) {
+      for (int nth = 1; nth <= 4; ++nth) {
+        SCOPED_TRACE(std::string(to_string(op)) + "/" + to_string(mode) +
+                     " #" + std::to_string(nth));
+        const std::string path =
+            temp_path(std::string("sweep_") + to_string(op) + "_" +
+                      to_string(mode) + "_" + std::to_string(nth) + ".ldcl");
+        fs::remove(path);
+        {
+          EnvFaultPlan plan;
+          ScopedFsFaultInjection install(&plan);
+          plan.arm(op, mode, nth);
+          SeqColorPacking alg{delta};
+          CertificateLog log(path);
+          // The checkpoint sits outside per-level supervision, so an
+          // injected IoError surfaces whatever the retry policy says.
+          bool threw = false;
+          try {
+            (void)run_adversary_resumable(alg, delta, log, {});
+          } catch (const IoError&) {
+            threw = true;
+          }
+          EXPECT_EQ(threw, plan.fired());
+          if (plan.fired()) ++fired;
+        }
+        expect_loads_a_clean_prefix(path, chain);
+        expect_clean_resume(path, delta, clean);
+        fs::remove(path);
+      }
     }
-    plan.disarm();
-
-    // The snapshot must load to a valid prefix — the level-0 checkpoint at
-    // minimum, plus the interrupted save's content iff the fault hit after
-    // its rename (dir-fsync).
-    {
-      SnapshotStore store(path);
-      RecoveryReport report;
-      LowerBoundCertificate partial = store.load(&report);
-      EXPECT_TRUE(report.file_found);
-      EXPECT_TRUE(report.complete) << report.to_string();
-      EXPECT_GE(partial.levels.size(), 1u);
-    }
-
-    // Resume with the fault cleared: byte-identical final certificate.
-    {
-      SeqColorPacking alg{delta};
-      SnapshotStore store(path);
-      ResumeInfo info;
-      LowerBoundCertificate resumed =
-          run_adversary_resumable(alg, delta, store, {}, &info);
-      EXPECT_GT(info.trusted_levels, 0);
-      EXPECT_EQ(certificate_bytes(resumed), clean);
-    }
-    fs::remove(path);
   }
+  // Every write and fsync point fires (Δ=5 takes four checkpoints), and
+  // rename and dir-fsync fire at their one occurrence.
+  EXPECT_EQ(fired, 3 * 4 + 3 * 4 + 3 + 3);
+}
+
+// The repair path the plain sweep cannot reach: a short write tears an
+// append, the resume's torn-tail truncation then fails too, and a clean
+// resume still repairs the log to the never-faulted bytes.
+TEST(EnvFaultSweep, TornTailRepairSurvivesAFailedTruncate) {
+  const int delta = 5;
+  LowerBoundCertificate chain;
+  {
+    SeqColorPacking alg{delta};
+    chain = run_adversary(alg, delta);
+  }
+  const std::string path = temp_path("sweep_torn_truncate.ldcl");
+  fs::remove(path);
+  EnvFaultPlan plan;
+  ScopedFsFaultInjection install(&plan);
+
+  // Write occurrence 2 is the first append (level 1).
+  plan.arm(FsOp::kWrite, EnvFaultMode::kShortWrite, 2);
+  {
+    SeqColorPacking alg{delta};
+    CertificateLog log(path);
+    EXPECT_THROW((void)run_adversary_resumable(alg, delta, log, {}), IoError);
+  }
+  EXPECT_TRUE(plan.fired());
+  EXPECT_EQ(CertificateLog(path).scan().damage, LogDamage::kTornTail);
+
+  plan.arm(FsOp::kTruncate, EnvFaultMode::kEio, 1);
+  {
+    SeqColorPacking alg{delta};
+    CertificateLog log(path);
+    EXPECT_THROW((void)run_adversary_resumable(alg, delta, log, {}), IoError);
+  }
+  EXPECT_TRUE(plan.fired());
+  plan.disarm();
+  expect_loads_a_clean_prefix(path, chain);
+  EXPECT_EQ(CertificateLog(path).scan().damage, LogDamage::kTornTail);
+
+  expect_clean_resume(path, delta, certificate_bytes(chain));
+  fs::remove(path);
 }
 
 // A fault the retry policy deems transient (ENOSPC) and that then clears

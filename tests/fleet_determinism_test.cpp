@@ -1,20 +1,18 @@
 // The fleet's determinism and fault-tolerance contract (fault/fleet.hpp):
 // the certificate is byte-identical to plain run_adversary across worker
-// counts AND transports (serial / pipe fleet / socket fleet), across
-// kill-and-disconnect histories on either transport, across crash/resume
-// cycles, and down every step of the degradation ladder
-// (socket -> pipe -> in-process); exhausting a respawn budget with
-// degradation refused fails permanently as WorkerLost /
-// RunStatus::kWorkerLost carrying the right incident kind. At the sizes the
-// bench runs (Δ 13–16) a fleet run finishes under a wall-clock bound with
-// two requests a level, and a worker that stops reading is exactly one
-// write-hang incident.
+// counts, across kill-and-respawn histories, across crash/resume cycles and
+// when fork(2) refuses and the run degrades in-process; exhausting a
+// respawn budget fails permanently as WorkerLost / RunStatus::kWorkerLost
+// carrying the right incident kind. A resume through the fleet reports the
+// same ResumeInfo as the in-process engine, because both run the same loop.
+// At the sizes the bench runs (Δ 13–16) a fleet run finishes under a
+// wall-clock bound with two requests a level, and a worker that stops
+// reading is exactly one write-hang incident.
 #include <unistd.h>
 
 #include <atomic>
 #include <csignal>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,10 +25,11 @@
 #include "ldlb/fault/fleet.hpp"
 #include "ldlb/graph/graph_io.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/recover/cert_log.hpp"
+#include "ldlb/recover/resumable_adversary.hpp"
+#include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/ipc.hpp"
-#include "ldlb/util/net.hpp"
 #include "ldlb/util/rng.hpp"
 
 namespace ldlb {
@@ -49,13 +48,13 @@ std::string reference_bytes(int delta) {
   return certificate_to_string(run_adversary(algorithm, delta));
 }
 
-std::string fleet_bytes(int delta, const std::string& snapshot_name,
+std::string fleet_bytes(int delta, const std::string& log_name,
                         FleetOptions options, FleetReport* report = nullptr) {
-  SnapshotStore store{temp_path(snapshot_name)};
-  store.remove();
+  CertificateLog log{temp_path(log_name)};
+  log.remove();
   const LowerBoundCertificate cert =
-      run_adversary_fleet(factory_for(delta), delta, store, options, report);
-  store.remove();
+      run_adversary_fleet(factory_for(delta), delta, log, options, report);
+  log.remove();
   return certificate_to_string(cert);
 }
 
@@ -69,7 +68,7 @@ TEST(FleetDeterminism, ByteIdenticalAcrossWorkerCounts) {
       const std::string got =
           fleet_bytes(delta,
                       "fleet_d" + std::to_string(delta) + "_w" +
-                          std::to_string(workers) + ".snap",
+                          std::to_string(workers) + ".ldcl",
                       options, &report);
       EXPECT_EQ(got, reference)
           << "delta " << delta << ", workers " << workers;
@@ -97,7 +96,7 @@ TEST(FleetDeterminism, KilledWorkersRespawnAndBytesDoNotChange) {
 
   FleetReport report;
   const std::string got =
-      fleet_bytes(delta, "fleet_chaos.snap", options, &report);
+      fleet_bytes(delta, "fleet_chaos.ldcl", options, &report);
   EXPECT_EQ(got, reference);
   EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
   EXPECT_GT(report.respawns, 0) << report.to_string();
@@ -111,14 +110,14 @@ TEST(FleetDeterminism, KilledWorkersRespawnAndBytesDoNotChange) {
 TEST(FleetDeterminism, CrashAtCheckpointThenFleetResumeIsByteIdentical) {
   const int delta = 6;
   const std::string reference = reference_bytes(delta);
-  SnapshotStore store{temp_path("fleet_resume.snap")};
-  store.remove();
+  CertificateLog log{temp_path("fleet_resume.ldcl")};
+  log.remove();
 
   FleetOptions crashing;
   crashing.workers = 2;
   crashing.on_checkpoint = crash_at_level(2);
   FleetReport crash_report;
-  EXPECT_THROW((void)run_adversary_fleet(factory_for(delta), delta, store,
+  EXPECT_THROW((void)run_adversary_fleet(factory_for(delta), delta, log,
                                          crashing, &crash_report),
                FaultInjected);
   EXPECT_EQ(crash_report.status, RunStatus::kFaultInjected);
@@ -128,13 +127,13 @@ TEST(FleetDeterminism, CrashAtCheckpointThenFleetResumeIsByteIdentical) {
   resuming.workers = 2;
   FleetReport resume_report;
   const LowerBoundCertificate cert = run_adversary_fleet(
-      factory_for(delta), delta, store, resuming, &resume_report);
+      factory_for(delta), delta, log, resuming, &resume_report);
   EXPECT_EQ(certificate_to_string(cert), reference);
   EXPECT_EQ(resume_report.resume.loaded_levels, 3);
   EXPECT_EQ(resume_report.resume.trusted_levels, 3)
       << resume_report.resume.discard_reason;
   EXPECT_LT(resume_report.resume.computed_levels, delta - 1);
-  store.remove();
+  log.remove();
 }
 
 TEST(FleetDeterminism, SpawnRefusalDegradesToInProcessEngine) {
@@ -146,7 +145,7 @@ TEST(FleetDeterminism, SpawnRefusalDegradesToInProcessEngine) {
   ipc::set_spawn_failures_for_test(1);  // the very first spawn refuses
   FleetReport report;
   const std::string got =
-      fleet_bytes(delta, "fleet_degrade.snap", options, &report);
+      fleet_bytes(delta, "fleet_degrade.ldcl", options, &report);
   ipc::set_spawn_failures_for_test(0);
   EXPECT_EQ(got, reference);
   EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
@@ -163,11 +162,11 @@ TEST(FleetDeterminism, RespawnBudgetExhaustionIsWorkerLost) {
     for (pid_t pid : pids) ipc::kill_process(pid);
   };
 
-  SnapshotStore store{temp_path("fleet_lost.snap")};
-  store.remove();
+  CertificateLog log{temp_path("fleet_lost.ldcl")};
+  log.remove();
   FleetReport report;
   try {
-    (void)run_adversary_fleet(factory_for(delta), delta, store, options,
+    (void)run_adversary_fleet(factory_for(delta), delta, log, options,
                               &report);
     FAIL() << "expected WorkerLost";
   } catch (const WorkerLost& e) {
@@ -179,7 +178,149 @@ TEST(FleetDeterminism, RespawnBudgetExhaustionIsWorkerLost) {
   ASSERT_FALSE(report.incidents.empty());
   EXPECT_FALSE(report.incidents.back().respawned)
       << report.incidents.back().to_string();
-  store.remove();
+  // The per-level supervision saw the loss as permanent: one attempt,
+  // classified, never retried.
+  ASSERT_FALSE(report.resume.supervision.attempts.empty());
+  EXPECT_EQ(report.resume.supervision.attempts.back().status,
+            RunStatus::kWorkerLost);
+  log.remove();
+}
+
+// Every worker is SIGKILLed at every level past the base case, and every
+// loss must be survived by respawn-and-replay with identical bytes.
+TEST(FleetDeterminism, EveryWorkerKilledEveryLevel) {
+  const int delta = 5;
+  const std::string reference = reference_bytes(delta);
+  FleetOptions options;
+  options.workers = 2;
+  options.backoff_base_seconds = 0.001;
+  options.max_respawns_per_level = 4;  // two losses per level, headroom
+  options.on_level = [](int level, const std::vector<pid_t>& pids) {
+    if (level < 1) return;
+    for (const pid_t pid : pids) ipc::kill_process(pid);
+  };
+  FleetReport report;
+  const std::string got =
+      fleet_bytes(delta, "fleet_killall.ldcl", options, &report);
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
+  EXPECT_EQ(report.transport, "pipe");
+  EXPECT_GT(report.respawns, 0) << report.to_string();
+  EXPECT_GT(report.requests_replayed, 0) << report.to_string();
+  ASSERT_FALSE(report.incidents.empty());
+  for (const WorkerIncident& incident : report.incidents) {
+    EXPECT_TRUE(incident.respawned) << incident.to_string();
+  }
+}
+
+// Resumes the log at `source` twice, each from its own copy: in-process and
+// through a 2-worker fleet. Both run the one resumable loop, so they must
+// agree on the bytes, on the repaired log and on everything the ResumeInfo
+// reports (the recovery path aside, which names each copy).
+void expect_one_resume_contract(int delta, const std::string& source,
+                                const std::string& reference) {
+  const std::string bytes = read_file(source);
+  const std::string in_path = temp_path("contract_in.ldcl");
+  const std::string fleet_path = temp_path("contract_fleet.ldcl");
+  write_file_atomic(in_path, bytes);
+  write_file_atomic(fleet_path, bytes);
+
+  SeqColorPacking algorithm{delta};
+  CertificateLog in_log{in_path};
+  ResumeInfo in;
+  const std::string in_bytes = certificate_to_string(
+      run_adversary_resumable(algorithm, delta, in_log, {}, &in));
+
+  CertificateLog fleet_log{fleet_path};
+  FleetOptions options;
+  options.workers = 2;
+  FleetReport report;
+  const std::string fleet_bytes = certificate_to_string(run_adversary_fleet(
+      factory_for(delta), delta, fleet_log, options, &report));
+  const ResumeInfo& fleet = report.resume;
+
+  EXPECT_EQ(in_bytes, reference);
+  EXPECT_EQ(fleet_bytes, in_bytes);
+  EXPECT_EQ(read_file(fleet_path), read_file(in_path));
+  EXPECT_EQ(report.transport, "pipe") << report.to_string();
+  EXPECT_EQ(fleet.loaded_levels, in.loaded_levels);
+  EXPECT_EQ(fleet.trusted_levels, in.trusted_levels);
+  EXPECT_EQ(fleet.computed_levels, in.computed_levels);
+  EXPECT_EQ(fleet.discard_reason, in.discard_reason);
+  EXPECT_EQ(fleet.recovery.file_found, in.recovery.file_found);
+  EXPECT_EQ(fleet.recovery.complete, in.recovery.complete);
+  EXPECT_EQ(fleet.recovery.levels_loaded, in.recovery.levels_loaded);
+  EXPECT_EQ(fleet.recovery.drop_reason, in.recovery.drop_reason);
+  EXPECT_EQ(fleet.recovery.drop_line, in.recovery.drop_line);
+  EXPECT_EQ(fleet.supervision.attempts.size(), in.supervision.attempts.size());
+  in_log.remove();
+  fleet_log.remove();
+}
+
+// `g` with one edge other than `keep` recoloured to the colour of another
+// edge at its endpoint: an improper colouring the algorithm refuses to run
+// on, with the witness loop `keep` untouched.
+Multigraph with_clashing_colour(const Multigraph& g, EdgeId keep) {
+  Multigraph out(g.node_count());
+  bool clashed = false;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& ed = g.edge(e);
+    Color colour = ed.color;
+    for (EdgeId f = 0; !clashed && e != keep && f < g.edge_count(); ++f) {
+      const auto& fd = g.edge(f);
+      if (f != e && (fd.u == ed.u || fd.v == ed.u) && fd.color != colour) {
+        colour = fd.color;
+        clashed = true;
+      }
+    }
+    out.add_edge(ed.u, ed.v, colour);
+  }
+  return out;
+}
+
+TEST(ResumeContract, InProcessAndFleetResumeIdentically) {
+  const int delta = 7;
+  SeqColorPacking algorithm{delta};
+  const LowerBoundCertificate chain = run_adversary(algorithm, delta);
+  const std::string reference = certificate_to_string(chain);
+  const std::string source = temp_path("contract_source.ldcl");
+
+  // A crash right after level k is checkpointed (k = Δ-2: after the last).
+  for (int k = 0; k <= delta - 2; ++k) {
+    SCOPED_TRACE("crash after level " + std::to_string(k));
+    CertificateLog log{source};
+    log.remove();
+    ResumeOptions crashing;
+    crashing.on_checkpoint = crash_at_level(k);
+    EXPECT_THROW((void)run_adversary_resumable(algorithm, delta, log,
+                                               crashing),
+                 FaultInjected);
+    expect_one_resume_contract(delta, source, reference);
+  }
+
+  // A complete log whose level j carries a forged weight: its checksums
+  // verify, so only re-validation convicts it.
+  for (std::size_t j = 0; j < chain.levels.size(); ++j) {
+    SCOPED_TRACE("forged level " + std::to_string(j));
+    LowerBoundCertificate forged = chain;
+    forged.levels[j].g_weight = forged.levels[j].g_weight + Rational(1, 7);
+    write_file_atomic(source, CertificateLog::serialize(forged));
+    expect_one_resume_contract(delta, source, reference);
+  }
+
+  // A complete log whose level j stores an improperly coloured G: the
+  // validator's re-run of the algorithm throws on it, which makes the
+  // level untrusted on either side, never a failed resume.
+  for (std::size_t j = 0; j < chain.levels.size(); ++j) {
+    SCOPED_TRACE("miscoloured level " + std::to_string(j));
+    LowerBoundCertificate forged = chain;
+    CertificateLevel& lv = forged.levels[j];
+    lv.g = with_clashing_colour(lv.g, lv.g_loop);
+    ASSERT_FALSE(lv.g.has_proper_edge_coloring());
+    write_file_atomic(source, CertificateLog::serialize(forged));
+    expect_one_resume_contract(delta, source, reference);
+  }
+  CertificateLog{source}.remove();
 }
 
 // The sizes the bench runs: at the parent a worker's reply and the next
@@ -191,8 +332,7 @@ constexpr double kLargeRunBoundSeconds = 120.0;
 void expect_bounded_fleet_run(int delta, const std::string& reference,
                               FleetOptions options, const std::string& name) {
   SCOPED_TRACE("delta " + std::to_string(delta) + ", " +
-               std::to_string(options.workers) + " workers" +
-               (options.remotes.empty() ? "" : ", socket"));
+               std::to_string(options.workers) + " workers");
   // A hang surfaces as a fatal incident instead of blocking the suite.
   options.reply_deadline_seconds = kLargeRunBoundSeconds;
   options.max_respawns_per_level = 0;
@@ -212,7 +352,7 @@ TEST(FleetDeterminism, OneWorkerAtDelta13Completes) {
   const std::string reference = reference_bytes(13);
   FleetOptions options;
   options.workers = 1;
-  expect_bounded_fleet_run(13, reference, options, "fleet_d13_w1.snap");
+  expect_bounded_fleet_run(13, reference, options, "fleet_d13_w1.ldcl");
 }
 
 TEST(FleetDeterminism, ByteIdenticalAtDelta14And16) {
@@ -223,7 +363,7 @@ TEST(FleetDeterminism, ByteIdenticalAtDelta14And16) {
       options.workers = workers;
       expect_bounded_fleet_run(delta, reference, options,
                                "fleet_large_d" + std::to_string(delta) +
-                                   "_w" + std::to_string(workers) + ".snap");
+                                   "_w" + std::to_string(workers) + ".ldcl");
     }
   }
 }
@@ -303,7 +443,7 @@ TEST(FleetDeterminism, StoppedWorkerIsOneWriteHangIncident) {
   std::string got;
   {
     const ResumeWatchdog watchdog(stopped, 60.0);
-    got = fleet_bytes(delta, "fleet_write_hang.snap", options, &report);
+    got = fleet_bytes(delta, "fleet_write_hang.ldcl", options, &report);
   }
   EXPECT_EQ(got, reference);
   EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
@@ -320,282 +460,11 @@ TEST(FleetDeterminism, ReportToStringMentionsTheHeadlines) {
   FleetOptions options;
   options.workers = 2;
   FleetReport report;
-  (void)fleet_bytes(4, "fleet_report.snap", options, &report);
+  (void)fleet_bytes(4, "fleet_report.ldcl", options, &report);
   const std::string text = report.to_string();
   EXPECT_NE(text.find("2/2 workers"), std::string::npos) << text;
   EXPECT_NE(text.find("transport pipe"), std::string::npos) << text;
   EXPECT_NE(text.find("status: ok"), std::string::npos) << text;
-}
-
-// ---------------------------------------------------------------------------
-// Socket fleet: worker daemons on localhost, coordinator over TCP.
-// ---------------------------------------------------------------------------
-
-// A forked worker daemon on an ephemeral localhost port, killed and reaped
-// on destruction.
-class DaemonGuard {
- public:
-  explicit DaemonGuard(int delta) {
-    net::Listener listener = net::Listener::on("127.0.0.1", 0);
-    port_ = listener.port();
-    pid_ = ipc::spawn_child([&listener, delta]() {
-      return run_fleet_daemon(factory_for(delta), delta, listener);
-    });
-    // The parent's copy of the listening socket; the daemon owns its own.
-    listener.close();
-  }
-  DaemonGuard(const DaemonGuard&) = delete;
-  DaemonGuard& operator=(const DaemonGuard&) = delete;
-  ~DaemonGuard() {
-    ipc::kill_process(pid_);
-    (void)ipc::wait_exit(pid_, Deadline::in(10.0));
-  }
-
-  [[nodiscard]] RemoteEndpoint endpoint() const {
-    return {"127.0.0.1", port_};
-  }
-
- private:
-  pid_t pid_ = -1;
-  int port_ = 0;
-};
-
-TEST(SocketFleet, ByteIdenticalAcrossTransportsAndWorkerCounts) {
-  for (int delta : {4, 5, 6}) {
-    const std::string reference = reference_bytes(delta);
-    DaemonGuard daemon_a(delta);
-    DaemonGuard daemon_b(delta);
-    for (int workers : {1, 2, 4}) {
-      FleetOptions options;
-      options.workers = workers;
-      options.remotes = {daemon_a.endpoint(), daemon_b.endpoint()};
-      FleetReport report;
-      const std::string got =
-          fleet_bytes(delta,
-                      "socket_d" + std::to_string(delta) + "_w" +
-                          std::to_string(workers) + ".snap",
-                      options, &report);
-      EXPECT_EQ(got, reference)
-          << "delta " << delta << ", workers " << workers;
-      EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
-      EXPECT_EQ(report.transport, "socket") << report.to_string();
-      EXPECT_TRUE(report.degrades.empty()) << report.to_string();
-      EXPECT_TRUE(report.incidents.empty()) << report.to_string();
-    }
-  }
-}
-
-// Every worker's link is severed at every level — SIGKILL under the pipe
-// transport, an abortive RST close under the socket transport — and every
-// loss must be survived by reconnect-and-replay with identical bytes.
-TEST(SocketFleet, EveryWorkerDisconnectedEveryLevelOnBothTransports) {
-  const int delta = 5;
-  const std::string reference = reference_bytes(delta);
-  DaemonGuard daemon(delta);
-
-  for (const bool socket : {true, false}) {
-    FleetOptions options;
-    options.workers = 2;
-    options.backoff_base_seconds = 0.001;
-    options.max_respawns_per_level = 4;  // two losses per level, headroom
-    if (socket) options.remotes = {daemon.endpoint()};
-    options.on_level_drop = [](int level, int slots,
-                               const std::function<void(int)>& drop) {
-      if (level < 1) return;
-      for (int s = 0; s < slots; ++s) drop(s);
-    };
-    FleetReport report;
-    const std::string got = fleet_bytes(
-        delta, socket ? "socket_dropall.snap" : "pipe_dropall.snap", options,
-        &report);
-    EXPECT_EQ(got, reference) << (socket ? "socket" : "pipe");
-    EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
-    EXPECT_EQ(report.transport, socket ? "socket" : "pipe");
-    EXPECT_GT(report.respawns, 0) << report.to_string();
-    EXPECT_GT(report.requests_replayed, 0) << report.to_string();
-    ASSERT_FALSE(report.incidents.empty());
-    for (const WorkerIncident& incident : report.incidents) {
-      EXPECT_TRUE(incident.respawned) << incident.to_string();
-      if (socket) {
-        EXPECT_EQ(incident.kind, "disconnect") << incident.to_string();
-      }
-    }
-  }
-}
-
-TEST(SocketFleet, TwoWorkersAtDelta14Complete) {
-  const int delta = 14;
-  const std::string reference = reference_bytes(delta);
-  DaemonGuard daemon(delta);
-  FleetOptions options;
-  options.workers = 2;
-  options.remotes = {daemon.endpoint()};
-  expect_bounded_fleet_run(delta, reference, options, "socket_d14_w2.snap");
-}
-
-TEST(SocketFleet, ExhaustedRemotesDegradeToPipeWithIdenticalBytes) {
-  const int delta = 5;
-  const std::string reference = reference_bytes(delta);
-  // Bind-then-close guarantees a port that refuses every connect.
-  int dead_port = 0;
-  {
-    net::Listener listener = net::Listener::on("127.0.0.1", 0);
-    dead_port = listener.port();
-  }
-
-  FleetOptions options;
-  options.workers = 2;
-  options.backoff_base_seconds = 0.001;
-  options.connect_timeout_seconds = 1.0;
-  options.remotes = {{"127.0.0.1", dead_port}};
-  FleetReport report;
-  const std::string got =
-      fleet_bytes(delta, "socket_degrade.snap", options, &report);
-  EXPECT_EQ(got, reference);
-  EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
-  EXPECT_EQ(report.transport, "pipe") << report.to_string();
-  ASSERT_FALSE(report.degrades.empty());
-  EXPECT_NE(report.degrades.front().find("socket -> pipe"),
-            std::string::npos)
-      << report.degrades.front();
-  ASSERT_FALSE(report.incidents.empty());
-  EXPECT_EQ(report.incidents.front().kind, "connect")
-      << report.incidents.front().to_string();
-  EXPECT_EQ(report.incidents.front().level, -2  /* connect-setup bucket */)
-      << report.incidents.front().to_string();
-}
-
-TEST(SocketFleet, FullLadderSocketToPipeToInProcessStillCertifies) {
-  const int delta = 4;
-  const std::string reference = reference_bytes(delta);
-  int dead_port = 0;
-  {
-    net::Listener listener = net::Listener::on("127.0.0.1", 0);
-    dead_port = listener.port();
-  }
-
-  FleetOptions options;
-  options.workers = 1;
-  options.backoff_base_seconds = 0.001;
-  options.max_respawns_per_level = 1;
-  options.remotes = {{"127.0.0.1", dead_port}};
-  // After the socket transport exhausts, the pipe transport's first fork
-  // refuses too: the ladder must land on the in-process engine.
-  ipc::set_spawn_failures_for_test(1);
-  FleetReport report;
-  const std::string got =
-      fleet_bytes(delta, "socket_ladder.snap", options, &report);
-  ipc::set_spawn_failures_for_test(0);
-  EXPECT_EQ(got, reference);
-  EXPECT_EQ(report.status, RunStatus::kOk) << report.to_string();
-  EXPECT_EQ(report.transport, "in-process") << report.to_string();
-  EXPECT_TRUE(report.degraded_in_process);
-  ASSERT_GE(report.degrades.size(), 2u) << report.to_string();
-  EXPECT_NE(report.degrades[0].find("socket -> pipe"), std::string::npos);
-  EXPECT_NE(report.degrades[1].find("pipe -> in-process"),
-            std::string::npos);
-}
-
-TEST(SocketFleet, ExhaustedRemotesWithDegradeRefusedIsWorkerLost) {
-  const int delta = 4;
-  int dead_port = 0;
-  {
-    net::Listener listener = net::Listener::on("127.0.0.1", 0);
-    dead_port = listener.port();
-  }
-
-  FleetOptions options;
-  options.workers = 1;
-  options.backoff_base_seconds = 0.001;
-  options.max_respawns_per_level = 1;
-  options.remotes = {{"127.0.0.1", dead_port}};
-  options.degrade = false;
-  SnapshotStore store{temp_path("socket_lost.snap")};
-  store.remove();
-  FleetReport report;
-  try {
-    (void)run_adversary_fleet(factory_for(delta), delta, store, options,
-                              &report);
-    FAIL() << "expected WorkerLost";
-  } catch (const WorkerLost& e) {
-    EXPECT_EQ(e.incident_kind(), "connect");
-  }
-  EXPECT_EQ(report.status, RunStatus::kWorkerLost);
-  EXPECT_EQ(report.transport, "socket");
-  store.remove();
-}
-
-TEST(SocketFleet, WrongJobDaemonIsAHandshakeIncidentThenDegrades) {
-  const int delta = 4;
-  const std::string reference = reference_bytes(delta);
-  // A live daemon serving a *different* delta: the fingerprints differ, so
-  // every connect ends in a typed handshake rejection, never sharded work.
-  DaemonGuard foreign(delta + 1);
-
-  FleetOptions options;
-  options.workers = 1;
-  options.backoff_base_seconds = 0.001;
-  options.max_respawns_per_level = 1;
-  options.remotes = {foreign.endpoint()};
-  FleetReport report;
-  const std::string got =
-      fleet_bytes(delta, "socket_handshake.snap", options, &report);
-  EXPECT_EQ(got, reference);
-  EXPECT_EQ(report.transport, "pipe") << report.to_string();
-  ASSERT_FALSE(report.incidents.empty());
-  EXPECT_EQ(report.incidents.front().kind, "handshake")
-      << report.incidents.front().to_string();
-}
-
-TEST(SocketFleet, SilentPeerIsAStaleHeartbeatIncident) {
-  const int delta = 4;
-  // A fake daemon that answers the handshake and then stops breathing: no
-  // heartbeats, no replies. The coordinator must classify the worker as
-  // stale within the staleness window, not wait out the reply deadline.
-  net::Listener listener = net::Listener::on("127.0.0.1", 0);
-  const int port = listener.port();
-  std::thread fake_peer([&listener, delta] {
-    std::optional<net::FrameChannel> peer =
-        listener.accept_channel(Deadline::in(10.0));
-    if (!peer.has_value()) return;
-    net::server_handshake(*peer, fleet_fingerprint(delta, "SeqColorPacking"),
-                          Deadline::in(10.0));
-    // Swallow requests silently until the coordinator hangs up.
-    while (peer->recv(Deadline::in(10.0)).frame.status ==
-           ipc::FrameStatus::kOk) {
-    }
-  });
-
-  FleetOptions options;
-  options.workers = 1;
-  options.max_respawns_per_level = 0;  // first incident is fatal
-  options.remotes = {{"127.0.0.1", port}};
-  options.stale_after_seconds = 0.1;
-  options.reply_deadline_seconds = 60.0;  // far beyond the stale window
-  options.degrade = false;
-  SnapshotStore store{temp_path("socket_stale.snap")};
-  store.remove();
-  FleetReport report;
-  const Deadline guard = Deadline::in(30.0);
-  try {
-    (void)run_adversary_fleet(factory_for(delta), delta, store, options,
-                              &report);
-    FAIL() << "expected WorkerLost";
-  } catch (const WorkerLost& e) {
-    EXPECT_EQ(e.incident_kind(), "stale-heartbeat") << e.what();
-  }
-  EXPECT_FALSE(guard.expired()) << "stale detection waited out the deadline";
-  EXPECT_EQ(report.status, RunStatus::kWorkerLost);
-  fake_peer.join();
-  store.remove();
-}
-
-TEST(SocketFleet, FingerprintSeparatesJobs) {
-  EXPECT_NE(fleet_fingerprint(4, "SeqColorPacking"),
-            fleet_fingerprint(5, "SeqColorPacking"));
-  EXPECT_NE(fleet_fingerprint(4, "SeqColorPacking"),
-            fleet_fingerprint(4, "other-algorithm"));
-  EXPECT_EQ(fleet_fingerprint(6, "a"), fleet_fingerprint(6, "a"));
 }
 
 }  // namespace

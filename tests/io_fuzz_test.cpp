@@ -30,7 +30,6 @@
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
@@ -243,62 +242,7 @@ TEST(IoFuzz, CertificateTruncationSweep) {
   EXPECT_EQ(parsed, 1);  // exactly the cut through the final newline
 }
 
-// The snapshot loader's contract under the same sweep is stronger: never
-// throw, always hand back a valid prefix chain plus a RecoveryReport (the
-// deeper sweep incl. content checks lives in snapshot_store_test.cpp).
-TEST(IoFuzz, SnapshotTruncationSweep) {
-  SeqColorPacking alg{4};
-  LowerBoundCertificate chain = run_adversary(alg, 4);
-  const std::string full = SnapshotStore::serialize(chain);
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "io_fuzz.snap").string();
-  SnapshotStore store{path};
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    write_file_atomic(path, full.substr(0, cut));
-    RecoveryReport report;
-    LowerBoundCertificate loaded = store.load(&report);
-    EXPECT_TRUE(report.file_found);
-    EXPECT_LE(loaded.levels.size(), chain.levels.size());
-    // Only the full file — modulo the optional final newline — may report a
-    // complete snapshot.
-    EXPECT_EQ(report.complete, cut + 1 >= full.size()) << "cut at byte " << cut;
-  }
-  store.remove();
-}
-
-// --- interleaved-record corruption ----------------------------------------
-
-// A serialized snapshot taken apart at record granularity, so tests can
-// reassemble it with records flipped, duplicated or swapped.
-struct SnapshotParts {
-  std::string header;                // the three header lines
-  std::vector<std::string> records;  // each "record ..." line + its payload
-  std::string trailer;               // the "end <count>" line
-};
-
-SnapshotParts split_snapshot(const std::string& full) {
-  SnapshotParts parts;
-  std::size_t pos = 0;
-  const auto take_line = [&] {
-    const std::size_t nl = full.find('\n', pos);
-    EXPECT_NE(nl, std::string::npos);
-    std::string line = full.substr(pos, nl - pos + 1);
-    pos = nl + 1;
-    return line;
-  };
-  for (int i = 0; i < 3; ++i) parts.header += take_line();
-  while (pos < full.size() && full.compare(pos, 7, "record ") == 0) {
-    std::string block = take_line();
-    std::istringstream hs{block};
-    std::string tag;
-    long long index = 0, lines = 0;
-    hs >> tag >> index >> lines;
-    for (long long i = 0; i < lines; ++i) block += take_line();
-    parts.records.push_back(std::move(block));
-  }
-  parts.trailer = full.substr(pos);
-  return parts;
-}
+// --- certificate-log damage sweeps ----------------------------------------
 
 // The loader's degradation contract: whatever it salvages must be a byte
 // -exact prefix of the clean chain's levels — never reordered, never
@@ -314,102 +258,10 @@ void expect_clean_prefix(const LowerBoundCertificate& loaded,
   }
 }
 
-// Byte flips anywhere in the record region (headers, payloads, checksums,
-// the trailer): load() must never throw and must salvage a clean prefix —
-// a flipped payload byte is always caught by the record checksum.
-TEST(IoFuzz, SnapshotMidFileByteFlipsSalvageACleanPrefix) {
-  SeqColorPacking alg{5};
-  LowerBoundCertificate chain = run_adversary(alg, 5);
-  const std::string full = SnapshotStore::serialize(chain);
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "io_flip.snap").string();
-  SnapshotStore store{path};
-  const std::size_t body = full.find("record ");
-  ASSERT_NE(body, std::string::npos);
-  Rng rng{20250806};
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string text = full;
-    const std::size_t at = body + rng.next_below(full.size() - body);
-    char flipped = static_cast<char>(' ' + rng.next_below(95));
-    if (flipped == text[at]) flipped = '#';
-    text[at] = flipped;
-    write_file_atomic(path, text);
-    RecoveryReport report;
-    LowerBoundCertificate loaded = store.load(&report);  // must not throw
-    EXPECT_TRUE(report.file_found);
-    expect_clean_prefix(loaded, chain);
-  }
-  store.remove();
-}
-
-// A duplicated record re-announces an index the loader already consumed:
-// everything up to and including the original must load, the duplicate and
-// the tail behind it must be dropped.
-TEST(IoFuzz, SnapshotDuplicatedRecordDropsAtTheDuplicate) {
-  SeqColorPacking alg{5};
-  LowerBoundCertificate chain = run_adversary(alg, 5);
-  const SnapshotParts parts = split_snapshot(SnapshotStore::serialize(chain));
-  ASSERT_GE(parts.records.size(), 3u);
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "io_dup.snap").string();
-  SnapshotStore store{path};
-  for (std::size_t k = 0; k < parts.records.size(); ++k) {
-    SCOPED_TRACE("duplicated record " + std::to_string(k));
-    std::string text = parts.header;
-    for (std::size_t i = 0; i <= k; ++i) text += parts.records[i];
-    text += parts.records[k];  // the duplicate
-    for (std::size_t i = k + 1; i < parts.records.size(); ++i) {
-      text += parts.records[i];
-    }
-    text += parts.trailer;
-    write_file_atomic(path, text);
-    RecoveryReport report;
-    LowerBoundCertificate loaded = store.load(&report);
-    EXPECT_FALSE(report.complete);
-    EXPECT_EQ(loaded.levels.size(), k + 1);
-    EXPECT_NE(report.drop_reason.find("record header"), std::string::npos)
-        << report.to_string();
-    expect_clean_prefix(loaded, chain);
-  }
-  store.remove();
-}
-
-// Swapping two adjacent records puts a later index first: the loader must
-// stop right there and keep only the records before the swap.
-TEST(IoFuzz, SnapshotSwappedRecordsDropAtTheFirstOutOfOrder) {
-  SeqColorPacking alg{5};
-  LowerBoundCertificate chain = run_adversary(alg, 5);
-  const SnapshotParts parts = split_snapshot(SnapshotStore::serialize(chain));
-  ASSERT_GE(parts.records.size(), 3u);
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "io_swap.snap").string();
-  SnapshotStore store{path};
-  for (std::size_t k = 0; k + 1 < parts.records.size(); ++k) {
-    SCOPED_TRACE("swapped records " + std::to_string(k) + "," +
-                 std::to_string(k + 1));
-    std::string text = parts.header;
-    for (std::size_t i = 0; i < parts.records.size(); ++i) {
-      const std::size_t j = (i == k) ? k + 1 : (i == k + 1) ? k : i;
-      text += parts.records[j];
-    }
-    text += parts.trailer;
-    write_file_atomic(path, text);
-    RecoveryReport report;
-    LowerBoundCertificate loaded = store.load(&report);
-    EXPECT_FALSE(report.complete);
-    EXPECT_EQ(loaded.levels.size(), k);
-    expect_clean_prefix(loaded, chain);
-  }
-  store.remove();
-}
-
-// --- certificate-log damage sweeps ----------------------------------------
-
-// The append-only certificate log (recover/cert_log) makes a stronger
-// promise than the snapshot store: every corruption lands in the *typed*
-// damage taxonomy — kTornTail is repaired, everything else rejects the
-// artefact — and load() never throws, never invents levels, never returns
-// anything but a byte-exact prefix of the clean chain.
+// The append-only certificate log (recover/cert_log): every corruption
+// lands in the *typed* damage taxonomy — kTornTail is repaired, everything
+// else rejects the artefact — and load() never throws, never invents
+// levels, never returns anything but a byte-exact prefix of the clean chain.
 
 struct CertLogFixture {
   LowerBoundCertificate chain;
@@ -857,22 +709,6 @@ std::string legacy_cert_log(const LowerBoundCertificate& chain) {
   return text;
 }
 
-std::string legacy_snapshot(const LowerBoundCertificate& chain) {
-  std::ostringstream os;
-  os << "ldlb-snapshot 1\n";
-  os << "delta " << chain.delta << "\n";
-  os << "algorithm "
-     << (chain.algorithm_name.empty() ? "-" : chain.algorithm_name) << "\n";
-  for (std::size_t i = 0; i < chain.levels.size(); ++i) {
-    const std::string payload = legacy_level(chain.levels[i]);
-    os << "record " << i << " " << count_lines(payload) << " "
-       << checksum_to_hex(fnv1a_64(payload)) << "\n"
-       << payload;
-  }
-  os << "end " << chain.levels.size() << "\n";
-  return os.str();
-}
-
 std::string legacy_run_reply(long long id, const FractionalMatching& y) {
   std::ostringstream os;
   os << "ok " << id << " " << y.edge_count() << "\n";
@@ -1231,7 +1067,6 @@ void expect_same_bytes(const LowerBoundCertificate& chain) {
   }
   EXPECT_EQ(certificate_to_string(chain), legacy_certificate(chain));
   EXPECT_EQ(CertificateLog::serialize(chain), legacy_cert_log(chain));
-  EXPECT_EQ(SnapshotStore::serialize(chain), legacy_snapshot(chain));
 }
 
 TEST(TextCodec, WritersMatchTheReferenceOnEveryChainLevel) {

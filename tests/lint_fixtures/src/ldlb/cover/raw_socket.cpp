@@ -1,4 +1,4 @@
-// Fixture: raw-socket — a bare socket(2) outside the audited net module.
+// Fixture: raw-socket — a bare socket(2); no library file may open one.
 #include <sys/socket.h>
 
 namespace ldlb {

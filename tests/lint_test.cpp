@@ -128,9 +128,11 @@ TEST(LintRules, IpcIsExemptFromRawProcess) {
                   .empty());
 }
 
-TEST(LintRules, NetIsExemptFromRawSocket) {
+TEST(LintRules, RawSocketIsRejectedEverywhere) {
   const std::string source = "int fd = socket(AF_INET, SOCK_STREAM, 0);\n";
-  EXPECT_TRUE(lint_core_snippet("src/ldlb/util/net.cpp", source).empty());
+  // No module is exempt: the library opens no sockets at all.
+  EXPECT_EQ(lint_core_snippet("src/ldlb/util/net.cpp", source).size(), 1u);
+  EXPECT_EQ(lint_core_snippet("src/ldlb/util/ipc.cpp", source).size(), 1u);
   EXPECT_EQ(lint_core_snippet("src/ldlb/fault/x.cpp", source).size(), 1u);
   // Wrapper names containing the tokens are not raw calls, and the project
   // method FaultPlan::bind() is not the bind(2) syscall — only a

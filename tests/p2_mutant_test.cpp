@@ -38,7 +38,7 @@
 #include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/snapshot_store.hpp"
+#include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/ipc.hpp"
 #include "ldlb/util/line_reader.hpp"
 
@@ -249,15 +249,14 @@ TEST(P2OneLoopShort, ResumeRecomputesALevelThatFailsOnlyP2) {
               v.weights_match_stored);
 
   for (int workers : {0, 2}) {
-    SnapshotStore store{temp_path("p2_resume.snap")};
-    store.remove();
-    store.save(stored);
+    CertificateLog log{temp_path("p2_resume.ldcl")};
+    write_file_atomic(log.path(), CertificateLog::serialize(stored));
     FleetOptions options;
     options.workers = workers;
     FleetReport report;
     const LowerBoundCertificate got = run_adversary_fleet(
-        factory_for("seq", delta), delta, store, options, &report);
-    store.remove();
+        factory_for("seq", delta), delta, log, options, &report);
+    log.remove();
     EXPECT_EQ(report.resume.loaded_levels, delta - 1) << workers;
     EXPECT_EQ(report.resume.trusted_levels, 1) << workers;
     EXPECT_EQ(certificate_to_string(got), certificate_to_string(reference))

@@ -1,13 +1,16 @@
-// Tests for the utility layer: deterministic RNG, contract macros, and the
-// 128-bit FNV-1a that checksums every certificate-log record.
+// Tests for the utility layer: deterministic RNG, contract macros, the
+// FNV-1a checksums (the 128-bit one checksums every certificate-log
+// record) and their hex renderings, and atomic-file error reporting.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
+#include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/checksum.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/util/rng.hpp"
@@ -180,6 +183,25 @@ TEST(Checksum128, NoCollisionsAcrossManyShortInputs) {
     hexes.insert(checksum_to_hex(fnv1a_128(bytes)));
   }
   EXPECT_EQ(hexes.size(), 100000u);
+}
+
+TEST(Checksum, ChecksumHexHelpersRoundTrip) {
+  const std::uint64_t h = fnv1a_64("ldlb-snapshot");
+  std::uint64_t back = 0;
+  ASSERT_TRUE(checksum_from_hex(checksum_to_hex(h), back));
+  EXPECT_EQ(back, h);
+  EXPECT_FALSE(checksum_from_hex("short", back));
+  EXPECT_FALSE(checksum_from_hex("00000000DEADBEEF", back));  // upper case
+  EXPECT_EQ(checksum_to_hex(0), "0000000000000000");
+}
+
+TEST(AtomicFile, WriteToUnwritableDirectoryThrowsIoError) {
+  EXPECT_THROW(write_file_atomic("/nonexistent-dir/x/y.snap", "content"),
+               IoError);
+  const std::string missing =
+      (std::filesystem::path(::testing::TempDir()) / "does_not_exist.bin")
+          .string();
+  EXPECT_THROW((void)read_file(missing), IoError);
 }
 
 }  // namespace

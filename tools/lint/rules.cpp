@@ -163,13 +163,13 @@ std::vector<Rule> build_rules() {
     r.name = "raw-socket";
     r.prefix = "raw socket syscall ";
     r.suffix =
-        " outside util/net; open, connect and configure sockets through "
-        "the net module so framing, deadlines and fault injection stay in "
-        "one audited place";
+        " in the library; it opens no sockets — fleet workers talk over "
+        "util/ipc pipes, where framing, deadlines and process control are "
+        "audited in one place";
     r.patterns = {
         pat(R"(\bsocket\s*\()", "socket("),
         // FaultPlan::bind() is a project method, so the syscall must be
-        // ::-qualified to count (matching how util/net calls it).
+        // ::-qualified to count.
         pat(R"((^|[^\w])::bind\s*\()", "bind("),
         pat(R"(\blisten\s*\()", "listen("),
         pat(R"(\baccept4?\s*\()", "accept("),
@@ -177,7 +177,6 @@ std::vector<Rule> build_rules() {
         pat(R"(\bgetsockname\s*\()", "getsockname("),
         pat(R"(\bsetsockopt\s*\()", "setsockopt("),
     };
-    for (auto& p : r.patterns) p.excludes = {"util/net."};
     rules.push_back(std::move(r));
   }
 
