@@ -108,11 +108,39 @@ run_fleet_determinism() {
   rm -rf "$tmp"
 }
 
+# Writes $1 (a classic certificate) to $2 with one non-loop edge of level 2's
+# G recoloured to the colour of an edge it shares an endpoint with: a
+# well-formed certificate whose G is not properly coloured.
+clash_level2_g() {
+  awk '
+    NR != FNR && FNR == 1 {
+      for (i = 1; i <= n && !t; i++) {
+        if (u[i] == v[i]) continue
+        for (j = 1; j <= n; j++) {
+          if (j != i && (u[j] == u[i] || v[j] == u[i] || u[j] == v[i] ||
+                         v[j] == v[i])) { t = i; col = c[j]; break }
+        }
+      }
+      lv = ""; side = ""
+    }
+    $1 == "level" { lv = $2; side = "" }
+    $1 == "g" || $1 == "h" { side = $1; k = 0 }
+    lv == 2 && side == "g" && $1 == "e" {
+      k++
+      if (NR == FNR) { u[k] = $2; v[k] = $3; c[k] = $4; n = k }
+      else if (k == t) $4 = col
+    }
+    NR != FNR { print }
+  ' "$1" "$1" > "$2"
+}
+
 # Certificate-log streaming gate: one Δ=20 chain into the append-only log,
 # validated with the bounded-memory streaming validator (peak RSS pinned
 # below the fully-resident validator's with a 5% margin), format round-trips
-# byte-compared, a torn tail resumed to the byte-identical log, and the
-# env-fault injection paths pinned to the documented exit code 5.
+# byte-compared, a torn tail resumed to the byte-identical log, the
+# env-fault injection paths pinned to the documented exit code 5, an
+# improperly coloured level reported INVALID (never an error), and the
+# reader's token-path fallback (CRLF, double spaces) exercised from the CLI.
 run_certlog_stream() {
   local dir="$1" tool="$1/examples/certificate_tool"
   local fleet="$1/tools/fleet/ldlb_fleet"
@@ -165,6 +193,40 @@ run_certlog_stream() {
   # rerun repairs: the rerun starts fresh and the log then verifies.
   "$tool" generate --log 6 seq "$tmp/f.log" > /dev/null
   "$tool" verify --stream 6 seq "$tmp/f.log" > /dev/null
+  # A level-2 G edge recoloured to clash with a neighbour: both validators
+  # report the certificate INVALID and print no error.
+  "$tool" convert "$tmp/f.log" "$tmp/f.txt" > /dev/null
+  clash_level2_g "$tmp/f.txt" "$tmp/clash.txt"
+  if cmp -s "$tmp/f.txt" "$tmp/clash.txt"; then
+    echo "colour-clash mutant: no level-2 G edge was recoloured" >&2
+    exit 1
+  fi
+  "$tool" convert "$tmp/clash.txt" "$tmp/clash.log" > /dev/null
+  local mode
+  for mode in stream resident; do
+    rc=0
+    if [ "$mode" = stream ]; then
+      "$tool" verify --stream 6 seq "$tmp/clash.log" > "$tmp/clash.out" \
+        2> "$tmp/clash.err" || rc=$?
+    else
+      "$tool" validate 6 seq "$tmp/clash.txt" > "$tmp/clash.out" \
+        2> "$tmp/clash.err" || rc=$?
+    fi
+    if [ "$rc" -ne 1 ] || ! grep -q "certificate INVALID" "$tmp/clash.out" ||
+       grep -q "error:" "$tmp/clash.out" "$tmp/clash.err"; then
+      echo "colour-clash mutant ($mode): expected 'certificate INVALID'" \
+        "and no error, got exit $rc" >&2
+      cat "$tmp/clash.out" "$tmp/clash.err" >&2
+      exit 1
+    fi
+  done
+  # Spellings only the token path reads: CRLF line ends, double spaces.
+  sed 's/$/\r/' "$tmp/f.txt" > "$tmp/crlf.txt"
+  sed 's/ /  /g' "$tmp/f.txt" > "$tmp/spaced.txt"
+  for mode in crlf spaced; do
+    "$tool" validate 6 seq "$tmp/$mode.txt" > "$tmp/$mode.out"
+    grep -q "certificate VALID" "$tmp/$mode.out"
+  done
   rm -rf "$tmp"
 }
 

@@ -65,8 +65,12 @@ std::vector<LevelValidation> validate_certificate(
       // P1, decided from the two stored graphs alone.
       v.balls_isomorphic =
           balls_isomorphic(lv.g, lv.g_node, lv.h, lv.h_node, lv.level);
-
-      // Independent re-execution of the algorithm on both graphs.
+    }
+    // Independent re-execution of the algorithm on both graphs. An EC
+    // algorithm is defined only on properly coloured graphs (run_ec's
+    // precondition), so an improperly coloured stored graph — already
+    // reported through degree_ok — leaves both output fields false.
+    if (v.witness_loops_ok && coloured) {
       RunResult run_g = run_ec(lv.g, algorithm, round_budget(cert.delta));
       RunResult run_h = run_ec(lv.h, algorithm, round_budget(cert.delta));
       const Rational& wg = run_g.matching.weight(lv.g_loop);

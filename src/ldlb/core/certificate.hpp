@@ -68,7 +68,10 @@ struct LevelValidation {
   bool loopy_ok = false;
   bool witness_loops_ok = false; ///< stored loops exist, colour c, at g_i/h_i
   bool balls_isomorphic = false; ///< τ_i(G_i,g_i) ≅ τ_i(H_i,h_i)
-  bool outputs_differ = false;   ///< re-run weights differ on the witness loops
+  /// Re-run weights differ on the witness loops. The algorithm is re-run
+  /// only on properly coloured graphs, so this and weights_match_stored
+  /// are false when degree_ok fails on the colouring.
+  bool outputs_differ = false;
   bool weights_match_stored = false;  ///< re-run weights equal stored ones
 
   [[nodiscard]] bool ok() const {

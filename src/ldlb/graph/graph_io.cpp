@@ -13,29 +13,27 @@ namespace {
 
 constexpr long long kMaxId = std::numeric_limits<NodeId>::max();
 
-NodeId read_endpoint(LineReader& r, const char* what, NodeId nodes) {
-  return static_cast<NodeId>(r.integer(what, 0, nodes - 1));
-}
-
-Color read_color(LineReader& r) {
-  return static_cast<Color>(r.integer("colour", kUncoloured, kMaxId));
-}
-
 Multigraph read_multigraph_body(LineReader& r) {
   r.expect("multigraph", "header");
   const NodeId nodes = static_cast<NodeId>(r.integer("node count", 0, kMaxId));
   const EdgeId edges = static_cast<EdgeId>(r.integer("edge count", 0, kMaxId));
   Multigraph g(nodes);
+  g.reserve_edges(static_cast<EdgeId>(r.edge_capacity(edges)));
   for (EdgeId e = 0; e < edges; ++e) {
-    const std::string_view tag = r.token("edge line");
-    if (tag != "e") {
-      r.fail(tag == "multigraph" ? "duplicated header inside edge list"
-                                 : "expected edge line 'e <u> <v> <colour>'",
-             tag);
+    EdgeLine ed;
+    if (!r.edge_line('e', nodes - 1, kMaxId, ed)) {
+      const std::string_view tag = r.token("edge line");
+      if (tag != "e") {
+        r.fail(tag == "multigraph" ? "duplicated header inside edge list"
+                                   : "expected edge line 'e <u> <v> <colour>'",
+               tag);
+      }
+      ed.u = r.integer("edge endpoint u", 0, nodes - 1);
+      ed.v = r.integer("edge endpoint v", 0, nodes - 1);
+      ed.colour = r.integer("colour", kUncoloured, kMaxId);
     }
-    NodeId u = read_endpoint(r, "edge endpoint u", nodes);
-    NodeId v = read_endpoint(r, "edge endpoint v", nodes);
-    g.add_edge(u, v, read_color(r));
+    g.add_edge(static_cast<NodeId>(ed.u), static_cast<NodeId>(ed.v),
+               static_cast<Color>(ed.colour));
   }
   return g;
 }
@@ -45,16 +43,23 @@ Digraph read_digraph_body(LineReader& r) {
   const NodeId nodes = static_cast<NodeId>(r.integer("node count", 0, kMaxId));
   const EdgeId arcs = static_cast<EdgeId>(r.integer("arc count", 0, kMaxId));
   Digraph g(nodes);
+  g.reserve_arcs(static_cast<EdgeId>(r.edge_capacity(arcs)));
   for (EdgeId a = 0; a < arcs; ++a) {
-    const std::string_view tag = r.token("arc line");
-    if (tag != "a") {
-      r.fail(tag == "digraph" ? "duplicated header inside arc list"
-                              : "expected arc line 'a <tail> <head> <colour>'",
-             tag);
+    EdgeLine arc;
+    if (!r.edge_line('a', nodes - 1, kMaxId, arc)) {
+      const std::string_view tag = r.token("arc line");
+      if (tag != "a") {
+        r.fail(tag == "digraph"
+                   ? "duplicated header inside arc list"
+                   : "expected arc line 'a <tail> <head> <colour>'",
+               tag);
+      }
+      arc.u = r.integer("arc tail", 0, nodes - 1);
+      arc.v = r.integer("arc head", 0, nodes - 1);
+      arc.colour = r.integer("colour", kUncoloured, kMaxId);
     }
-    NodeId t = read_endpoint(r, "arc tail", nodes);
-    NodeId h = read_endpoint(r, "arc head", nodes);
-    g.add_arc(t, h, read_color(r));
+    g.add_arc(static_cast<NodeId>(arc.u), static_cast<NodeId>(arc.v),
+              static_cast<Color>(arc.colour));
   }
   return g;
 }

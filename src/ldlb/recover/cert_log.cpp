@@ -1,10 +1,14 @@
 #include "ldlb/recover/cert_log.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "ldlb/core/certificate_io.hpp"
@@ -16,16 +20,18 @@ namespace ldlb {
 
 namespace {
 
-// Incremental line reader that never throws on malformed content (the
-// scanner's contract is to classify, not to reject) and tracks exactly what
-// torn-tail detection needs: byte offsets and whether the line the file
-// ends with carried its newline.
+// The log as the walk reads it: the file header and the record headers one
+// line at a time, and each record's payload in one read, into a buffer of
+// its own. Never throws on content (the walk classifies, it does not
+// reject); tracks what torn-tail detection needs: the line count, the byte
+// offset and whether the last line read carried its newline.
 struct LogScanner {
   std::istream& in;
   int line_no = 0;
   std::uint64_t offset = 0;  ///< bytes consumed so far
   std::string line;
   bool terminated = false;  ///< the line ended with '\n'
+  std::uint64_t size = 0;   ///< the file's length when opened
 
   bool next() {
     if (!std::getline(in, line)) return false;
@@ -35,6 +41,38 @@ struct LogScanner {
     terminated = !in.eof();
     offset += line.size() + (terminated ? 1 : 0);
     return true;
+  }
+
+  /// Reads up to `want` bytes into a buffer sized by what the file held
+  /// when opened — never more than `want`, never past the file's end — and
+  /// returns how many it read; fewer than `want` only at the end.
+  std::size_t read_payload(std::unique_ptr<char[]>& buf, std::uint64_t want) {
+    const auto cap = static_cast<std::size_t>(
+        std::min(want, size > offset ? size - offset : 0));
+    buf = std::make_unique_for_overwrite<char[]>(cap);
+    in.read(buf.get(), static_cast<std::streamsize>(cap));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    offset += got;
+    return got;
+  }
+
+  /// Consumes input through the `want`-th newline, or to the end, and
+  /// returns the newlines found. `open` says whether the line being
+  /// counted already has bytes; on return, whether the input ended inside
+  /// a line that has bytes.
+  std::uint64_t skip_lines(std::uint64_t want, bool& open) {
+    std::uint64_t found = 0;
+    while (found < want) {
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      if (in.gcount() == 0) break;
+      if (in.eof()) {  // the last line, without its newline
+        open = true;
+        break;
+      }
+      open = false;
+      ++found;
+    }
+    return found;
   }
 };
 
@@ -88,6 +126,12 @@ CertLogReport walk_log(const std::string& path,
   geom.file_found = true;
 
   LogScanner sc{in, 0, 0, {}, false};
+  if (in.seekg(0, std::ios::end)) {
+    sc.size = static_cast<std::uint64_t>(
+        std::max<std::streamoff>(in.tellg(), 0));
+    in.seekg(0);
+  }
+  in.clear();
 
   const auto classify = [&](LogDamage damage, int level, std::string why) {
     rep.damage = damage;
@@ -170,31 +214,46 @@ CertLogReport walk_log(const std::string& path,
       classify(LogDamage::kChainBreak, rep.levels_intact, why.str());
       break;
     }
-    std::string payload;
-    // Reserve from the length prefix, capped: a flipped `bytes` field must
-    // not provoke a huge allocation before the checksum rejects it.
-    payload.reserve(static_cast<std::size_t>(
-        bytes < (1LL << 20) ? bytes : (1LL << 20)));
-    bool torn = false;
-    for (long long i = 0; i < lines; ++i) {
-      if (!sc.next() || !sc.terminated) {
-        torn = true;
+    // The payload: `bytes` bytes read in one go (or what the file holds, if
+    // less), which must be exactly `lines` newline-terminated lines. When
+    // they are not, the lines decide as the line-by-line reading did: a
+    // file that ends before `lines` lines is a torn tail, and `lines` lines
+    // of another length are a byte-count flip.
+    std::unique_ptr<char[]> payload;
+    const std::uint64_t want_bytes = static_cast<std::uint64_t>(bytes);
+    const std::size_t got = sc.read_payload(payload, want_bytes);
+    const char* p = payload.get();
+    const char* const stop = p + got;
+    long long seen = 0;
+    while (seen < lines && p != stop) {
+      const char* const nl = static_cast<const char*>(
+          std::memchr(p, '\n', static_cast<std::size_t>(stop - p)));
+      if (nl == nullptr) break;
+      p = nl + 1;
+      ++seen;
+    }
+    const bool exact = seen == lines && p == stop && got == want_bytes;
+    if (seen < lines) {
+      bool open = p != stop;
+      if (got == want_bytes) {
+        seen += static_cast<long long>(
+            sc.skip_lines(static_cast<std::uint64_t>(lines - seen), open));
+      }
+      if (seen < lines) {
+        sc.line_no += static_cast<int>(seen) + (open ? 1 : 0);
+        classify(LogDamage::kTornTail, rep.levels_intact,
+                 "record payload truncated");
         break;
       }
-      payload += sc.line;
-      payload += '\n';
     }
-    if (torn) {
-      classify(LogDamage::kTornTail, rep.levels_intact,
-               "record payload truncated");
-      break;
-    }
-    if (static_cast<long long>(payload.size()) != bytes) {
+    sc.line_no += static_cast<int>(lines);
+    if (!exact) {
       classify(LogDamage::kBitFlip, rep.levels_intact,
                "record byte count disagrees with its payload");
       break;
     }
-    const Checksum128 self = fnv1a_128(payload);
+    const std::string_view text(payload.get(), got);
+    const Checksum128 self = fnv1a_128(text);
     if (self != want_self) {
       classify(LogDamage::kBitFlip, rep.levels_intact,
                "record payload fails its self checksum");
@@ -212,7 +271,7 @@ CertLogReport walk_log(const std::string& path,
     bool bad_record = false;
     CertificateLevel lv;
     try {
-      LineReader reader{std::string_view(payload)};
+      LineReader reader{text};
       lv = read_certificate_level(reader);
       if (!reader.at_end()) {
         classify(LogDamage::kBadRecord, rep.levels_intact,
@@ -231,7 +290,7 @@ CertLogReport walk_log(const std::string& path,
     // Free the text before the consumer runs: `on_level` may re-validate
     // the level (graphs, ball table), and the streaming-footprint promise
     // is O(one level), not O(one level + its text).
-    std::string().swap(payload);
+    payload.reset();
     if (bad_record) break;
     if (on_level) {
       CertLogRecordInfo info;

@@ -53,6 +53,19 @@
 // (plus per-record geometry, 32 bytes a level) — never the whole chain —
 // which is what lets a Δ=20 certificate be validated in a fraction of the
 // resident footprint (examples/certificate_tool `verify --stream`).
+//
+// The read path: after a record header, its payload is read in one go into
+// a buffer of its own, sized by the header's byte count but never past
+// what the file held when opened, so a lying count cannot provoke a large
+// allocation. memchr then checks that the bytes are exactly the header's
+// number of newline-terminated lines. When they are not, the lines decide
+// the damage exactly as reading line by line would: a file that ends first
+// is a torn tail, and that many lines of another length are a byte-count
+// flip. The payload is then checksummed and parsed in place (edge lines
+// through util/line_reader's one-pass decoder), and freed before the level
+// is handed on. Reports, damage lines and offsets are those of the
+// line-by-line walk this replaced, which tests/cert_log_test.cpp keeps as
+// its oracle.
 #pragma once
 
 #include <cstdint>

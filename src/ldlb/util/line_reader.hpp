@@ -1,6 +1,5 @@
 // The text codec behind every line-oriented format: graph_io, certificate_io,
-// the certificate log (recover/cert_log), the snapshot store and the fleet
-// wire protocol.
+// the certificate log (recover/cert_log) and the fleet wire protocol.
 //
 // Reading. LineReader splits its input into lines and whitespace-separated
 // tokens itself, so a parser can attribute every defect to a 1-based line
@@ -23,13 +22,24 @@
 // strtoll would have produced. A token is an integer only when all of it
 // converts — a NUL byte inside a token is an ordinary non-digit.
 //
+// Edge lines. Most of a certificate is edge (or arc) lines, and every
+// writer spells them "<tag> <u> <v> <colour>\n" with single spaces and
+// plain digits. edge_line() decodes such a line in one pass, without
+// splitting tokens; any other spelling — extra whitespace, a sign, a CR, a
+// value out of range, a line that is not an edge — is left untouched for the
+// token path, which accepts everything it accepted before and throws the
+// same ParseError. Callers try edge_line() first and fall back to token(),
+// so what a text parses to never depends on which path read it.
+//
 // Writing. append_int renders an integer with std::to_chars onto the end of
 // a std::string; the writers of every format append to one string this way
 // instead of going through an ostream.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
+#include <cstddef>
 #include <istream>
 #include <string>
 #include <string_view>
@@ -46,6 +56,13 @@ inline void append_int(std::string& out, long long value) {
   const auto result = std::to_chars(digits, digits + sizeof digits, value);
   out.append(digits, result.ptr);
 }
+
+/// The three integers of one edge (or arc) line.
+struct EdgeLine {
+  long long u = 0;
+  long long v = 0;
+  long long colour = 0;
+};
 
 class LineReader {
  public:
@@ -123,6 +140,59 @@ class LineReader {
     }
   }
 
+  /// Decodes the next line when it is exactly "<tag> <u> <v> <colour>" and
+  /// a newline (or, in stream mode, the end of the line), single-spaced,
+  /// with u and v plain digits in [0, max_endpoint] and colour plain digits
+  /// in [0, max_colour]. Runs only when the current line has no token left
+  /// and nothing is pushed back. Returns false, having consumed nothing the
+  /// token path would read differently, for any other input: the caller
+  /// then reads the item token by token, which accepts every other spelling
+  /// (and negative colours) or throws. A decoded value also satisfies any
+  /// lower bound <= 0 the token path would have checked.
+  bool edge_line(char tag, long long max_endpoint, long long max_colour,
+                 EdgeLine& out) {
+    if (!pushed_back_.empty()) return false;
+    while (cur_ != end_ && is_space(*cur_)) ++cur_;
+    if (cur_ != end_) return false;
+    if (is_ != nullptr) {
+      // The token path would read this line next anyway; on a mismatch it
+      // stays current and the token path splits it instead.
+      if (!next_line()) return false;
+      if (decode_edge(cur_, end_, tag, max_endpoint, max_colour, out) !=
+          end_) {
+        return false;
+      }
+      cur_ = end_;
+      return true;
+    }
+    const char* const first = rest_.data();
+    const char* const last = first + rest_.size();
+    const char* const nl =
+        decode_edge(first, last, tag, max_endpoint, max_colour, out);
+    if (nl == nullptr || nl == last || *nl != '\n') return false;
+    cur_ = end_ = nl;
+    rest_.remove_prefix(static_cast<std::size_t>(nl + 1 - first));
+    ++line_;
+    return true;
+  }
+
+  /// How many edge lines a count may reserve for: at most `count`, and at
+  /// most what the unread input can hold, each edge taking at least
+  /// "e 0 0 0" and a separator. In stream mode the unread input is what
+  /// the stream buffer reports available, which never exceeds what is left.
+  [[nodiscard]] std::size_t edge_capacity(long long count) const {
+    std::size_t unread = static_cast<std::size_t>(end_ - cur_);
+    if (is_ == nullptr) {
+      unread += rest_.size();
+    } else if (is_->rdbuf() != nullptr) {
+      const std::streamsize avail = is_->rdbuf()->in_avail();
+      if (avail > 0) unread += static_cast<std::size_t>(avail);
+    }
+    const std::size_t room = (unread + 1) / 8;
+    return count <= 0 ? 0
+                      : std::min(static_cast<std::size_t>(count), room);
+  }
+
   /// Line of the most recently read token (1-based; 0 before any read).
   [[nodiscard]] int line() const { return line_; }
 
@@ -161,6 +231,35 @@ class LineReader {
 
   static bool is_space(char ch) {
     return ch == ' ' || (ch >= '\t' && ch <= '\r');
+  }
+
+  // Plain digits at `p` (at most 10, so no overflow) with a value in
+  // [0, max]; the end of the digits, or nullptr.
+  static const char* decode_digits(const char* p, const char* last,
+                                   long long max, long long& value) {
+    const char* const stop = p + std::min<std::ptrdiff_t>(last - p, 10);
+    const char* q = p;
+    long long v = 0;
+    while (q != stop && *q >= '0' && *q <= '9') {
+      v = v * 10 + (*q - '0');
+      ++q;
+    }
+    if (q == p || v > max) return nullptr;
+    value = v;
+    return q;
+  }
+
+  // "<tag> <u> <v> <colour>" at the start of [p, last), single spaces and
+  // plain digits in range; one past the colour, or nullptr.
+  static const char* decode_edge(const char* p, const char* last, char tag,
+                                 long long max_endpoint, long long max_colour,
+                                 EdgeLine& out) {
+    if (last - p < 7 || p[0] != tag || p[1] != ' ') return nullptr;
+    p = decode_digits(p + 2, last, max_endpoint, out.u);
+    if (p == nullptr || p == last || *p != ' ') return nullptr;
+    p = decode_digits(p + 1, last, max_endpoint, out.v);
+    if (p == nullptr || p == last || *p != ' ') return nullptr;
+    return decode_digits(p + 1, last, max_colour, out.colour);
   }
 
   // Next token of the current line; false (line exhausted) when none.

@@ -1,7 +1,8 @@
 // The append-only streaming certificate log (recover/cert_log.hpp): exact
 // round-trips, O(one level) incremental appends, the typed damage taxonomy,
-// torn-tail recovery that resumes to byte-identical logs, and the
-// resumable engine checkpointing into it.
+// torn-tail recovery that resumes to byte-identical logs, the resumable
+// engine checkpointing into it, and the block-read walk checked field for
+// field against the line-by-line walk it replaced.
 #include "ldlb/recover/cert_log.hpp"
 
 #include <gtest/gtest.h>
@@ -14,10 +15,13 @@
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
 #include "ldlb/util/atomic_file.hpp"
+#include "ldlb/util/line_reader.hpp"
 
 namespace ldlb {
 namespace {
@@ -42,6 +46,307 @@ void spill(const std::string& path, const std::string& bytes) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
   out << bytes;
   ASSERT_TRUE(out.good());
+}
+
+// --- reference walk --------------------------------------------------------
+//
+// The line-by-line walk the block-read framer replaced (std::getline per
+// line, `payload += line`), kept as the oracle: the library's walk must
+// report every CertLogReport field and deliver every record exactly as it
+// did, on intact and damaged logs alike.
+
+struct LegacyScanner {
+  std::istream& in;
+  int line_no = 0;
+  std::uint64_t offset = 0;
+  std::string line;
+  bool terminated = false;
+
+  bool next() {
+    if (!std::getline(in, line)) return false;
+    ++line_no;
+    terminated = !in.eof();
+    offset += line.size() + (terminated ? 1 : 0);
+    return true;
+  }
+};
+
+bool legacy_fields(const std::string& line, const std::string& tag,
+                   std::initializer_list<long long*> fields,
+                   std::string* text_field = nullptr) {
+  std::istringstream ls{line};
+  std::string word;
+  if (!(ls >> word) || word != tag) return false;
+  if (text_field != nullptr) {
+    if (!(ls >> *text_field)) return false;
+  }
+  for (long long* f : fields) {
+    if (!(ls >> *f)) return false;
+  }
+  return !(ls >> word);
+}
+
+Checksum128 legacy_chain_step(long long index, const Checksum128& self,
+                              const Checksum128& previous) {
+  return fnv1a_128(std::to_string(index) + " " + checksum_to_hex(self),
+                   previous);
+}
+
+// What the reference walk saw: the report, and each delivered record's
+// geometry and payload text.
+struct LegacyWalk {
+  CertLogReport report;
+  std::vector<CertLogRecordInfo> records;
+  std::vector<std::string> payloads;
+};
+
+LegacyWalk legacy_walk(const std::string& path) {
+  LegacyWalk out;
+  CertLogReport& rep = out.report;
+  rep.path = path;
+  std::ifstream in{path, std::ios::binary};
+  if (!in) return out;
+  rep.file_found = true;
+  LegacyScanner sc{in, 0, 0, {}, false};
+  const auto classify = [&](LogDamage damage, int level, std::string why) {
+    rep.damage = damage;
+    rep.defect_level = level;
+    rep.defect_line = sc.line_no;
+    rep.detail = std::move(why);
+  };
+
+  long long version = 0, delta = 0;
+  std::string name, header_text;
+  const auto header_line = [&](auto parse) -> int {
+    if (!sc.next() || !sc.terminated) return 1;
+    if (!parse()) return 2;
+    header_text += sc.line + '\n';
+    return 0;
+  };
+  int header = header_line([&] {
+    return legacy_fields(sc.line, "ldlb-cert-log", {&version}) && version == 1;
+  });
+  if (header == 0) {
+    header = header_line([&] {
+      return legacy_fields(sc.line, "delta", {&delta}) && delta >= 0;
+    });
+  }
+  if (header == 0) {
+    header = header_line(
+        [&] { return legacy_fields(sc.line, "algorithm", {}, &name); });
+  }
+  if (header == 1) {
+    classify(LogDamage::kTornTail, -1, "file ends inside the header");
+    return out;
+  }
+  if (header == 2) {
+    classify(LogDamage::kBadHeader, -1, "malformed header line");
+    return out;
+  }
+  rep.valid_bytes = sc.offset;
+
+  Checksum128 chain = fnv1a_128(header_text);
+  for (;;) {
+    const std::uint64_t record_offset = sc.offset;
+    if (!sc.next()) break;
+    if (!sc.terminated) {
+      classify(LogDamage::kTornTail, rep.levels_intact,
+               "record header torn mid-line");
+      break;
+    }
+    long long index = 0, lines = 0, bytes = 0;
+    std::string self_hex, chain_hex, tag, extra;
+    std::istringstream ls{sc.line};
+    Checksum128 want_self, want_chain;
+    if (!(ls >> tag) || tag != "record" ||
+        !(ls >> index >> lines >> bytes >> self_hex >> chain_hex) ||
+        (ls >> extra) || index < 0 || lines <= 0 || bytes <= 0 ||
+        !checksum_from_hex(self_hex, want_self) ||
+        !checksum_from_hex(chain_hex, want_chain)) {
+      classify(LogDamage::kBitFlip, rep.levels_intact,
+               "malformed record header");
+      break;
+    }
+    if (index != rep.levels_intact) {
+      classify(LogDamage::kChainBreak, rep.levels_intact,
+               "record index out of sequence (found " + std::to_string(index) +
+                   ", expected " + std::to_string(rep.levels_intact) + ")");
+      break;
+    }
+    std::string payload;
+    bool torn = false;
+    for (long long i = 0; i < lines; ++i) {
+      if (!sc.next() || !sc.terminated) {
+        torn = true;
+        break;
+      }
+      payload += sc.line + '\n';
+    }
+    if (torn) {
+      classify(LogDamage::kTornTail, rep.levels_intact,
+               "record payload truncated");
+      break;
+    }
+    if (static_cast<long long>(payload.size()) != bytes) {
+      classify(LogDamage::kBitFlip, rep.levels_intact,
+               "record byte count disagrees with its payload");
+      break;
+    }
+    const Checksum128 self = fnv1a_128(payload);
+    if (self != want_self) {
+      classify(LogDamage::kBitFlip, rep.levels_intact,
+               "record payload fails its self checksum");
+      break;
+    }
+    const Checksum128 next_chain = legacy_chain_step(index, self, chain);
+    if (next_chain != want_chain) {
+      classify(LogDamage::kChainBreak, rep.levels_intact,
+               "record chain checksum disagrees with its predecessor");
+      break;
+    }
+    try {
+      std::istringstream is{payload};
+      LineReader reader{is};
+      const CertificateLevel lv = read_certificate_level(reader);
+      if (!reader.at_end()) {
+        classify(LogDamage::kBadRecord, rep.levels_intact,
+                 "record payload has trailing content");
+        break;
+      }
+      if (lv.level != index) {
+        classify(LogDamage::kBadRecord, rep.levels_intact,
+                 "payload level index disagrees with the record index");
+        break;
+      }
+    } catch (const ParseError& e) {
+      classify(LogDamage::kBadRecord, rep.levels_intact,
+               std::string("checksum-valid payload unparsable: ") + e.what());
+      break;
+    }
+    CertLogRecordInfo info;
+    info.index = static_cast<int>(index);
+    info.payload_lines = static_cast<int>(lines);
+    info.payload_bytes = static_cast<std::uint64_t>(bytes);
+    info.offset = record_offset;
+    info.self = self;
+    info.chain = next_chain;
+    out.records.push_back(info);
+    out.payloads.push_back(std::move(payload));
+    chain = next_chain;
+    rep.valid_bytes = sc.offset;
+    ++rep.levels_intact;
+  }
+  return out;
+}
+
+void expect_same_report(const CertLogReport& got, const CertLogReport& want,
+                        const std::string& at) {
+  EXPECT_EQ(got.path, want.path) << at;
+  EXPECT_EQ(got.file_found, want.file_found) << at;
+  EXPECT_EQ(got.damage, want.damage) << at;
+  EXPECT_EQ(got.levels_intact, want.levels_intact) << at;
+  EXPECT_EQ(got.defect_level, want.defect_level) << at;
+  EXPECT_EQ(got.defect_line, want.defect_line) << at;
+  EXPECT_EQ(got.valid_bytes, want.valid_bytes) << at;
+  EXPECT_EQ(got.detail, want.detail) << at;
+}
+
+// Writes `bytes` to `path` and checks every reader of the library against
+// the reference walk: inspect (report and record geometry), scan (report)
+// and load (recovery report and, when recoverable, every level).
+void expect_walk_like_reference(const std::string& path,
+                                 const std::string& bytes,
+                                 const std::string& at) {
+  spill(path, bytes);
+  const LegacyWalk want = legacy_walk(path);
+
+  std::vector<CertLogRecordInfo> records;
+  const CertLogReport inspected = inspect_certificate_log(
+      path, [&](const CertLogRecordInfo& info) { records.push_back(info); });
+  expect_same_report(inspected, want.report, at + " (inspect)");
+  ASSERT_EQ(records.size(), want.records.size()) << at;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const CertLogRecordInfo& g = records[i];
+    const CertLogRecordInfo& w = want.records[i];
+    EXPECT_TRUE(g.index == w.index && g.payload_lines == w.payload_lines &&
+                g.payload_bytes == w.payload_bytes && g.offset == w.offset &&
+                g.self == w.self && g.chain == w.chain)
+        << at << " record " << i;
+  }
+
+  CertificateLog log{path};
+  expect_same_report(log.scan(), want.report, at + " (scan)");
+  RecoveryReport recovery;
+  const LowerBoundCertificate loaded = log.load(&recovery);
+  EXPECT_EQ(recovery.levels_loaded, static_cast<int>(loaded.levels.size()))
+      << at;
+  EXPECT_EQ(recovery.drop_line, want.report.defect_line) << at;
+  EXPECT_EQ(recovery.complete, want.report.file_found &&
+                                   want.report.damage == LogDamage::kNone)
+      << at;
+  if (!want.report.recoverable()) {
+    EXPECT_TRUE(loaded.levels.empty()) << at;
+    return;
+  }
+  ASSERT_EQ(loaded.levels.size(), want.payloads.size()) << at;
+  for (std::size_t i = 0; i < loaded.levels.size(); ++i) {
+    std::string text;
+    append_certificate_level(text, loaded.levels[i]);
+    EXPECT_EQ(text, want.payloads[i]) << at << " level " << i;
+  }
+}
+
+// Every truncation point, every single-byte flip, and every record header
+// with its `lines` or `bytes` field rewritten to ±1, 0 and 2^40.
+void sweep_walk(const LowerBoundCertificate& chain, const std::string& name) {
+  const std::string full = CertificateLog::serialize(chain);
+  const std::string path = temp_path(name);
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    expect_walk_like_reference(path, full.substr(0, cut),
+                               "cut at byte " + std::to_string(cut));
+  }
+  std::string flipped = full;
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    flipped[at] = static_cast<char>(full[at] ^ 0x01);
+    expect_walk_like_reference(path, flipped,
+                               "flip at byte " + std::to_string(at));
+    flipped[at] = full[at];
+  }
+  for (std::size_t start = full.find("record "); start != std::string::npos;
+       start = full.find("record ", start + 1)) {
+    if (start != 0 && full[start - 1] != '\n') continue;
+    const std::size_t end = full.find('\n', start);
+    std::istringstream fields{full.substr(start, end - start)};
+    std::vector<std::string> words;
+    for (std::string w; fields >> w;) words.push_back(w);
+    ASSERT_EQ(words.size(), 6u);
+    for (std::size_t field : {2u, 3u}) {  // lines, bytes
+      const long long value = std::stoll(words[field]);
+      for (long long lie : {value - 1, value + 1, 0LL, 1LL << 40}) {
+        std::vector<std::string> lied = words;
+        lied[field] = std::to_string(lie);
+        std::string header = lied[0];
+        for (std::size_t i = 1; i < lied.size(); ++i) header += " " + lied[i];
+        const std::string text =
+            full.substr(0, start) + header + full.substr(end);
+        expect_walk_like_reference(
+            path, text,
+            "record at byte " + std::to_string(start) +
+                (field == 2 ? " lines " : " bytes ") + std::to_string(lie));
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CertLogWalk, SeqDelta6MatchesTheLineByLineReference) {
+  sweep_walk(reference_chain(6), "walk_seq6.ldcl");
+}
+
+TEST(CertLogWalk, PoDelta5MatchesTheLineByLineReference) {
+  ProposalPacking proposal;
+  EcFromPo po{proposal};
+  sweep_walk(run_adversary(po, 5), "walk_po5.ldcl");
 }
 
 TEST(CertLog, RoundTripsAChainExactly) {

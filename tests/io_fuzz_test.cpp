@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -524,6 +525,85 @@ TEST(IoFuzz, UnconnectableNodeCountInALogIsABadRecord) {
   log.remove();
 }
 
+// A count of 2^31 - 1 edges (or arcs) followed by one edge line must fail as
+// a ParseError in both reader modes, without reserving for the count: the
+// reserve is bounded by what the unread input can hold.
+TEST(IoFuzz, LyingEdgeCountIsAParseErrorWithoutALargeAllocation) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string certificate =
+      "ldlb-certificate 1\ndelta 2\nalgorithm Test\nlevel 0\n"
+      "g 2 2147483647\ne 0 1 0\n";
+  const std::string multigraph = "multigraph 2 2147483647\ne 0 1 0\n";
+  const std::string digraph = "digraph 2 2147483647\na 0 1 0\n";
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{256} << 20);
+        int rejected = 0;
+        const auto expect_parse_error = [&](auto parse) {
+          try {
+            parse();
+          } catch (const ParseError&) {
+            ++rejected;
+          }
+        };
+        expect_parse_error([&] { (void)certificate_from_string(certificate); });
+        expect_parse_error([&] {
+          std::istringstream is{certificate};
+          (void)read_certificate(is);
+        });
+        expect_parse_error([&] { (void)multigraph_from_string(multigraph); });
+        expect_parse_error([&] {
+          std::istringstream is{multigraph};
+          (void)read_multigraph(is);
+        });
+        expect_parse_error([&] { (void)digraph_from_string(digraph); });
+        expect_parse_error([&] {
+          std::istringstream is{digraph};
+          (void)read_digraph(is);
+        });
+        std::exit(rejected == 6 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// A record header whose `bytes` field reads 2^40 is a byte-count flip, and
+// the payload buffer is sized by what the file holds, not by the field.
+TEST(IoFuzz, LyingPayloadByteCountIsABitFlipWithoutALargeAllocation) {
+  SeqColorPacking alg{5};
+  const std::string full = CertificateLog::serialize(run_adversary(alg, 5));
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "io_lying_bytes.log")
+          .string();
+  // The first record and the last, each with its bytes field replaced.
+  const std::size_t first = full.find("record 0 ");
+  const std::size_t last = full.rfind("\nrecord ") + 1;
+  for (const std::size_t at : {first, last}) {
+    std::istringstream fields{full.substr(at, full.find('\n', at) - at)};
+    std::string tag, index, lines, bytes, self, chain;
+    fields >> tag >> index >> lines >> bytes >> self >> chain;
+    const std::string header = tag + " " + index + " " + lines + " " +
+                               std::to_string(1LL << 40) + " " + self + " " +
+                               chain;
+    write_file_atomic(path, full.substr(0, at) + header +
+                                full.substr(full.find('\n', at)));
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+          cap_address_space(std::size_t{256} << 20);
+          CertificateLog log{path};
+          const CertLogReport report = log.scan();
+          std::exit(report.damage == LogDamage::kBitFlip &&
+                            report.detail ==
+                                "record byte count disagrees with its payload"
+                        ? 0
+                        : 1);
+        },
+        ::testing::ExitedWithCode(0), "")
+        << "record at byte " << at;
+  }
+  std::filesystem::remove(path);
+}
+
 // --- fleet run replies -----------------------------------------------------
 
 TEST(IoFuzz, RunReplyWeightListRoundTripsAndRejectsShortBodies) {
@@ -720,12 +800,21 @@ std::string legacy_run_reply(long long id, const FractionalMatching& y) {
 
 // One parse, recorded: every token and integer the grammar consumed, in
 // order, then success or the ParseError's line, token and message.
+// A parsed graph as the grammar read it: the node count and every edge
+// (or arc) line's three integers, in order.
+struct TracedGraph {
+  long long nodes = 0;
+  std::vector<std::array<long long, 3>> items;
+  friend bool operator==(const TracedGraph&, const TracedGraph&) = default;
+};
+
 struct ParseTrace {
   std::string items;  // each item followed by '\x01'
   bool ok = false;
   int line = 0;
   std::string token;
   std::string message;
+  std::vector<TracedGraph> graphs;  // every graph read, in order
   friend bool operator==(const ParseTrace&, const ParseTrace&) = default;
 };
 
@@ -734,8 +823,17 @@ std::ostream& operator<<(std::ostream& os, const ParseTrace& t) {
             << " items" << (t.ok ? ", ok" : ", failed: ") << t.message;
 }
 
-// kLevel is one level on its own, as a certificate-log record holds it.
-enum class Format { kCertificate, kLevel, kMultigraph, kDigraph };
+// kLevel is one level on its own, as a certificate-log record holds it. The
+// *Body formats stop after the last edge, as the stream readers do; the
+// others then require nothing but whitespace.
+enum class Format {
+  kCertificate,
+  kLevel,
+  kMultigraph,
+  kDigraph,
+  kMultigraphBody,
+  kDigraphBody
+};
 
 constexpr long long kMaxId = 2147483647;
 
@@ -788,14 +886,18 @@ class GrammarWalk {
     record(expected);
   }
 
-  // graph_io: a multigraph or digraph, then nothing but whitespace.
+  // graph_io: a multigraph or digraph, then (unless a *Body format)
+  // nothing but whitespace.
   void graph_file(Format format) {
-    const bool multi = format == Format::kMultigraph;
+    const bool multi =
+        format == Format::kMultigraph || format == Format::kMultigraphBody;
     const char* const header = multi ? "multigraph" : "digraph";
     expect(header, "header");
     const long long nodes = integer("node count", 0, kMaxId);
     const long long items =
         integer(multi ? "edge count" : "arc count", 0, kMaxId);
+    TracedGraph& g = trace_.graphs.emplace_back();
+    g.nodes = nodes;
     for (long long i = 0; i < items; ++i) {
       const auto tag = token(multi ? "edge line" : "arc line");
       if (tag != (multi ? "e" : "a")) {
@@ -805,11 +907,15 @@ class GrammarWalk {
                         : "expected arc line 'a <tail> <head> <colour>'",
                 tag);
       }
-      integer(multi ? "edge endpoint u" : "arc tail", 0, nodes - 1);
-      integer(multi ? "edge endpoint v" : "arc head", 0, nodes - 1);
-      integer("colour", -1, kMaxId);
+      const long long u =
+          integer(multi ? "edge endpoint u" : "arc tail", 0, nodes - 1);
+      const long long v =
+          integer(multi ? "edge endpoint v" : "arc head", 0, nodes - 1);
+      g.items.push_back({u, v, integer("colour", -1, kMaxId)});
     }
-    if (!r_.at_end()) r_.fail("trailing garbage after graph", r_.token("?"));
+    if (format == Format::kMultigraph || format == Format::kDigraph) {
+      if (!r_.at_end()) r_.fail("trailing garbage after graph", r_.token("?"));
+    }
   }
 
   // certificate_io: one G_i or H_i block; returns {nodes, edges}.
@@ -822,11 +928,13 @@ class GrammarWalk {
               "connected",
               std::to_string(nodes));
     }
+    TracedGraph& g = trace_.graphs.emplace_back();
+    g.nodes = nodes;
     for (long long e = 0; e < edges; ++e) {
       expect("e", "edge line");
-      integer("edge endpoint u", 0, nodes - 1);
-      integer("edge endpoint v", 0, nodes - 1);
-      integer("colour", -1, kMaxId);
+      const long long u = integer("edge endpoint u", 0, nodes - 1);
+      const long long v = integer("edge endpoint v", 0, nodes - 1);
+      g.items.push_back({u, v, integer("colour", -1, kMaxId)});
     }
     return {nodes, edges};
   }
@@ -876,12 +984,40 @@ class GrammarWalk {
   ParseTrace trace_;
 };
 
-// The library parser's verdict on `text`: success, or the ParseError.
+TracedGraph traced(const Multigraph& g) {
+  TracedGraph out;
+  out.nodes = g.node_count();
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    out.items.push_back({g.edge(e).u, g.edge(e).v, g.edge(e).color});
+  }
+  return out;
+}
+
+TracedGraph traced(const Digraph& g) {
+  TracedGraph out;
+  out.nodes = g.node_count();
+  for (EdgeId a = 0; a < g.arc_count(); ++a) {
+    out.items.push_back({g.arc(a).tail, g.arc(a).head, g.arc(a).color});
+  }
+  return out;
+}
+
+std::vector<TracedGraph> traced(const std::vector<CertificateLevel>& levels) {
+  std::vector<TracedGraph> out;
+  for (const CertificateLevel& lv : levels) {
+    out.push_back(traced(lv.g));
+    out.push_back(traced(lv.h));
+  }
+  return out;
+}
+
+// The library parser's verdict on `text`: the graphs it built, or the
+// ParseError.
 template <class Parse>
 ParseTrace library_verdict(Parse parse) {
   ParseTrace out;
   try {
-    parse();
+    out.graphs = parse();
     out.ok = true;
   } catch (const ParseError& e) {
     out.line = e.line();
@@ -893,7 +1029,11 @@ ParseTrace library_verdict(Parse parse) {
 
 // Parses `text` with the reference tokenizer and with the codec in both its
 // modes, expects identical traces, and expects the library's parsers (every
-// entry point for the format) to reach the same verdict.
+// entry point for the format) to reach the same verdict: the same graphs, or
+// the same ParseError.
+void expect_library_parse(const std::string& text, Format format,
+                          const ParseTrace& want);
+
 void expect_same_parse(const std::string& text, Format format) {
   std::istringstream legacy_in{text};
   LegacyLineReader legacy{legacy_in};
@@ -906,22 +1046,28 @@ void expect_same_parse(const std::string& text, Format format) {
   LineReader view_reader{std::string_view(text)};
   EXPECT_EQ(GrammarWalk<LineReader>{view_reader}.run(format), want)
       << "string_view mode on: " << text;
+  expect_library_parse(text, format, want);
+}
 
+// Every library entry point for `format` must reach `want` on `text`.
+void expect_library_parse(const std::string& text, Format format,
+                          const ParseTrace& want) {
   const auto check = [&](auto parse, const char* entry) {
     const ParseTrace got = library_verdict(parse);
     EXPECT_TRUE(got.ok == want.ok && got.line == want.line &&
-                got.token == want.token && got.message == want.message)
+                got.token == want.token && got.message == want.message &&
+                (!got.ok || got.graphs == want.graphs))
         << entry << " gave " << got << " where the reference gave " << want
         << " on: " << text;
   };
   switch (format) {
     case Format::kCertificate:
-      check([&] { (void)certificate_from_string(text); },
+      check([&] { return traced(certificate_from_string(text).levels); },
             "certificate_from_string");
       check(
           [&] {
             std::istringstream is{text};
-            (void)read_certificate(is);
+            return traced(read_certificate(is).levels);
           },
           "read_certificate");
       break;
@@ -930,16 +1076,40 @@ void expect_same_parse(const std::string& text, Format format) {
       check(
           [&] {
             LineReader r{std::string_view(text)};
-            (void)read_certificate_level(r);
+            return traced({read_certificate_level(r)});
           },
           "read_certificate_level");
+      check(
+          [&] {
+            std::istringstream is{text};
+            LineReader r{is};
+            return traced({read_certificate_level(r)});
+          },
+          "read_certificate_level (istream)");
       break;
     case Format::kMultigraph:
-      check([&] { (void)multigraph_from_string(text); },
+      check([&] { return std::vector{traced(multigraph_from_string(text))}; },
             "multigraph_from_string");
       break;
     case Format::kDigraph:
-      check([&] { (void)digraph_from_string(text); }, "digraph_from_string");
+      check([&] { return std::vector{traced(digraph_from_string(text))}; },
+            "digraph_from_string");
+      break;
+    case Format::kMultigraphBody:
+      check(
+          [&] {
+            std::istringstream is{text};
+            return std::vector{traced(read_multigraph(is))};
+          },
+          "read_multigraph");
+      break;
+    case Format::kDigraphBody:
+      check(
+          [&] {
+            std::istringstream is{text};
+            return std::vector{traced(read_digraph(is))};
+          },
+          "read_digraph");
       break;
   }
 }
@@ -1006,6 +1176,8 @@ TEST(TextCodec, MutatedSmallTextsParseLikeTheReference) {
   const Multigraph g = greedy_edge_coloring(make_cycle(7));
   sweep(graph_to_string(g), Format::kMultigraph, true);
   sweep(graph_to_string(orient(g)), Format::kDigraph, true);
+  sweep(graph_to_string(g), Format::kMultigraphBody, true);
+  sweep(graph_to_string(orient(g)), Format::kDigraphBody, true);
 }
 
 // The Δ=8 certificate is swept one level at a time, each level as the
@@ -1042,6 +1214,181 @@ TEST(TextCodec, NulInsideAnIntegerTokenIsRejected) {
     EXPECT_EQ(e.token(), std::string("1\0009", 3));
     EXPECT_NE(std::string(e.what()).find("expected integer edge endpoint v"),
               std::string::npos);
+  }
+}
+
+// The edge-line decoder's boundary corpus. Each body is spliced into a
+// two-node graph as its first edge lines, '@' standing for the item tag and
+// '#' for the graph's own header word, and is followed by one well-formed
+// trailer line; `edges` counts the edges the body holds.
+struct EdgeCase {
+  std::string body;
+  int edges;
+  const char* why;
+};
+
+const EdgeCase kEdgeCases[] = {
+    {"@ 0 1 2\n", 1, "the writers' spelling"},
+    {"@  0 1 2\n", 1, "double space after the tag"},
+    {"@ 0  1 2\n", 1, "double space between endpoints"},
+    {"@ 0 1  2\n", 1, "double space before the colour"},
+    {"@ 0 1 2 \n", 1, "trailing space"},
+    {" @ 0 1 2\n", 1, "leading space"},
+    {"@\t0\t1\t2\n", 1, "tabs"},
+    {"@ 0 1 2\r\n", 1, "CRLF"},
+    {"@ 0 1 2\v\n", 1, "vertical tab before the newline"},
+    {"@ +1 0 2\n", 1, "plus sign on an endpoint"},
+    {"@ 0 1 +7\n", 1, "plus sign on the colour"},
+    {"@ 00 01 0007\n", 1, "leading zeros"},
+    {"@ 0000000001 0 0\n", 1, "10-digit endpoint with leading zeros"},
+    {"@ 00000000001 0 0\n", 1, "11-digit endpoint with leading zeros"},
+    {"@ 0 1 1234567890\n", 1, "10-digit colour"},
+    {"@ 0 1 12345678901\n", 1, "11-digit colour"},
+    {"@ 0 1 2147483647\n", 1, "colour 2^31 - 1"},
+    {"@ 0 1 2147483648\n", 1, "colour 2^31"},
+    {"@ 0 1 99999999999999999999\n", 1, "colour past 64 bits"},
+    {"@ 0 1 -1\n", 1, "colour -1"},
+    {"@ 0 1 -2\n", 1, "colour -2"},
+    {"@ 0 1 -0\n", 1, "colour -0"},
+    {"@ 1 1 0\n", 1, "endpoint nodes - 1"},
+    {"@ 2 0 0\n", 1, "endpoint u = nodes"},
+    {"@ 0 2 0\n", 1, "endpoint v = nodes"},
+    {"@ 0 1\n", 1, "missing field"},
+    {"@ 0 1 2 3\n", 1, "extra field"},
+    {"@ 0 1 \n", 1, "missing colour before the newline"},
+    {"@ 0 1 2\n\n@ 1 0 3\n", 2, "blank line between edges"},
+    {"@ 0 1 2\n \t\n@ 1 0 3\n", 2, "whitespace line between edges"},
+    {"@ 0\n1 2\n", 1, "one edge over two lines"},
+    {"@ 0 1 2 @ 1 0 3\n", 2, "two edges on one line"},
+    {"@ 0 1 2\n@ 1 0 3 @ 0 0 4\n", 3, "two edges on the second line"},
+    {"# 2 1\n", 1, "the header tag inside the edge list"},
+    {"x 0 1 2\n", 1, "wrong tag"},
+    {"@0 1 2\n", 1, "tag glued to the endpoint"},
+    {"@@ 0 1 2\n", 1, "doubled tag"},
+    {"@ 0 1 2x\n", 1, "letter after the colour"},
+    {"@ 0 1x 2\n", 1, "letter after an endpoint"},
+    {std::string("@ 0 1\0009 2\n", 10), 1, "NUL inside an endpoint"},
+    {std::string("@ 0 1 2\0003\n", 10), 1, "NUL inside the colour"},
+    {std::string("@ 0 1 2\000\n", 9), 1, "NUL after the colour"},
+    {"\n", 0, "blank line before the trailer"},
+};
+
+std::string spell(const std::string& body, char tag,
+                  const std::string& header) {
+  std::string out;
+  for (char ch : body) {
+    if (ch == '@') {
+      out += tag;
+    } else if (ch == '#') {
+      out += header;
+    } else {
+      out += ch;
+    }
+  }
+  return out;
+}
+
+// A one-level certificate whose G holds `edges` then "e 1 1 1".
+std::string level_with_edges(const std::string& edges, int count) {
+  return "level 0\ng 2 " + std::to_string(count + 1) + "\n" + edges +
+         "e 1 1 1\nh 1 1\ne 0 0 0\nwitness 0 0 0 0 0 1/2 1/2 0\n";
+}
+
+// A certificate log of one record holding `payload` (which ends in '\n'),
+// with valid counts and checksums.
+std::string one_record_log(const std::string& payload) {
+  std::string text = "ldlb-cert-log 1\ndelta 2\nalgorithm Test\n";
+  const Checksum128 self = fnv1a_128(payload);
+  const Checksum128 chain =
+      fnv1a_128("0 " + checksum_to_hex(self), fnv1a_128(text));
+  text += "record 0 " + std::to_string(count_lines(payload)) + " " +
+          std::to_string(payload.size()) + " " + checksum_to_hex(self) + " " +
+          checksum_to_hex(chain) + "\n";
+  return text + payload;
+}
+
+// The log walk's verdict on a record holding `payload` must be what the
+// reference grammar made of the payload (`want`): the same graphs, or
+// kBadRecord carrying the same ParseError.
+void expect_record_like_reference(const std::string& payload,
+                                  const ParseTrace& want) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "io_edge_case.log")
+          .string();
+  {
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out << one_record_log(payload);
+  }
+  CertificateLog log{path};
+  const CertLogReport report = log.scan();
+  const LowerBoundCertificate loaded = log.load();
+  log.remove();
+  if (!want.ok) {
+    EXPECT_EQ(report.damage, LogDamage::kBadRecord) << payload;
+    EXPECT_EQ(report.detail,
+              "checksum-valid payload unparsable: " + want.message)
+        << payload;
+  } else if (want.items.ends_with("trailing content\x01")) {
+    EXPECT_EQ(report.damage, LogDamage::kBadRecord) << payload;
+    EXPECT_EQ(report.detail, "record payload has trailing content") << payload;
+  } else {
+    EXPECT_EQ(report.damage, LogDamage::kNone) << payload;
+    EXPECT_EQ(traced(loaded.levels), want.graphs) << payload;
+  }
+}
+
+// Every boundary case decodes exactly as the reference tokenizer reads it,
+// through every entry point and in both reader modes: as a multigraph, a
+// digraph, a certificate's G and a certificate-log record, and — for the
+// graph formats — once more as the text's last line, without its newline.
+// strtoll ends a number at a NUL byte where the codec's token path rejects
+// the token (NulInsideAnIntegerTokenIsRejected), so a body holding a NUL is
+// checked against the token path instead.
+TEST(TextCodec, EdgeLineBoundaryCorpusDecodesLikeTheReference) {
+  const auto reference = [](const std::string& text, Format format) {
+    std::istringstream legacy_in{text};
+    LegacyLineReader legacy{legacy_in};
+    if (text.find('\0') == std::string::npos) {
+      return GrammarWalk<LegacyLineReader>{legacy}.run(format);
+    }
+    LineReader tokens{std::string_view(text)};
+    return GrammarWalk<LineReader>{tokens}.run(format);
+  };
+  const auto expect_same = [&](const std::string& text, Format format) {
+    if (text.find('\0') == std::string::npos) {
+      expect_same_parse(text, format);
+    } else {
+      expect_library_parse(text, format, reference(text, format));
+    }
+  };
+  for (const EdgeCase& c : kEdgeCases) {
+    SCOPED_TRACE(c.why);
+    const std::string count = std::to_string(c.edges + 1);
+    for (const char* header : {"multigraph", "digraph"}) {
+      const bool multi = header[0] == 'm';
+      const char tag = multi ? 'e' : 'a';
+      const std::string text = std::string(header) + " 2 " + count + "\n" +
+                               spell(c.body, tag, header) + tag + " 1 1 1\n";
+      expect_same(text, multi ? Format::kMultigraph : Format::kDigraph);
+      expect_same(text,
+                  multi ? Format::kMultigraphBody : Format::kDigraphBody);
+      // The body as the last line of the input, without its newline.
+      const std::string last = std::string(header) + " 2 " +
+                               std::to_string(c.edges) + "\n" +
+                               spell(c.body, tag, header);
+      const std::string unterminated = last.substr(0, last.size() - 1);
+      expect_same(unterminated,
+                  multi ? Format::kMultigraph : Format::kDigraph);
+      expect_same(unterminated,
+                  multi ? Format::kMultigraphBody : Format::kDigraphBody);
+    }
+    const std::string level =
+        level_with_edges(spell(c.body, 'e', "g"), c.edges);
+    expect_same("ldlb-certificate 1\ndelta 2\nalgorithm Test\n" + level +
+                    "end\n",
+                Format::kCertificate);
+    expect_same(level, Format::kLevel);
+    expect_record_like_reference(level, reference(level, Format::kLevel));
   }
 }
 

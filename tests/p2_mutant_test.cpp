@@ -1,5 +1,6 @@
 // Property (P2), (Δ-1-i)-loopiness, as the validators decide it: the P2
-// clause of the validator mutation corpus.
+// clause of the validator mutation corpus, and beside it the improperly
+// coloured graph, which the validators must report rather than throw on.
 //
 //   * A mutant leaves one node of a level-i graph one loop short: at every
 //     level it removes loops other than the witness loop from a node of
@@ -223,6 +224,89 @@ void check_one_loop_short(const std::string& kind, int delta) {
     }
     EXPECT_FALSE(certificate_is_valid(mutant, *alg)) << kind_at;
   }
+}
+
+// Gives edge `e` of `g` the colour of another edge at its first endpoint,
+// so the colouring is no longer proper. False when `e` has no neighbour.
+bool recolour_to_clash(Multigraph& g, EdgeId e) {
+  const NodeId u = g.edge(e).u;
+  for (EdgeId f : g.incident_edges(u)) {
+    if (f == e) continue;
+    Multigraph out(g.node_count());
+    for (EdgeId x = 0; x < g.edge_count(); ++x) {
+      const auto& ed = g.edge(x);
+      out.add_edge(ed.u, ed.v, x == e ? g.edge(f).color : ed.color);
+    }
+    g = std::move(out);
+    return true;
+  }
+  return false;
+}
+
+// An improperly coloured stored graph is outside the algorithm's domain
+// (run_ec requires a proper colouring), so the validators report it —
+// degree_ok, loopy_ok, outputs_differ and weights_match_stored false —
+// instead of throwing, and agree field for field. One mutant clashes one
+// level-2 G edge with a neighbour, as a mis-written colour in a stored log
+// would; the others clash one edge other than the witness loop at every
+// level, on either side.
+void check_colour_clash(const std::string& kind, int delta) {
+  const AlgorithmFactory factory = factory_for(kind, delta);
+  const std::unique_ptr<EcAlgorithm> alg = factory();
+  AdversaryOptions opts;
+  opts.max_rounds = 40000;
+  const LowerBoundCertificate cert = run_adversary(*alg, delta, opts);
+  ASSERT_EQ(cert.certified_radius(), delta - 2);
+
+  for (int mode = 0; mode < 3; ++mode) {
+    const std::string kind_at = kind + " Δ=" + std::to_string(delta) +
+                                (mode == 0   ? " level-2 G"
+                                 : mode == 1 ? " every G"
+                                             : " every H");
+    LowerBoundCertificate mutant = cert;
+    std::vector<bool> clashed(mutant.levels.size(), false);
+    for (CertificateLevel& lv : mutant.levels) {
+      if (mode == 0 && lv.level != 2) continue;
+      Multigraph& g = mode == 2 ? lv.h : lv.g;
+      const EdgeId witness = mode == 2 ? lv.h_loop : lv.g_loop;
+      const EdgeId e = witness == g.edge_count() - 1 ? 0 : g.edge_count() - 1;
+      clashed[static_cast<std::size_t>(lv.level)] = recolour_to_clash(g, e);
+      EXPECT_TRUE(clashed[static_cast<std::size_t>(lv.level)])
+          << kind_at << " level " << lv.level;
+    }
+    std::vector<LevelValidation> resident;
+    ASSERT_NO_THROW(resident = validate_certificate(mutant, *alg)) << kind_at;
+    const std::vector<LevelValidation> streamed =
+        streamed_validation(mutant, *alg);
+    const std::vector<bool> fleet = fleet_validation(mutant, factory);
+    ASSERT_EQ(resident.size(), mutant.levels.size()) << kind_at;
+    ASSERT_EQ(streamed.size(), resident.size()) << kind_at;
+    ASSERT_EQ(fleet.size(), resident.size()) << kind_at;
+    for (std::size_t i = 0; i < resident.size(); ++i) {
+      const std::string at = kind_at + " level " + std::to_string(i);
+      expect_same_fields(resident[i], streamed[i], at);
+      EXPECT_EQ(fleet[i], resident[i].ok()) << at;
+      if (!clashed[i]) {
+        EXPECT_TRUE(resident[i].ok()) << at;
+        continue;
+      }
+      EXPECT_FALSE(resident[i].degree_ok) << at;
+      EXPECT_FALSE(resident[i].loopy_ok) << at;
+      EXPECT_TRUE(resident[i].shape_ok) << at;
+      EXPECT_TRUE(resident[i].witness_loops_ok) << at;
+      EXPECT_FALSE(resident[i].outputs_differ) << at;
+      EXPECT_FALSE(resident[i].weights_match_stored) << at;
+    }
+    EXPECT_FALSE(certificate_is_valid(mutant, *alg)) << kind_at;
+  }
+}
+
+TEST(ColourClash, SeqDelta5IsReportedNotThrown) {
+  check_colour_clash("seq", 5);
+}
+
+TEST(ColourClash, PoDelta5IsReportedNotThrown) {
+  check_colour_clash("po", 5);
 }
 
 TEST(P2OneLoopShort, SeqDelta8) { check_one_loop_short("seq", 8); }
