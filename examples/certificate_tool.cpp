@@ -162,9 +162,12 @@ int run_validate(int delta, const std::string& kind, const std::string& in) {
               << "\n";
     all_ok = all_ok && v.ok();
   }
-  std::cout << (all_ok ? "certificate VALID" : "certificate INVALID")
-            << " — algorithm needs more than " << cert.certified_radius()
-            << " rounds\n";
+  std::cout << (all_ok ? "certificate VALID" : "certificate INVALID");
+  if (all_ok) {
+    std::cout << " — algorithm needs more than " << cert.certified_radius()
+              << " rounds";
+  }
+  std::cout << "\n";
   std::cout << "peak_rss_kb=" << peak_rss_kb() << "\n";
   return all_ok ? 0 : 1;
 }

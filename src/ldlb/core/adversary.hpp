@@ -63,7 +63,8 @@ struct AdversaryOptions {
   /// trace (last writer wins among concurrent branches).
   RunDiagnostics* diagnostics = nullptr;
   /// Re-check property (P1) — ball isomorphism + output difference — as
-  /// each level is built (cheap; also rechecked by the validator).
+  /// each level is built: one lockstep walk over the two balls, linear in
+  /// their size (also rechecked by the validator).
   bool verify_p1 = true;
   /// Re-check property (P2) — (Δ-1-i)-loopiness — as each level is built,
   /// through is_k_loopy: a per-node loop count that decides every level

@@ -14,6 +14,15 @@ namespace {
 // slower correct algorithms should fit a quadratic budget.
 int round_budget(int delta) { return 16 * (delta + 2) * (delta + 2); }
 
+// A forest on n >= 1 nodes is connected iff it has n - 1 non-loop edges,
+// and the empty graph counts as connected, so only a non-forest needs BFS.
+bool is_connected_given(const Multigraph& g, bool forest) {
+  if (!forest) return g.is_connected();
+  EdgeId plain = 0;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) plain += !g.edge(e).is_loop();
+  return g.node_count() == 0 || plain == g.node_count() - 1;
+}
+
 }  // namespace
 
 std::vector<LevelValidation> validate_certificate(
@@ -32,11 +41,13 @@ std::vector<LevelValidation> validate_certificate(
 
     const bool coloured =
         lv.g.has_proper_edge_coloring() && lv.h.has_proper_edge_coloring();
-    const bool connected = lv.g.is_connected() && lv.h.is_connected();
+    const bool g_forest = lv.g.is_forest_ignoring_loops();
+    const bool h_forest = lv.h.is_forest_ignoring_loops();
+    const bool connected = is_connected_given(lv.g, g_forest) &&
+                           is_connected_given(lv.h, h_forest);
     v.degree_ok = lv.g.max_degree() <= cert.delta &&
                   lv.h.max_degree() <= cert.delta && coloured;
-    v.shape_ok = lv.g.is_forest_ignoring_loops() &&
-                 lv.h.is_forest_ignoring_loops() && connected;
+    v.shape_ok = g_forest && h_forest && connected;
     if (check_loopiness) {
       // Loopiness is defined, and is_k_loopy answers, only for graphs with
       // exactly these two properties; a stored graph without them is

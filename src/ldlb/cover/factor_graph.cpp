@@ -21,7 +21,7 @@ FactorGraph factor_graph(const Multigraph& g) {
     }
     table.close_node();
   }
-  Refinement r = refine(table, kToFixpoint);
+  Refinement r = refine(table);
   const auto class_count = static_cast<NodeId>(r.first.size());
 
   FactorGraph out;
@@ -69,7 +69,7 @@ DiFactorGraph factor_graph(const Digraph& g) {
     }
     table.close_node();
   }
-  Refinement r = refine(table, kToFixpoint);
+  Refinement r = refine(table);
   const auto class_count = static_cast<NodeId>(r.first.size());
 
   DiFactorGraph out;

@@ -30,7 +30,7 @@ constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ULL;
 
 // Signatures are grouped through an open-addressed table of class
 // representatives. All scratch is allocated once, O(nodes + ends).
-Refinement refine(const EndTable& t, int max_rounds) {
+Refinement refine(const EndTable& t) {
   const auto n = t.offset.size() - 1;
   std::size_t capacity = 2;
   while (capacity < 2 * n) capacity *= 2;
@@ -61,9 +61,8 @@ Refinement refine(const EndTable& t, int max_rounds) {
     return true;
   };
 
-  // Before the first round every node is in class 0, led by node 0.
-  NodeId classes = n > 0 ? 1 : 0;
-  for (int round = 0; round < max_rounds; ++round) {
+  NodeId classes = 0;
+  for (bool fixpoint = false; !fixpoint;) {
     std::fill(slot.begin(), slot.end(), kNoNode);
     classes = 0;
     for (std::size_t v = 0; v < n; ++v) {
@@ -94,9 +93,8 @@ Refinement refine(const EndTable& t, int max_rounds) {
         }
       }
     }
-    const bool fixpoint = next == cls;
+    fixpoint = next == cls;
     cls.swap(next);
-    if (fixpoint) break;
   }
   first.resize(static_cast<std::size_t>(classes));
   return {std::move(cls), std::move(first)};

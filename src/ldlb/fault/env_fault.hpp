@@ -14,9 +14,10 @@
 //
 // Allocation failure is injected separately through
 // util/alloc_guard.hpp's thread-local byte budget (ScopedAllocBudget):
-// charge sites in Rational's spill tier, in BigInt's limbs and in the
-// refinement kernel (cover/refinement) throw std::bad_alloc once the budget
-// is exhausted, which the guarded layer classifies as RunStatus::kEnvFault.
+// charge sites in Rational's spill tier, in BigInt's limbs, in the (P1)
+// ball walk (view/isomorphism) and in the refinement kernel
+// (cover/refinement) throw std::bad_alloc once the budget is exhausted,
+// which the guarded layer classifies as RunStatus::kEnvFault.
 #pragma once
 
 #include <atomic>

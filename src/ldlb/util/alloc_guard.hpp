@@ -2,9 +2,10 @@
 //
 // Real std::bad_alloc is nearly impossible to provoke deterministically in a
 // test, yet the spill tier of Rational (a weight that outgrows two machine
-// words), the BigInt limb vectors and the scratch of the colour-refinement
-// kernel (cover/refinement, behind every (P1) check and factor graph) are
-// exactly the allocations a long adversary run leans on. ScopedAllocBudget
+// words), the BigInt limb vectors, the scratch of the (P1) ball walk
+// (view/isomorphism, behind every level's (P1) check) and of the
+// colour-refinement kernel (cover/refinement, behind every factor graph)
+// are exactly the allocations a long adversary run leans on. ScopedAllocBudget
 // arms a *thread-local* byte budget; the library's growth points call
 // charge_alloc(bytes) before (logically) allocating, and once the budget is
 // exhausted every further charge throws std::bad_alloc — the same failure

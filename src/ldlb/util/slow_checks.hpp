@@ -5,8 +5,8 @@
 // adversary builds its inputs, yet re-deriving them costs as much as the
 // surrounding work — together they dominated the Δ=12 profile. They stay
 // available as debug oracles behind this latch instead of being deleted,
-// together with the ball-extraction re-derivation of every refinement-
-// decided (P1) verdict and the interpreter re-run of every closed-form
+// together with the ball-extraction re-derivation of every walk-decided
+// (P1) verdict and the interpreter re-run of every closed-form
 // simulation: set LDLB_SLOW_CHECKS=1 (or the older, narrower
 // LDLB_LIFT_CHECK=1). Certificate validation performs its own, always-on
 // forest/covering checks regardless of this latch.

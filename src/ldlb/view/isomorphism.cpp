@@ -1,13 +1,12 @@
 #include "ldlb/view/isomorphism.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <deque>
 #include <map>
-#include <numeric>
 #include <tuple>
+#include <utility>
 
-#include "ldlb/cover/refinement.hpp"
+#include "ldlb/util/alloc_guard.hpp"
 #include "ldlb/util/slow_checks.hpp"
 
 namespace ldlb {
@@ -146,109 +145,99 @@ bool balls_isomorphic(const Ball& a, const Ball& b) {
 
 namespace {
 
-// The two end tables P1 refines over G ⊔ H: G's nodes, then H's, then one
-// sentinel node with no ends. On a properly coloured tree-with-loops the
-// depth-r view of a node is its ball τ_r, and a loop at distance r is in
-// τ_r while nothing past it is: exactly a flagged end into a node with no
-// ends. `loops` holds each node's loops as flagged ends (colour | top bit)
-// into the sentinel, so one round over it classes the nodes by their loop
-// colours. `ends` holds each node's non-loop ends and, for a node with
-// loops, one flagged end into the sentinel labelled with that loop class,
-// so the `radius` rounds read a node's loops as one end, not one per loop.
-struct P1Tables {
-  P1Tables(const Multigraph& g, const Multigraph& h)
-      : sentinel(g.node_count() + h.node_count()),
-        ends(sentinel + 1, g.edge_count() + h.edge_count()),
-        loops(sentinel + 1, (g.edge_count() + h.edge_count()) / 2 + 1),
-        parent(static_cast<std::size_t>(sentinel)) {
-    std::iota(parent.begin(), parent.end(), NodeId{0});
-  }
-
-  // Appends `g`'s nodes, ids shifted by `offset`. Returns false as soon as
-  // `g` turns out not to be a properly coloured forest-with-loops: a
-  // negative colour, a colour twice at one node, or a non-loop edge closing
-  // a cycle (union-find over `parent`, each edge joined from its lower
-  // endpoint).
-  bool append_forest(const Multigraph& g, NodeId offset) {
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      for (EdgeId e : g.incident_edges(v)) {
-        const Multigraph::Edge& ed = g.edge(e);
-        if (ed.color < 0) return false;
-        const auto colour = static_cast<std::uint32_t>(ed.color);
-        if (ed.is_loop()) {
-          loops.ends.push_back({kFlaggedEnd | colour, sentinel});
-          continue;
-        }
-        const NodeId w = ed.u == v ? ed.v : ed.u;
-        if (v < w) {
-          const NodeId a = root(v + offset);
-          const NodeId b = root(w + offset);
-          if (a == b) return false;
-          parent[static_cast<std::size_t>(a)] = b;
-        }
-        ends.ends.push_back({colour, w + offset});
-      }
-      loops.close_node();
-      const End* loop = loops.ends.data() + loops.offset.end()[-2];
-      const End* loop_end = loops.ends.data() + loops.ends.size();
-      // The loop-class end sorts after every plain colour; finish() fills
-      // in its label.
-      if (loop != loop_end) ends.ends.push_back({kFlaggedEnd, sentinel});
-      ends.close_node();
-      const End* plain = ends.ends.data() + ends.offset.end()[-2];
-      const End* plain_end =
-          ends.ends.data() + ends.ends.size() - (loop != loop_end ? 1 : 0);
-      // Both runs ascend: a repeat is two equal neighbours in one run or a
-      // colour in both.
-      auto same = [](const End& a, const End& b) { return a.label == b.label; };
-      if (std::adjacent_find(plain, plain_end, same) != plain_end ||
-          std::adjacent_find(loop, loop_end, same) != loop_end) {
-        return false;
-      }
-      for (const End *p = plain, *l = loop; p != plain_end && l != loop_end;) {
-        const std::uint32_t colour = l->label & ~kFlaggedEnd;
-        if (p->label == colour) return false;
-        if (p->label < colour) {
-          ++p;
-        } else {
-          ++l;
-        }
-      }
-    }
-    return true;
-  }
-
-  // Closes the sentinel and labels each loop-class end with its node's
-  // loop class.
-  void finish() {
-    ends.close_node();
-    loops.close_node();
-    const Refinement loop_class = refine(loops, 1);
-    for (std::size_t v = 0; v < static_cast<std::size_t>(sentinel); ++v) {
-      const std::int32_t last = ends.offset[v + 1] - 1;
-      if (last < ends.offset[v]) continue;
-      End& end = ends.ends[static_cast<std::size_t>(last)];
-      if ((end.label & kFlaggedEnd) != 0) {
-        end.label = kFlaggedEnd |
-                    static_cast<std::uint32_t>(loop_class.class_of[v]);
-      }
-    }
-  }
-
-  NodeId root(NodeId x) {
-    while (parent[static_cast<std::size_t>(x)] != x) {
-      NodeId& up = parent[static_cast<std::size_t>(x)];
-      up = parent[static_cast<std::size_t>(up)];
-      x = up;
-    }
-    return x;
-  }
-
-  NodeId sentinel;
-  EndTable ends;
-  EndTable loops;
-  std::vector<NodeId> parent;
+// One end at a node; `other` is the node itself for a loop.
+struct WalkEnd {
+  Color colour;
+  EdgeId edge;
+  NodeId other;
 };
+
+// Writes `v`'s ends in colour order to the front of `out`, growing it (and
+// charging the growth) to fit. Returns the number of ends, or nullopt if one
+// is uncoloured.
+std::optional<std::size_t> ends_by_colour(const Multigraph& g, NodeId v,
+                                          std::vector<WalkEnd>& out) {
+  const IncidenceView ends = g.incident_edges(v);
+  if (out.size() < ends.size()) {
+    charge_alloc(ends.size() * sizeof(WalkEnd));
+    out.resize(ends.size());
+  }
+  WalkEnd* last = out.data();
+  for (EdgeId e : ends) {
+    const Multigraph::Edge& ed = g.edge(e);
+    if (ed.color < 0) return std::nullopt;
+    *last++ = {ed.color, e, ed.u == v ? ed.v : ed.u};
+  }
+  std::sort(out.data(), last, [](const WalkEnd& a, const WalkEnd& b) {
+    return a.colour < b.colour;
+  });
+  return ends.size();
+}
+
+// Walks τ_radius(g, gv) and τ_radius(h, hv) breadth first in lockstep. In a
+// properly coloured ball the root's image forces every other image colour
+// by colour, so each pair (u, u') at depth < radius, all of whose edges lie
+// in the ball, must match end for end: the same colours, and a loop where
+// the partner has one. The edges that entered u and u' share a colour, so
+// the colour match pairs them; every other end leads to a new pair one
+// level down. A mismatch, or a colour twice at u (an improper ball, which
+// extraction rejects too), returns false. Pairs at depth `radius` are not
+// expanded: their other edges lie at edge distance radius + 1, outside the
+// ball (view/ball.hpp). A node entered twice (a cycle or parallel edges in
+// a ball) or an uncoloured edge returns nullopt: undecided.
+std::optional<bool> walk_balls(const Multigraph& g, NodeId gv,
+                               const Multigraph& h, NodeId hv, int radius) {
+  constexpr EdgeId kUnreached = -2;
+  const auto ng = static_cast<std::size_t>(g.node_count());
+  const auto nh = static_cast<std::size_t>(h.node_count());
+  // Each node is entered at most once.
+  const std::size_t max_pairs = std::min(ng, nh);
+  charge_alloc(ng * sizeof(EdgeId) + nh +
+               max_pairs * sizeof(std::pair<NodeId, NodeId>));
+  // The edge the walk entered each node of g by (kNoEdge at the root), and
+  // whether it has reached each node of h.
+  std::vector<EdgeId> entered(ng, kUnreached);
+  std::vector<char> reached(nh, 0);
+  std::vector<std::pair<NodeId, NodeId>> queue;
+  queue.reserve(max_pairs);
+  std::vector<WalkEnd> ends_g;
+  std::vector<WalkEnd> ends_h;
+  entered[static_cast<std::size_t>(gv)] = kNoEdge;
+  reached[static_cast<std::size_t>(hv)] = 1;
+  queue.push_back({gv, hv});
+  std::size_t head = 0;
+  for (int depth = 0; depth < radius && head < queue.size(); ++depth) {
+    for (const std::size_t frontier_end = queue.size(); head < frontier_end;
+         ++head) {
+      const auto [u, u2] = queue[head];
+      const std::optional<std::size_t> degree = ends_by_colour(g, u, ends_g);
+      const std::optional<std::size_t> degree2 = ends_by_colour(h, u2, ends_h);
+      if (!degree || !degree2) return std::nullopt;
+      if (*degree != *degree2) return false;
+      const EdgeId in = entered[static_cast<std::size_t>(u)];
+      for (std::size_t k = 0; k < *degree; ++k) {
+        const WalkEnd& x = ends_g[k];
+        const WalkEnd& y = ends_h[k];
+        // Distinct colours at u, matched position by position, are
+        // distinct at u' too.
+        if (x.colour != y.colour ||
+            (k > 0 && x.colour == ends_g[k - 1].colour)) {
+          return false;
+        }
+        const bool loop = x.other == u;
+        if (loop != (y.other == u2)) return false;
+        if (loop || x.edge == in) continue;
+        EdgeId& w = entered[static_cast<std::size_t>(x.other)];
+        char& w2 = reached[static_cast<std::size_t>(y.other)];
+        if (w != kUnreached || w2 != 0) return std::nullopt;
+        w = x.edge;
+        w2 = 1;
+        queue.push_back({x.other, y.other});
+      }
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -257,25 +246,18 @@ bool balls_isomorphic(const Multigraph& g, NodeId gv, const Multigraph& h,
   LDLB_REQUIRE(gv >= 0 && gv < g.node_count());
   LDLB_REQUIRE(hv >= 0 && hv < h.node_count());
   LDLB_REQUIRE(radius >= 0);
-  P1Tables tables(g, h);
-  if (tables.append_forest(g, 0) && tables.append_forest(h, g.node_count())) {
-    tables.finish();
-    const Refinement r = refine(tables.ends, radius);
-    const bool iso = r.class_of[static_cast<std::size_t>(gv)] ==
-                     r.class_of[static_cast<std::size_t>(g.node_count() + hv)];
-    if (slow_checks_enabled()) {
-      const bool truth = balls_isomorphic(extract_ball(g, gv, radius),
-                                          extract_ball(h, hv, radius));
-      LDLB_ENSURE_MSG(truth == iso,
-                      "refinement P1 (" << (iso ? "iso" : "non-iso")
-                                        << ") disagrees with ball extraction "
-                                        << "at radius " << radius
-                                        << ", nodes " << gv << "/" << hv);
-    }
-    return iso;
+  const std::optional<bool> iso = walk_balls(g, gv, h, hv, radius);
+  if (!iso || slow_checks_enabled()) {
+    const bool truth = balls_isomorphic(extract_ball(g, gv, radius),
+                                        extract_ball(h, hv, radius));
+    LDLB_ENSURE_MSG(!iso || *iso == truth,
+                    "ball walk P1 (" << (*iso ? "iso" : "non-iso")
+                                     << ") disagrees with ball extraction "
+                                     << "at radius " << radius << ", nodes "
+                                     << gv << "/" << hv);
+    return truth;
   }
-  return balls_isomorphic(extract_ball(g, gv, radius),
-                          extract_ball(h, hv, radius));
+  return *iso;
 }
 
 }  // namespace ldlb

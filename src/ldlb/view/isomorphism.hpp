@@ -8,11 +8,10 @@
 //
 // Property (P1) of the lower-bound construction,
 //     τ_i(G_i, g_i) ≅ τ_i(H_i, h_i),
-// is decided without materialising either ball: on properly coloured
-// trees-with-loops (property (P3)), i rounds of the refinement kernel
-// (cover/refinement.hpp) over G ⊔ H put g_i and h_i in one class exactly
-// when their radius-i balls are isomorphic. Other shapes fall back to ball
-// extraction plus propagation.
+// is decided without materialising either ball: one breadth-first walk over
+// the two balls in lockstep from (g_i, h_i), forced colour by colour, on
+// balls that are properly coloured trees-with-loops (property (P3)). Other
+// shapes fall back to ball extraction plus propagation.
 #pragma once
 
 #include <optional>
@@ -50,13 +49,13 @@ bool balls_isomorphic(const Ball& a, const Ball& b);
 
 /// True iff τ_radius(g, gv) ≅ τ_radius(h, hv) as rooted edge-coloured
 /// graphs, i.e. `balls_isomorphic(extract_ball(g, gv, radius),
-/// extract_ball(h, hv, radius))`. When both graphs are properly coloured
-/// forests-with-loops, `radius` refinement rounds over g ⊔ h decide it
-/// (one pass over each graph checks that shape while building the kernel's
-/// end table); other shapes take the extraction route. A pure function of
-/// its arguments: nothing is cached between calls. Under
-/// slow_checks_enabled() every kernel verdict is re-derived through ball
-/// extraction, and a disagreement aborts.
+/// extract_ball(h, hv, radius))`. One lockstep walk of the two balls
+/// decides it, with O(|V(g)| + |V(h)|) scratch charged through
+/// charge_alloc, whatever the colour values; a walk that meets a cycle,
+/// parallel edges or an uncoloured edge inside a ball hands the question
+/// to extraction. A pure function of its arguments: nothing is cached
+/// between calls. Under slow_checks_enabled() every walk verdict is
+/// re-derived through ball extraction, and a disagreement aborts.
 bool balls_isomorphic(const Multigraph& g, NodeId gv, const Multigraph& h,
                       NodeId hv, int radius);
 

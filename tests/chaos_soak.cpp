@@ -246,9 +246,10 @@ int main() {
             }
             default: {  // starved allocation budget
               expected = RunStatus::kEnvFault;
-              // Starves the refinement kernel's scratch, which every
-              // level's (P1) check charges.
-              ScopedAllocBudget budget(256);
+              // A zero budget makes the first charge throw. Every
+              // level's (P1) walk charges its scratch, so the run cannot
+              // finish, whatever size that scratch has.
+              ScopedAllocBudget budget(0);
               outcome = guarded_run_adversary(alg, delta);
               break;
             }

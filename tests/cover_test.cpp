@@ -440,6 +440,10 @@ TEST(FactorGraphKernel, MatchesReferenceOnFigure3Graphs) {
   path.add_edge(0, 1, 0);
   path.add_edge(1, 2, 1);
   expect_matches_reference(path, "coloured path");
+  // An alternating path: symmetric under v -> 7 - v, so four mirror pairs.
+  Multigraph path8(8);
+  for (NodeId v = 0; v + 1 < 8; ++v) path8.add_edge(v, v + 1, v % 2);
+  expect_matches_reference(path8, "alternating path");
   expect_matches_reference(make_loop_star(6), "loop star");
   expect_matches_reference(make_directed_cycle(6), "directed C6");
   // The Figure 3 bench's lift-invariance rows.

@@ -305,9 +305,10 @@ TEST(AllocGuard, AdversaryRunClassifiesAsEnvFault) {
   SeqColorPacking alg{5};
   GuardedOutcome outcome;
   {
-    // Starves the refinement kernel's scratch (cover/refinement), which
-    // every level's (P1) check charges.
-    ScopedAllocBudget budget(256);
+    // A zero budget makes the first charge throw. Every level's (P1) walk
+    // (view/isomorphism) charges its scratch, so the run cannot finish,
+    // whatever size that scratch has.
+    ScopedAllocBudget budget(0);
     outcome = guarded_run_adversary(alg, 5);
   }
   EXPECT_EQ(outcome.status, RunStatus::kEnvFault);

@@ -1,22 +1,29 @@
-// Property (P1), τ_i(G_i, g_i) ≅ τ_i(H_i, h_i), decided by the refinement
-// kernel (cover/refinement.hpp) through balls_isomorphic(g, gv, h, hv, r).
+// Property (P1), τ_i(G_i, g_i) ≅ τ_i(H_i, h_i), decided by the lockstep
+// ball walk of balls_isomorphic(g, gv, h, hv, r) (view/isomorphism.hpp).
 //
 //   * Boundary mutants change one edge of G_i at edge distance exactly i
 //     from g_i (P1 must fail) or i + 1 (P1 must hold), on every level of
-//     seq chains at Δ=8 and Δ=14; with (P2) on, the resident and streamed
-//     validators must agree on every LevelValidation field, and a mutant
-//     that disconnects G_i must fail (P3) and (P2) without throwing. They use only the
-//     validators' public API, so they test whichever P1 engine exists.
-//   * Differential: the kernel against ball extraction plus propagation
-//     (the oracle) on chain witnesses at radius i, i+1 and i+2, random
-//     node pairs at random radii, random loopy trees, and shapes that take
-//     the extraction fallback.
+//     seq chains at Δ=8 and Δ=14 and of two and po chains at Δ=8; with
+//     (P2) on, the resident and streamed validators must agree on every
+//     LevelValidation field, and a mutant that disconnects G_i must fail
+//     (P3) and (P2) without throwing. They use only the validators' public
+//     API, so they test whichever P1 engine exists.
+//   * Differential: the walk against ball extraction plus propagation (the
+//     oracle) on chain witnesses at radius i, i+1 and i+2, random node
+//     pairs at random radii, random loopy trees, shapes that take the
+//     extraction fallback, and hand-made balls that reach each control path
+//     of the walk at its rim: cycles closing just outside and just inside
+//     the ball, an improper rim, parallel edges, uncoloured edges and the
+//     extreme colour values.
 //
 // LDLB_SLOW_CHECKS=1 is exported before gtest spins up, so the library
 // also re-derives every P1 call in this binary, including those inside
 // run_adversary and the validators, through ball extraction.
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -29,7 +36,6 @@
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate.hpp"
 #include "ldlb/core/sim_ec_po.hpp"
-#include "ldlb/cover/refinement.hpp"
 #include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
 #include "ldlb/matching/proposal_packing.hpp"
@@ -54,6 +60,31 @@ const bool g_slow_env = [] {
 // ---------------------------------------------------------------------------
 // Boundary mutants.
 // ---------------------------------------------------------------------------
+
+struct Subject {
+  std::unique_ptr<PoAlgorithm> inner;
+  std::unique_ptr<EcAlgorithm> alg;
+};
+
+Subject make_subject(const std::string& kind, int delta) {
+  Subject s;
+  if (kind == "seq") {
+    s.alg = std::make_unique<SeqColorPacking>(delta);
+  } else if (kind == "two") {
+    s.alg = std::make_unique<TwoPhasePacking>(delta);
+  } else {
+    s.inner = std::make_unique<ProposalPacking>();
+    s.alg = std::make_unique<EcFromPo>(*s.inner);
+  }
+  return s;
+}
+
+// Runs the adversary against `s` at `delta`.
+LowerBoundCertificate run_subject(const Subject& s, int delta) {
+  AdversaryOptions opts;
+  opts.max_rounds = 40000;
+  return run_adversary(*s.alg, delta, opts);
+}
 
 // Edge distance from `root` (view/ball.hpp): the nearer endpoint's distance
 // plus 1, or -1 for an edge `root` cannot reach.
@@ -107,16 +138,19 @@ void expect_same_fields(const LevelValidation& a, const LevelValidation& b,
 
 enum class Mutation { kRemoveLoop, kRemoveEdge, kUnfoldLoop };
 
-// Builds the seq chain at `delta` and, for each distance (i, then i+1) and
-// mutation (remove a loop, remove a non-loop edge, unfold a loop into an
-// edge to a new leaf), one mutant certificate in which every level that
-// has such an edge in G_i is mutated there. Checks P1, P3 and the degree
-// bound on every level, and that the resident and streamed validators
-// agree field for field, all with (P2) on. Returns how many levels each
-// of the six mutants changed, distance-major.
-std::vector<int> check_boundary_mutants(int delta) {
-  SeqColorPacking alg{delta};
-  const LowerBoundCertificate cert = run_adversary(alg, delta);
+// Builds the chain of `subject` ("seq", "two" or "po") at `delta` and,
+// for each distance (i, then i+1) and mutation (remove a loop, remove a
+// non-loop edge, unfold a loop into an edge to a new leaf), one mutant
+// certificate in which every level that has such an edge in G_i is mutated
+// there. Checks P1, P3 and the degree bound on every level, and that the
+// resident and streamed validators agree field for field, all with (P2)
+// on. Returns how many levels each of the six mutants changed,
+// distance-major.
+std::vector<int> check_boundary_mutants(const std::string& subject,
+                                        int delta) {
+  const Subject s = make_subject(subject, delta);
+  EcAlgorithm& alg = *s.alg;
+  const LowerBoundCertificate cert = run_subject(s, delta);
   std::vector<int> mutated_levels;
   for (int offset : {0, 1}) {
     for (Mutation m :
@@ -124,7 +158,8 @@ std::vector<int> check_boundary_mutants(int delta) {
       const char* what = m == Mutation::kRemoveLoop   ? " remove loop"
                          : m == Mutation::kRemoveEdge ? " remove edge"
                                                       : " unfold loop";
-      const std::string kind = "Δ=" + std::to_string(delta) + " distance i" +
+      const std::string kind = subject + " Δ=" + std::to_string(delta) +
+                               " distance i" +
                                (offset == 0 ? "" : "+1") + what;
       LowerBoundCertificate mutant = cert;
       std::vector<bool> mutated(cert.levels.size(), false);
@@ -195,17 +230,29 @@ std::vector<int> check_boundary_mutants(int delta) {
 // ends i steps from g_i, in loops, so unfolding one of those loops is what
 // puts a non-loop edge just past the boundary.
 TEST(P1Boundary, SeqDelta8EveryLevel) {
-  EXPECT_EQ(check_boundary_mutants(8),
+  EXPECT_EQ(check_boundary_mutants("seq", 8),
             (std::vector<int>{6, 6, 6, 7, 0, 7}));
 }
 
 TEST(P1Boundary, SeqDelta14EveryLevel) {
-  EXPECT_EQ(check_boundary_mutants(14),
+  EXPECT_EQ(check_boundary_mutants("seq", 14),
             (std::vector<int>{12, 12, 12, 13, 0, 13}));
 }
 
+// The two and po chains have seq's edges at distance i and i + 1 on every
+// level, so the same levels are mutated.
+TEST(P1Boundary, TwoDelta8EveryLevel) {
+  EXPECT_EQ(check_boundary_mutants("two", 8),
+            (std::vector<int>{6, 6, 6, 7, 0, 7}));
+}
+
+TEST(P1Boundary, PoDelta8EveryLevel) {
+  EXPECT_EQ(check_boundary_mutants("po", 8),
+            (std::vector<int>{6, 6, 6, 7, 0, 7}));
+}
+
 // ---------------------------------------------------------------------------
-// Differential: kernel P1 against ball extraction + propagation.
+// Differential: the walk's P1 against ball extraction + propagation.
 // ---------------------------------------------------------------------------
 
 bool oracle(const Multigraph& g, NodeId gv, const Multigraph& h, NodeId hv,
@@ -219,7 +266,7 @@ struct Verdicts {
   int negatives = 0;
 };
 
-// Compares the kernel with the oracle on one query and tallies the verdict.
+// Compares the walk with the oracle on one query and tallies the verdict.
 void expect_agrees(const Multigraph& g, NodeId gv, const Multigraph& h,
                    NodeId hv, int radius, const std::string& at,
                    Verdicts& tally) {
@@ -229,33 +276,13 @@ void expect_agrees(const Multigraph& g, NodeId gv, const Multigraph& h,
   (truth ? tally.positives : tally.negatives)++;
 }
 
-struct Subject {
-  std::unique_ptr<PoAlgorithm> inner;
-  std::unique_ptr<EcAlgorithm> alg;
-};
-
-Subject make_subject(const std::string& kind, int delta) {
-  Subject s;
-  if (kind == "seq") {
-    s.alg = std::make_unique<SeqColorPacking>(delta);
-  } else if (kind == "two") {
-    s.alg = std::make_unique<TwoPhasePacking>(delta);
-  } else {
-    s.inner = std::make_unique<ProposalPacking>();
-    s.alg = std::make_unique<EcFromPo>(*s.inner);
-  }
-  return s;
-}
-
 // The witnesses of every level at radius i, i+1 and i+2, then `random_pairs`
 // random node pairs (within G_i, within H_i, or across) at random radii in
 // [0, i+2].
 void differential_on_chain(const std::string& kind, int delta,
                            int random_pairs, Verdicts& tally) {
-  Subject s = make_subject(kind, delta);
-  AdversaryOptions opts;
-  opts.max_rounds = 40000;
-  const LowerBoundCertificate cert = run_adversary(*s.alg, delta, opts);
+  const Subject s = make_subject(kind, delta);
+  const LowerBoundCertificate cert = run_subject(s, delta);
   ASSERT_EQ(cert.certified_radius(), delta - 2) << kind << " Δ=" << delta;
   const std::string chain = kind + " Δ=" + std::to_string(delta);
   for (const CertificateLevel& lv : cert.levels) {
@@ -367,7 +394,7 @@ TEST(P1Differential, ForestsAreDecidedPerComponent) {
   }
 }
 
-TEST(P1Differential, CyclesTakeTheExtractionFallback) {
+TEST(P1Differential, CyclesAgreeWithExtraction) {
   // An odd cycle needs three colours, so its nodes are not all alike.
   const Multigraph cycle = greedy_edge_coloring(make_cycle(5));
   ASSERT_FALSE(cycle.is_forest_ignoring_loops());
@@ -379,16 +406,19 @@ TEST(P1Differential, CyclesTakeTheExtractionFallback) {
   }
   EXPECT_GT(tally.positives, 0);
   EXPECT_GT(tally.negatives, 0);
-  // A forest against a cycle: one non-forest side is enough to fall back.
+  // A forest against a cycle: the walk returns false at the first
+  // mismatch, or falls back to extraction when it re-enters a node of the
+  // cycle; either way it agrees with the oracle.
   Rng rng{9};
   const Multigraph tree = make_loopy_tree(6, 3, rng);
   expect_agrees(tree, 0, cycle, 0, 2, "tree vs cycle", tally);
 }
 
-TEST(P1Differential, ImproperColouringsTakeTheExtractionFallback) {
+TEST(P1Differential, ImproperColouringsAgreeWithExtraction) {
   // Colour 0 twice at node 1 (plain), and colour 1 as both an edge and a
-  // loop at node 0: neither is properly coloured, so propagation decides,
-  // and it rejects improper balls outright.
+  // loop at node 0: neither is properly coloured. The walk returns false
+  // on the repeated colour once it expands that node, as extraction
+  // rejects improper balls outright; at radius 0 both see the root alone.
   Multigraph twice(3);
   twice.add_edge(0, 1, 0);
   twice.add_edge(1, 2, 0);
@@ -406,48 +436,187 @@ TEST(P1Differential, ImproperColouringsTakeTheExtractionFallback) {
 }
 
 // ---------------------------------------------------------------------------
-// The kernel's round cap.
+// The walk at the rim of the ball.
 // ---------------------------------------------------------------------------
 
-// A path 0 - 1 - ... - 7 whose edge (v, v+1) has colour v % 2: properly
-// coloured, loopless, and symmetric under v -> 7 - v.
-Multigraph alternating_path() {
-  Multigraph g(8);
-  for (NodeId v = 0; v + 1 < 8; ++v) g.add_edge(v, v + 1, v % 2);
+struct ColouredEdge {
+  NodeId u;
+  NodeId v;
+  Color colour;
+};
+
+Multigraph graph_of(NodeId n, const std::vector<ColouredEdge>& edges) {
+  Multigraph g(n);
+  for (const ColouredEdge& e : edges) g.add_edge(e.u, e.v, e.colour);
   return g;
 }
 
-TEST(RefinementKernel, RoundCapBoundsTheViewDepth) {
-  const Multigraph g = alternating_path();
-  EndTable t(g.node_count(), g.edge_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    for (EdgeId e : g.incident_edges(v)) {
-      t.ends.push_back({static_cast<std::uint32_t>(g.edge(e).color),
-                        g.other_endpoint(e, v)});
-    }
-    t.close_node();
+// The walk's verdicts on τ_radius(g, 0) ≅ τ_radius(h, 0) at radius r − 1, r
+// and r + 1, each checked against extraction.
+std::vector<bool> around(const Multigraph& g, const Multigraph& h, int r,
+                         const std::string& at) {
+  std::vector<bool> out;
+  Verdicts tally;
+  for (int radius = r - 1; radius <= r + 1; ++radius) {
+    expect_agrees(g, 0, h, 0, radius, at, tally);
+    out.push_back(balls_isomorphic(g, 0, h, 0, radius));
   }
-  // No rounds: one class, led by node 0.
-  const Refinement r0 = refine(t, 0);
-  EXPECT_EQ(r0.first, std::vector<NodeId>{0});
-  EXPECT_EQ(r0.class_of, std::vector<NodeId>(8, 0));
-  // After d rounds two nodes share a class iff their radius-d balls agree.
-  for (int d = 1; d <= 5; ++d) {
-    const Refinement r = refine(t, d);
-    for (NodeId u = 0; u < 8; ++u) {
-      for (NodeId w = 0; w < 8; ++w) {
-        EXPECT_EQ(r.class_of[static_cast<std::size_t>(u)] ==
-                      r.class_of[static_cast<std::size_t>(w)],
-                  oracle(g, u, g, w, d))
-            << "rounds " << d << " nodes " << u << "/" << w;
-      }
+  return out;
+}
+
+// Depth 0: node 0; depth 1: nodes 1, 2; depth 2: nodes 3, 4.
+const std::vector<ColouredEdge> kTreeEdges = {
+    {0, 1, 0}, {0, 2, 1}, {1, 3, 1}, {2, 4, 0}};
+
+TEST(P1Walk, CycleClosingOutsideTheBallIsInvisible) {
+  const Multigraph tree = graph_of(5, kTreeEdges);
+  std::vector<ColouredEdge> edges = kTreeEdges;
+  // Between the two depth-2 nodes: edge distance 3, outside τ_2.
+  edges.push_back({3, 4, 2});
+  const Multigraph closed = graph_of(5, edges);
+  ASSERT_TRUE(closed.has_proper_edge_coloring());
+  EXPECT_EQ(around(closed, tree, 2, "closes outside"),
+            (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(around(closed, closed, 2, "closes outside, itself"),
+            (std::vector<bool>{true, true, true}));
+}
+
+TEST(P1Walk, CycleClosingInsideTheBallIsSeen) {
+  std::vector<ColouredEdge> edges = kTreeEdges;
+  // Between depth 1 and depth 2: edge distance 2, inside τ_2.
+  edges.push_back({1, 4, 2});
+  const Multigraph closed = graph_of(5, edges);
+  std::vector<ColouredEdge> leaf = kTreeEdges;
+  leaf.push_back({1, 5, 2});
+  const Multigraph tree = graph_of(6, leaf);
+  ASSERT_TRUE(closed.has_proper_edge_coloring());
+  EXPECT_EQ(around(closed, tree, 2, "closes inside"),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(around(closed, closed, 2, "closes inside, itself"),
+            (std::vector<bool>{true, true, true}));
+}
+
+TEST(P1Walk, ImproperOnlyAtTheRim) {
+  // Depth-2 node 3 entered by colour 2 from both depth-1 nodes: τ_2 holds
+  // both edges, so it is improper, and extraction rejects it even against
+  // itself.
+  const Multigraph rim =
+      graph_of(4, {{0, 1, 0}, {0, 2, 1}, {1, 3, 2}, {2, 3, 2}});
+  const Multigraph tree =
+      graph_of(5, {{0, 1, 0}, {0, 2, 1}, {1, 3, 2}, {2, 4, 2}});
+  EXPECT_EQ(around(rim, tree, 2, "improper rim"),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(around(rim, rim, 2, "improper rim, itself"),
+            (std::vector<bool>{true, false, false}));
+  // The repeat one step further out is outside τ_2.
+  const Multigraph beyond = graph_of(
+      6, {{0, 1, 0}, {0, 2, 1}, {1, 3, 2}, {2, 4, 2}, {3, 5, 2}});
+  EXPECT_EQ(around(beyond, tree, 2, "improper past the rim"),
+            (std::vector<bool>{true, true, false}));
+}
+
+TEST(P1Walk, ParallelEdgesToTheParent) {
+  // Node 1 hangs off the root by two parallel edges.
+  const Multigraph twin = graph_of(3, {{0, 1, 0}, {0, 1, 1}, {1, 2, 2}});
+  const Multigraph fork = graph_of(4, {{0, 1, 0}, {0, 3, 1}, {1, 2, 2}});
+  EXPECT_EQ(around(twin, fork, 1, "parallel at the root"),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(around(twin, twin, 1, "parallel at the root, itself"),
+            (std::vector<bool>{true, true, true}));
+  // Node 2 hangs off depth-1 node 1 by two parallel edges, both at edge
+  // distance 2.
+  const Multigraph deep = graph_of(3, {{0, 1, 0}, {1, 2, 1}, {1, 2, 2}});
+  const Multigraph path = graph_of(4, {{0, 1, 0}, {1, 2, 1}, {1, 3, 2}});
+  EXPECT_EQ(around(deep, path, 2, "parallel at depth 1"),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(around(deep, deep, 2, "parallel at depth 1, itself"),
+            (std::vector<bool>{true, true, true}));
+}
+
+TEST(P1Walk, UncolouredEdgeInsideAndJustOutside) {
+  const Multigraph path = graph_of(3, {{0, 1, 0}, {1, 2, 1}});
+  // Edge distance 2: outside τ_1, inside τ_2, where it makes the ball
+  // improper.
+  const Multigraph outer = graph_of(3, {{0, 1, 0}, {1, 2, kUncoloured}});
+  EXPECT_EQ(around(outer, path, 1, "uncoloured at distance 2"),
+            (std::vector<bool>{true, true, false}));
+  // At the root: inside every ball of radius >= 1.
+  const Multigraph inner = graph_of(2, {{0, 1, kUncoloured}});
+  const Multigraph edge = graph_of(2, {{0, 1, 0}});
+  EXPECT_EQ(around(inner, edge, 1, "uncoloured at the root"),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(around(inner, inner, 1, "uncoloured at the root, itself"),
+            (std::vector<bool>{true, false, false}));
+}
+
+TEST(P1Walk, HighDegreeNodesAreSortedWhole) {
+  // 40 loops at the root, in descending colour order, and a path of two
+  // colours: the walk must put all 42 ends in colour order.
+  auto star = [](Color changed, bool ascending) {
+    Multigraph g(3);
+    for (Color c = 0; c < 40; ++c) {
+      const Color colour = ascending ? c + 2 : 41 - c;
+      g.add_edge(0, 0, colour == 20 ? changed : colour);
     }
+    g.add_edge(0, 1, 0);
+    g.add_edge(1, 2, 1);
+    return g;
+  };
+  const Multigraph down = star(20, false);
+  const Multigraph up = star(20, true);
+  const Multigraph other = star(100, true);
+  ASSERT_TRUE(down.has_proper_edge_coloring());
+  EXPECT_EQ(around(down, up, 1, "40 loops, reordered"),
+            (std::vector<bool>{true, true, true}));
+  EXPECT_EQ(around(down, other, 1, "40 loops, one recoloured"),
+            (std::vector<bool>{true, false, false}));
+  // A repeated colour among them is improper.
+  const Multigraph repeat = star(21, true);
+  EXPECT_EQ(around(repeat, up, 1, "40 loops, one colour twice"),
+            (std::vector<bool>{true, false, false}));
+}
+
+// Caps the address space at its current size plus `headroom` bytes, so an
+// allocation sized by a colour value (8 GiB for 2^31 - 2) fails.
+void cap_address_space(std::size_t headroom) {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  statm >> pages;
+  rlimit limit{};
+  limit.rlim_cur = pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+                   headroom;
+  limit.rlim_max = limit.rlim_cur;
+  setrlimit(RLIMIT_AS, &limit);
+}
+
+// Colours 0 and 2^31 - 2 on one path against the same path with 2^31 - 3,
+// then against itself.
+const std::vector<bool> kExtremeColourVerdicts = {true, true, false,
+                                                  true, true, true};
+
+std::vector<bool> extreme_colour_verdicts() {
+  constexpr Color kTop = 2147483646;
+  const Multigraph top = graph_of(3, {{0, 1, 0}, {1, 2, kTop}});
+  const Multigraph below = graph_of(3, {{0, 1, 0}, {1, 2, kTop - 1}});
+  std::vector<bool> out = around(top, below, 1, "extreme colours");
+  for (const bool same : around(top, top, 1, "extreme colours, itself")) {
+    out.push_back(same);
   }
-  // The fixpoint is the four mirror pairs, reached well before a generous
-  // cap.
-  const Refinement fix = refine(t, kToFixpoint);
-  EXPECT_EQ(fix.first, (std::vector<NodeId>{0, 1, 2, 3}));
-  EXPECT_EQ(refine(t, 100).class_of, fix.class_of);
+  return out;
+}
+
+TEST(P1Walk, ExtremeColours) {
+  EXPECT_EQ(extreme_colour_verdicts(), kExtremeColourVerdicts);
+}
+
+TEST(P1Walk, ExtremeColoursNeedNoColourSizedMemory) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cap_address_space(std::size_t{256} << 20);
+        std::exit(extreme_colour_verdicts() == kExtremeColourVerdicts ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

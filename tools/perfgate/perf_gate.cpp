@@ -1,8 +1,8 @@
 // Perf-regression gate for CI (scripts/ci.sh).
 //
 // Measures the min-of-N wall time of the full Δ-adversary chain plus
-// certificate validation — simulation, and (P1) on the refinement kernel
-// (cover/refinement) — and compares it against a checked-in baseline.
+// certificate validation — simulation, and (P1) by the lockstep ball walk
+// (view/isomorphism) — and compares it against a checked-in baseline.
 // Exits nonzero when the measured time regresses past the allowed factor,
 // so an accidental reintroduction of the exponential isomorphism path
 // fails CI in seconds instead of rotting silently.
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
               << (stream                ? "text codec's"
                   : algorithm != "seq"  ? "closed-form evaluator's"
                   : check_loopiness     ? "(P2) loop count's"
-                                        : "adversary and (P1) kernel's")
+                                        : "adversary and (P1) walk's")
               << " speedup has been lost (see docs/PERFORMANCE.md)\n";
     return 1;
   }
