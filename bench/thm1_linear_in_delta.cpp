@@ -83,10 +83,11 @@ int measured_rounds_on_loopy_graphs(EcAlgorithm& alg, int delta) {
 }
 
 // One engine configuration to sweep: `threads` is the global pool size
-// (1 = serial, 0 = hardware default), `workers` the fleet process count
-// (0 = in-process run_adversary; >0 = run_adversary_fleet over forked pipe
-// workers, whose output is byte-identical but whose wall time includes the
-// IPC round-trips).
+// (1 = serial, 0 = hardware default; more than one thread speeds up
+// validation only — adversary runs stay on the calling thread), `workers`
+// the fleet process count (0 = in-process run_adversary; >0 =
+// run_adversary_fleet over forked pipe workers, whose output is
+// byte-identical but whose wall time includes the IPC round-trips).
 struct SweepConfig {
   int threads = 1;
   int workers = 0;
@@ -192,10 +193,11 @@ void report() {
       "Theorem 1: certified lower bound vs measured upper bound (rounds)");
   const std::map<int, double> baseline = parse_baseline_env();
 
-  // Serial reference (prints the reproduction table), the multi-threaded
-  // speculative engine, and the coordinator/worker fleet at two sizes —
-  // all producing byte-identical certificates, so the telemetry compares
-  // pure engine overheads/speedups on one axis per config.
+  // Serial reference (prints the reproduction table), the hardware-wide
+  // pool (per-level parallel validation), and the coordinator/worker fleet
+  // at two sizes — all producing byte-identical certificates, so the
+  // telemetry compares pure engine overheads/speedups on one axis per
+  // config.
   const SweepConfig configs[] = {
       {/*threads=*/1, /*workers=*/0, /*print_table=*/true},
       {/*threads=*/0, /*workers=*/0, /*print_table=*/false},  // hw threads

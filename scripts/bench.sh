@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the adversary benchmark suite and leaves machine-readable telemetry
-# in BENCH_adversary.json: one sweep per engine config — serial, the
-# multi-threaded speculative engine (threads > 1 on multicore hosts), and
-# the coordinator/worker fleet at 2 and 4 workers — with per-Δ wall time,
+# in BENCH_adversary.json: one sweep per engine config — serial, a
+# hardware-wide thread pool (threads > 1 on multicore hosts; it speeds up
+# validation only, adversary runs stay on the calling thread), and the
+# coordinator/worker fleet at 2 and 4 workers — with per-Δ wall time,
 # certified radius and graph sizes in each (see docs/PERFORMANCE.md for
 # the schema).
 #

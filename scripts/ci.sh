@@ -134,12 +134,29 @@ clash_level2_g() {
   ' "$1" "$1" > "$2"
 }
 
+# Writes $1 (a classic certificate) to $2 with one loop of level 0's G other
+# than the witness loop recoloured to 1000: a certificate whose G is
+# properly coloured, but not with the colours 0..Δ-1.
+range_level0_g() {
+  awk '
+    $1 == "level" { lv = $2; side = "" }
+    $1 == "g" || $1 == "h" { side = $1; k = -1 }
+    NR == FNR && lv == 0 && $1 == "witness" { w = $5 }
+    lv == 0 && side == "g" && $1 == "e" {
+      k++
+      if (NR != FNR && !done && k != w && $2 == $3) { $4 = 1000; done = 1 }
+    }
+    NR != FNR { print }
+  ' "$1" "$1" > "$2"
+}
+
 # Certificate-log streaming gate: one Δ=20 chain into the append-only log,
 # validated with the bounded-memory streaming validator (peak RSS pinned
 # below the fully-resident validator's with a 5% margin), format round-trips
 # byte-compared, a torn tail resumed to the byte-identical log, the
 # env-fault injection paths pinned to the documented exit code 5, an
-# improperly coloured level reported INVALID (never an error), and the
+# improperly coloured level and a level coloured outside [0, Δ) reported
+# INVALID (never an error), and the
 # reader's token-path fallback (CRLF, double spaces) exercised from the CLI.
 run_certlog_stream() {
   local dir="$1" tool="$1/examples/certificate_tool"
@@ -193,34 +210,39 @@ run_certlog_stream() {
   # rerun repairs: the rerun starts fresh and the log then verifies.
   "$tool" generate --log 6 seq "$tmp/f.log" > /dev/null
   "$tool" verify --stream 6 seq "$tmp/f.log" > /dev/null
-  # A level-2 G edge recoloured to clash with a neighbour: both validators
-  # report the certificate INVALID, claim no round bound and print no
-  # error.
+  # A level-2 G edge recoloured to clash with a neighbour (clash), and a
+  # level-0 G loop other than the witness recoloured to 1000 (range): both
+  # validators report each certificate INVALID, claim no round bound and
+  # print no error.
   "$tool" convert "$tmp/f.log" "$tmp/f.txt" > /dev/null
   clash_level2_g "$tmp/f.txt" "$tmp/clash.txt"
-  if cmp -s "$tmp/f.txt" "$tmp/clash.txt"; then
-    echo "colour-clash mutant: no level-2 G edge was recoloured" >&2
-    exit 1
-  fi
-  "$tool" convert "$tmp/clash.txt" "$tmp/clash.log" > /dev/null
-  local mode
-  for mode in stream resident; do
-    rc=0
-    if [ "$mode" = stream ]; then
-      "$tool" verify --stream 6 seq "$tmp/clash.log" > "$tmp/clash.out" \
-        2> "$tmp/clash.err" || rc=$?
-    else
-      "$tool" validate 6 seq "$tmp/clash.txt" > "$tmp/clash.out" \
-        2> "$tmp/clash.err" || rc=$?
-    fi
-    if [ "$rc" -ne 1 ] || ! grep -q "certificate INVALID" "$tmp/clash.out" ||
-       grep -q "needs more than" "$tmp/clash.out" ||
-       grep -q "error:" "$tmp/clash.out" "$tmp/clash.err"; then
-      echo "colour-clash mutant ($mode): expected 'certificate INVALID'," \
-        "no round claim and no error, got exit $rc" >&2
-      cat "$tmp/clash.out" "$tmp/clash.err" >&2
+  range_level0_g "$tmp/f.txt" "$tmp/range.txt"
+  local mutant mode
+  for mutant in clash range; do
+    if cmp -s "$tmp/f.txt" "$tmp/$mutant.txt"; then
+      echo "colour-$mutant mutant: no edge was recoloured" >&2
       exit 1
     fi
+    "$tool" convert "$tmp/$mutant.txt" "$tmp/$mutant.log" > /dev/null
+    for mode in stream resident; do
+      rc=0
+      if [ "$mode" = stream ]; then
+        "$tool" verify --stream 6 seq "$tmp/$mutant.log" \
+          > "$tmp/$mutant.out" 2> "$tmp/$mutant.err" || rc=$?
+      else
+        "$tool" validate 6 seq "$tmp/$mutant.txt" \
+          > "$tmp/$mutant.out" 2> "$tmp/$mutant.err" || rc=$?
+      fi
+      if [ "$rc" -ne 1 ] ||
+         ! grep -q "certificate INVALID" "$tmp/$mutant.out" ||
+         grep -q "needs more than" "$tmp/$mutant.out" ||
+         grep -q "error:" "$tmp/$mutant.out" "$tmp/$mutant.err"; then
+        echo "colour-$mutant mutant ($mode): expected 'certificate INVALID'," \
+          "no round claim and no error, got exit $rc" >&2
+        cat "$tmp/$mutant.out" "$tmp/$mutant.err" >&2
+        exit 1
+      fi
+    done
   done
   # Spellings only the token path reads: CRLF line ends, double spaces.
   sed 's/$/\r/' "$tmp/f.txt" > "$tmp/crlf.txt"
@@ -289,8 +311,9 @@ LDLB_CANCEL_LATENCY_MS="${LDLB_CANCEL_LATENCY_MS:-2000}" \
 run_chaos build-asan 10
 
 # ThreadSanitizer stage: the suites that exercise the thread pool (the
-# parallel simulator, speculative adversary, concurrent validator, and the
-# serial/parallel byte-identity tests), run with LDLB_THREADS=8 so races are
+# concurrent per-level validator, the pool's cancellation polls, and the
+# byte-identity tests across pool widths, which also pin that adversary
+# runs stay on the calling thread), run with LDLB_THREADS=8 so races are
 # reachable even on single-core CI machines. TSan and ASan cannot be
 # combined, hence the separate build tree.
 echo "== thread sanitizer build =="

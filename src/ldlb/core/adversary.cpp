@@ -1,9 +1,5 @@
 #include "ldlb/core/adversary.hpp"
 
-#include <exception>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "ldlb/core/base_case.hpp"
@@ -11,7 +7,6 @@
 #include "ldlb/cover/lift.hpp"
 #include "ldlb/cover/loopiness.hpp"
 #include "ldlb/local/simulator.hpp"
-#include "ldlb/util/thread_pool.hpp"
 #include "ldlb/view/isomorphism.hpp"
 
 namespace ldlb {
@@ -23,40 +18,16 @@ int adversary_round_budget(int delta, const AdversaryOptions& options) {
 
 namespace {
 
-// All simulated runs inside a step share the round budget, the optional
-// observation hooks, and the cancellation token.
+// Every simulated run of a step shares the round budget, the optional
+// observation hooks, the cancellation token and the diagnostics sink.
 FractionalMatching run_on(const Multigraph& g, EcAlgorithm& algorithm,
                           int budget, const AdversaryOptions& options) {
   RunOptions run_options;
   run_options.budget.max_rounds = budget;
   run_options.hooks = options.hooks;
   run_options.cancel = options.cancel;
-  if (options.diagnostics == nullptr) {
-    return run_ec(g, algorithm, run_options).matching;
-  }
-  // Speculative branches run concurrently, so each run traces into a
-  // private sink and publishes a complete copy under a lock — the caller's
-  // sink is never torn, and after a failure it holds the failing run's
-  // partial trace (last writer wins among concurrent branches).
-  //
-  // ldlb-lint: allow(raw-sync): the diagnostics lock orders only
-  // last-writer-wins copies of complete RunDiagnostics snapshots; it can
-  // decide which failing trace survives, never a certificate byte.
-  static std::mutex publish_mutex;
-  RunDiagnostics local;
-  run_options.diagnostics = &local;
-  try {
-    FractionalMatching matching = run_ec(g, algorithm, run_options).matching;
-    std::lock_guard<std::mutex> lk(publish_mutex);
-    *options.diagnostics = local;
-    return matching;
-    // ldlb-lint: allow(catch-all): publish-then-rethrow — the exception is
-    // rethrown unchanged after the failing run's trace is published.
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(publish_mutex);
-    *options.diagnostics = local;
-    throw;
-  }
+  run_options.diagnostics = options.diagnostics;
+  return run_ec(g, algorithm, run_options).matching;
 }
 
 // Checks that the algorithm treated the 2-lift anonymously: the two copies
@@ -230,72 +201,15 @@ CertificateLevel adversary_step(EcAlgorithm& algorithm, int delta,
   const int budget = adversary_round_budget(delta, options);
   AdversaryStepPlan plan = plan_adversary_step(prev);
 
-  // Serial execution is lazy: only the unfolding the mix weight selects is
-  // ever simulated. With a thread-safe algorithm and idle cores we instead
-  // run GH, GG and HH speculatively in one batch; the branch the decision
-  // discards also discards its result *and* any failure it produced, so
-  // observable behaviour — certificates and surfaced exceptions alike —
-  // matches the lazy path exactly.
-  const bool speculate =
-      algorithm.parallel_safe() &&
-      (options.hooks == nullptr || options.hooks->parallel_safe()) &&
-      global_pool().size() > 1;
-  if (!speculate) {
-    FractionalMatching y_gh = run_on(plan.gh, algorithm, budget, options);
-    // Lazy fetch: simulate the selected unfolding only when asked for it.
-    // `plan` outlives the combine call, so the reference capture is sound.
-    BranchFetch fetch = [&](bool want_gg) {
-      return run_on(want_gg ? plan.gg.graph : plan.hh.graph, algorithm,
-                    budget, options);
-    };
-    return combine_adversary_step(delta, prev, std::move(plan),
-                                  std::move(y_gh), fetch, algorithm.name(),
-                                  options);
-  }
-
-  std::optional<FractionalMatching> y_gh_slot, y_gg_slot, y_hh_slot;
-  std::exception_ptr err_gh, err_gg, err_hh;
-  std::vector<std::function<void()>> branches;
-  branches.emplace_back([&] {
-    try {
-      y_gh_slot = run_on(plan.gh, algorithm, budget, options);
-      // ldlb-lint: allow(catch-all): speculative-branch capture — the
-      // exception_ptr is rethrown (or discarded with its branch) at the
-      // decision point, exactly as the lazy serial path would surface it.
-    } catch (...) {
-      err_gh = std::current_exception();
-    }
-  });
-  branches.emplace_back([&] {
-    try {
-      y_gg_slot = run_on(plan.gg.graph, algorithm, budget, options);
-      // ldlb-lint: allow(catch-all): speculative-branch capture — see the
-      // GH branch above.
-    } catch (...) {
-      err_gg = std::current_exception();
-    }
-  });
-  branches.emplace_back([&] {
-    try {
-      y_hh_slot = run_on(plan.hh.graph, algorithm, budget, options);
-      // ldlb-lint: allow(catch-all): speculative-branch capture — see the
-      // GH branch above.
-    } catch (...) {
-      err_hh = std::current_exception();
-    }
-  });
-  global_pool().parallel_invoke(std::move(branches), options.cancel);
-  if (err_gh) std::rethrow_exception(err_gh);
-  // Precomputed fetch: hand over the selected branch's result, or surface
-  // its captured failure; the discarded branch's fate is never observed.
-  BranchFetch fetch = [&](bool want_gg) -> FractionalMatching {
-    std::exception_ptr& err = want_gg ? err_gg : err_hh;
-    if (err) std::rethrow_exception(err);
-    return std::move(want_gg ? *y_gg_slot : *y_hh_slot);
+  // GH first; only the unfolding its mix weight selects is ever simulated.
+  FractionalMatching y_gh = run_on(plan.gh, algorithm, budget, options);
+  // `plan` outlives the combine call, so the reference capture is sound.
+  const BranchFetch fetch = [&](bool want_gg) {
+    return run_on(want_gg ? plan.gg.graph : plan.hh.graph, algorithm, budget,
+                  options);
   };
-  return combine_adversary_step(delta, prev, std::move(plan),
-                                std::move(*y_gh_slot), fetch,
-                                algorithm.name(), options);
+  return combine_adversary_step(delta, prev, std::move(plan), std::move(y_gh),
+                                fetch, algorithm.name(), options);
 }
 
 LowerBoundCertificate run_adversary(EcAlgorithm& algorithm, int delta,

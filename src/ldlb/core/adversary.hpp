@@ -48,19 +48,17 @@ struct AdversaryOptions {
   /// Optional observation hooks (local/hooks.hpp) installed on every
   /// simulated run an adversary step performs; not owned. Interfering hooks
   /// (fault plans) will generally break the construction — the intended use
-  /// is passive instrumentation of long runs. Hooks whose parallel_safe()
-  /// is false also disable the adversary's speculative execution.
+  /// is passive instrumentation of long runs.
   RunHooks* hooks = nullptr;
   /// Cooperative cancellation (not owned; may be null): polled between
   /// levels, between phases of a step, and — through RunOptions — inside
   /// every simulated run, so a cancel lands within one chunk of simulator
   /// work even on large instances.
   CancellationToken* cancel = nullptr;
-  /// When set, receives the diagnostics of simulated runs (not owned). Each
-  /// run collects into a private sink and publishes a complete copy under a
-  /// lock on completion or failure, so concurrent speculative runs never
-  /// tear this object; after a failure it holds the failing run's partial
-  /// trace (last writer wins among concurrent branches).
+  /// When set, receives the diagnostics of simulated runs (not owned).
+  /// Every run of the chain executes on the calling thread and writes
+  /// straight into it, so it holds the last run's trace — after a failure,
+  /// the failing run's partial trace.
   RunDiagnostics* diagnostics = nullptr;
   /// Re-check property (P1) — ball isomorphism + output difference — as
   /// each level is built: one lockstep walk over the two balls, linear in
@@ -86,17 +84,18 @@ CertificateLevel adversary_step(EcAlgorithm& algorithm, int delta,
 
 // ---------------------------------------------------------------------------
 // Shardable step API. One inductive step decomposes into (a) pure graph
-// construction — the mix GH and the two unfoldings GG, HH — and (b) three
-// independent simulations of the algorithm, one per constructed graph, and
-// (c) a deterministic combine that compares weights, propagates the
-// disagreement and emits the next level. The fleet engine (fault/fleet.hpp)
-// ships the three graphs of (b) to worker processes and feeds the returned
-// matchings into (c); the in-process paths below are thin wrappers over the
+// construction — the mix GH and the two unfoldings GG, HH — and (b) two
+// simulations of the algorithm: on GH, then on the unfolding GH's mix
+// weight selects, and (c) a deterministic combine that compares weights,
+// propagates the disagreement and emits the next level. The fleet engine
+// (fault/fleet.hpp) ships the graphs of (b) to worker processes and feeds
+// the returned matchings into (c); adversary_step is a thin wrapper over the
 // same plan/combine pair, so every execution mode shares one construction.
 // ---------------------------------------------------------------------------
 
-/// The step's three speculative simulation inputs, plus the bookkeeping the
-/// combine needs to interpret their edge ids.
+/// The step's simulation inputs — the mix and both unfoldings, of which the
+/// combine asks for one — plus the bookkeeping the combine needs to
+/// interpret their edge ids.
 struct AdversaryStepPlan {
   Multigraph gh;  ///< the mix of G − e and H − f joined by a colour-c edge
   TwoLift gg;     ///< unfolding of G's witness loop
@@ -112,10 +111,9 @@ struct AdversaryStepPlan {
 AdversaryStepPlan plan_adversary_step(const CertificateLevel& prev);
 
 /// Supplies the matching of the branch the decision selected: called with
-/// `want_gg` true for the GG branch, false for HH — at most once. May
-/// compute lazily (serial path), return a precomputed result (speculative
-/// path) or a worker's reply (fleet); it surfaces that branch's failure by
-/// throwing, exactly as the lazy serial path would.
+/// `want_gg` true for the GG branch, false for HH — at most once. Runs the
+/// selected unfolding in process (adversary_step) or returns a worker's
+/// reply (fleet); it surfaces that branch's failure by throwing.
 using BranchFetch = std::function<FractionalMatching(bool want_gg)>;
 
 /// Deterministic second half of the step: decides the case from y_gh's

@@ -23,6 +23,14 @@ bool is_connected_given(const Multigraph& g, bool forest) {
   return g.node_count() == 0 || plain == g.node_count() - 1;
 }
 
+// True iff every edge colour of `g` is below `delta`.
+bool colours_below(const Multigraph& g, int delta) {
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (g.edge(e).color >= delta) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<LevelValidation> validate_certificate(
@@ -41,12 +49,17 @@ std::vector<LevelValidation> validate_certificate(
 
     const bool coloured =
         lv.g.has_proper_edge_coloring() && lv.h.has_proper_edge_coloring();
+    // An EC algorithm is defined on graphs properly coloured with the
+    // colours 0..Δ-1: run_ec requires the colouring, and the subjects are
+    // built for Δ colours. Every graph the adversary builds is one.
+    const bool in_domain = coloured && colours_below(lv.g, cert.delta) &&
+                           colours_below(lv.h, cert.delta);
     const bool g_forest = lv.g.is_forest_ignoring_loops();
     const bool h_forest = lv.h.is_forest_ignoring_loops();
     const bool connected = is_connected_given(lv.g, g_forest) &&
                            is_connected_given(lv.h, h_forest);
     v.degree_ok = lv.g.max_degree() <= cert.delta &&
-                  lv.h.max_degree() <= cert.delta && coloured;
+                  lv.h.max_degree() <= cert.delta && in_domain;
     v.shape_ok = g_forest && h_forest && connected;
     if (check_loopiness) {
       // Loopiness is defined, and is_k_loopy answers, only for graphs with
@@ -77,11 +90,10 @@ std::vector<LevelValidation> validate_certificate(
       v.balls_isomorphic =
           balls_isomorphic(lv.g, lv.g_node, lv.h, lv.h_node, lv.level);
     }
-    // Independent re-execution of the algorithm on both graphs. An EC
-    // algorithm is defined only on properly coloured graphs (run_ec's
-    // precondition), so an improperly coloured stored graph — already
-    // reported through degree_ok — leaves both output fields false.
-    if (v.witness_loops_ok && coloured) {
+    // Independent re-execution of the algorithm on both graphs. A stored
+    // graph outside the algorithm's domain — already reported through
+    // degree_ok — leaves both output fields false.
+    if (v.witness_loops_ok && in_domain) {
       RunResult run_g = run_ec(lv.g, algorithm, round_budget(cert.delta));
       RunResult run_h = run_ec(lv.h, algorithm, round_budget(cert.delta));
       const Rational& wg = run_g.matching.weight(lv.g_loop);

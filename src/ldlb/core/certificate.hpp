@@ -61,7 +61,9 @@ struct LowerBoundCertificate {
 /// Result of validating one level (all findings, for reporting).
 struct LevelValidation {
   int level = 0;
-  bool degree_ok = false;        ///< both graphs have max degree <= Δ
+  /// Both graphs have max degree <= Δ and are properly coloured with the
+  /// colours 0..Δ-1.
+  bool degree_ok = false;
   bool shape_ok = false;         ///< trees-with-loops (property (P3))
   /// (Δ-1-i)-loopy (property (P2)); false, without building a factor
   /// graph, when either graph is improperly coloured or disconnected.
@@ -69,8 +71,8 @@ struct LevelValidation {
   bool witness_loops_ok = false; ///< stored loops exist, colour c, at g_i/h_i
   bool balls_isomorphic = false; ///< τ_i(G_i,g_i) ≅ τ_i(H_i,h_i)
   /// Re-run weights differ on the witness loops. The algorithm is re-run
-  /// only on properly coloured graphs, so this and weights_match_stored
-  /// are false when degree_ok fails on the colouring.
+  /// only on graphs properly coloured with the colours 0..Δ-1, so this and
+  /// weights_match_stored are false when degree_ok fails on the colouring.
   bool outputs_differ = false;
   bool weights_match_stored = false;  ///< re-run weights equal stored ones
 

@@ -34,9 +34,8 @@ bool BudgetHooks::on_deliver(EdgeId /*edge*/, NodeId /*from*/, NodeId /*to*/,
   const long long total =
       total_messages_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (limits_.max_total_messages > 0 && total > limits_.max_total_messages) {
-    // The text must not include `total`: under speculative execution the
-    // count at which the cap trips is schedule-dependent, and this what()
-    // string must match byte-for-byte across thread counts.
+    // The text names the cap, not `total`, so the what() string is the
+    // same wherever the cap is crossed.
     std::ostringstream os;
     os << "cumulative message budget of " << limits_.max_total_messages
        << " exceeded";

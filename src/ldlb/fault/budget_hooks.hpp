@@ -1,4 +1,4 @@
-// Parallel-safe budget enforcement hooks.
+// Budget enforcement hooks.
 //
 // RunBudget (local/simulator.hpp) bounds one run; long adversary campaigns
 // need a *cumulative* cap across the many simulated runs one chain
@@ -9,17 +9,10 @@
 // Deadline / CancellationToken from the hook entry points so a runaway run
 // is stopped even between the executor's own poll sites.
 //
-// Because all of its state is a single atomic counter, BudgetHooks declares
-// parallel_safe() == true: the executor keeps its parallel per-node fan-out
-// with these hooks installed, and — since message delivery itself is serial
-// and the counter is a sum — the run's observable output is byte-identical
-// to a serial run. parallel_determinism_test pins this.
-//
-// Caveat for cumulative caps with the adversary's speculative execution:
-// speculated runs that lose the race still count their messages, so the
-// total at which the cap trips can differ between serial and parallel
-// schedules. The *classification* (BudgetExceeded → kBudgetExceeded) and
-// the error text are schedule-independent — the text deliberately names
+// The hooks only count and poll, so an adversary run with them installed
+// produces the same certificate bytes as one without, at any pool width;
+// parallel_determinism_test pins this. The counter is atomic so that one
+// instance may also watch runs on several threads. The error text names
 // only the cap, not the count observed when it tripped.
 #pragma once
 
@@ -42,8 +35,6 @@ class BudgetHooks : public RunHooks {
 
   explicit BudgetHooks(Limits limits, CancellationToken* cancel = nullptr)
       : limits_(limits), cancel_(cancel) {}
-
-  [[nodiscard]] bool parallel_safe() const override { return true; }
 
   bool node_crashed(NodeId node, int round) override;
   void on_send_ec(NodeId node, int round,

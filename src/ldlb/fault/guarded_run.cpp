@@ -138,8 +138,8 @@ GuardedOutcome guarded_run_adversary(EcAlgorithm& alg, int delta,
                                      AdversaryOptions options) {
   GuardedOutcome outcome = classify(
       [&](GuardedOutcome& out) -> std::optional<RunResult> {
-        // Route the adversary's published diagnostics into the outcome so
-        // the last simulated run is observable even when the chain dies.
+        // Route the adversary's diagnostics into the outcome so the last
+        // simulated run is observable even when the chain dies.
         if (options.diagnostics == nullptr) {
           options.diagnostics = &out.diagnostics;
         }

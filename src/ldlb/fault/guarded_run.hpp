@@ -91,7 +91,7 @@ GuardedOutcome guarded_run_po(const Digraph& g, PoAlgorithm& alg,
 /// Runs the full adversary chain against `alg` at maximum degree `delta`
 /// under the same classification contract. On success the outcome carries
 /// the certificate; on any classified failure it carries the partial
-/// diagnostics the adversary published (see AdversaryOptions::diagnostics)
+/// diagnostics of the run that failed (see AdversaryOptions::diagnostics)
 /// plus the cancellation / env-fault detail.
 GuardedOutcome guarded_run_adversary(EcAlgorithm& alg, int delta,
                                      AdversaryOptions options = {});

@@ -18,8 +18,8 @@
 // array) built lazily on first read. Construction paths therefore never pay
 // per-node heap vectors, and analysis paths stream over contiguous memory.
 // Mutation is single-threaded by convention (build once, then analyse);
-// concurrent *reads* — the parallel simulator and validator — are safe, the
-// index is published once via an atomic pointer.
+// concurrent *reads* — the per-level validator's — are safe, the index is
+// published once via an atomic pointer.
 #pragma once
 
 #include <atomic>
@@ -246,7 +246,7 @@ class Multigraph {
   std::vector<Edge> edges_;
   NodeId node_count_ = 0;
   // Lazily built, atomically published so concurrent cold reads from the
-  // parallel simulator/validator are race-free; mutators invalidate.
+  // parallel validator are race-free; mutators invalidate.
   //
   // ldlb-lint: allow(raw-sync): single-writer publication of an immutable
   // index — every thread that wins or loses the publish race reads the same

@@ -91,12 +91,13 @@ class EcAlgorithm {
   virtual std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True when `make_node` and the node state machines it produces may be
-  /// driven from several threads at once (the factory keeps no mutable state
-  /// and each node touches only its own state). Opt-in: the simulator keeps
-  /// stateful factories on the exact serial path, so algorithms that
-  /// deliberately break anonymity (test impostors) stay race-free and
-  /// byte-identical.
+  /// True when several runs of this algorithm may execute at once on
+  /// different threads (the factory keeps no mutable state and each node
+  /// touches only its own state). Opt-in: validate_certificate re-runs the
+  /// levels of a chain concurrently only for such an algorithm, so stateful
+  /// factories — test impostors that deliberately break anonymity among
+  /// them — stay on the serial loop, race-free and with identical verdicts.
+  /// Every simulated run itself executes on the calling thread.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 
   /// Optional closed-form evaluator. An algorithm whose outcome on `g` has a
@@ -183,9 +184,6 @@ class PoAlgorithm {
   virtual ~PoAlgorithm() = default;
   virtual std::unique_ptr<PoNodeState> make_node(const PoNodeContext& ctx) = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// See EcAlgorithm::parallel_safe.
-  [[nodiscard]] virtual bool parallel_safe() const { return false; }
 
   /// PO form of EcAlgorithm::evaluate_direct, with the same contract: on a
   /// properly PO-coloured `g`, either decline (nullopt) or return exactly the

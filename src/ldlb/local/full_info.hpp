@@ -58,8 +58,8 @@ class EcViewFunction {
       const EcView& view, const std::vector<Color>& incident) = 0;
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True when `decide` is a pure function (no mutable state), so the
-  /// gathered views of different nodes may be decided concurrently.
+  /// True when `decide` is a pure function (no mutable state), so runs of
+  /// FullInfoEc over it may execute concurrently (EcAlgorithm::parallel_safe).
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 };
 

@@ -22,16 +22,6 @@ class RunHooks {
  public:
   virtual ~RunHooks() = default;
 
-  /// Whether the executor may invoke these hooks concurrently from the
-  /// thread pool. The default (false) keeps hook-instrumented runs serial,
-  /// which is what stateful fault plans require. Passive, internally
-  /// synchronised hooks (e.g. fault/budget_hooks.hpp's atomic counters)
-  /// override this to true and get parallel execution with the same
-  /// byte-identical output as a serial run. A parallel-safe hook must
-  /// tolerate on_send_* / node_crashed being called in any node order, and
-  /// must not rely on per-round call counts being reached in sequence.
-  [[nodiscard]] virtual bool parallel_safe() const { return false; }
-
   /// Polled once per (live node, round) before sends. Returning true
   /// crash-stops the node: it stops sending and receiving, counts as
   /// terminated for the halting condition, and its output is read as-is.

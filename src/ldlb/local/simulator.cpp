@@ -4,29 +4,18 @@
 #include <chrono>
 
 #include "ldlb/util/slow_checks.hpp"
-#include "ldlb/util/thread_pool.hpp"
 
 namespace ldlb {
 
 namespace {
 
-// Runs fn(v) for every node, spreading across the global pool when the
-// caller established that doing so is safe. Iteration order differs under
-// parallelism but every write lands in a caller-owned per-node slot, so
-// results are identical to the serial loop. A cancellation token, when
-// given, is polled between chunks (parallel) or every few nodes (serial).
+// Runs fn(v) for every node in id order, polling the cancellation token,
+// when given, every few nodes.
 template <typename Fn>
-void for_each_node(bool parallel, NodeId n, CancellationToken* cancel,
-                   const Fn& fn) {
-  if (parallel) {
-    global_pool().parallel_for(
-        static_cast<std::size_t>(n),
-        [&fn](std::size_t i) { fn(static_cast<NodeId>(i)); }, cancel);
-  } else {
-    for (NodeId v = 0; v < n; ++v) {
-      if (cancel != nullptr && v % 32 == 0) cancel->check();
-      fn(v);
-    }
+void for_each_node(NodeId n, CancellationToken* cancel, const Fn& fn) {
+  for (NodeId v = 0; v < n; ++v) {
+    if (cancel != nullptr && v % 32 == 0) cancel->check();
+    fn(v);
   }
 }
 
@@ -110,18 +99,10 @@ RunResult interpret_ec(const Multigraph& g, EcAlgorithm& alg,
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
-  // Per-node work fans out only when the algorithm declared itself
-  // thread-safe and any installed hooks declared themselves parallel-safe
-  // too. Stateful hooks (the default) see events in deterministic per-node
-  // order, which parallel execution would scramble; passive atomic hooks
-  // such as BudgetHooks opt in via RunHooks::parallel_safe().
-  const bool par = alg.parallel_safe() &&
-                   (hooks == nullptr || hooks->parallel_safe()) &&
-                   global_pool().size() > 1;
 
   std::vector<std::unique_ptr<EcNodeState>> nodes(
       static_cast<std::size_t>(g.node_count()));
-  for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+  for_each_node(g.node_count(), cancel, [&](NodeId v) {
     EcNodeContext ctx;
     for (EdgeId e : g.incident_edges(v)) {
       ctx.incident_colors.push_back(g.edge(e).color);
@@ -210,16 +191,15 @@ RunResult interpret_ec(const Multigraph& g, EcAlgorithm& alg,
         }
       }
     }
-    // A node's own send may flip its halted() bit, but each node's liveness
-    // is sampled before its own send and nodes do not affect each other
-    // inside a round, so this pre-count matches the serial interleaving.
+    // Count the nodes that act this round before any of them sends: a send
+    // may flip the sender's halted() bit.
     for (NodeId v = 0; v < g.node_count(); ++v) {
       if (!done(v)) ++live;
     }
-    // Collect outboxes of live nodes (each write lands in slot v).
+    // Collect outboxes of live nodes.
     std::vector<std::map<Color, Message>> outbox(
         static_cast<std::size_t>(g.node_count()));
-    for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+    for_each_node(g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       auto& out = outbox[static_cast<std::size_t>(v)];
       out = nodes[static_cast<std::size_t>(v)]->send(round);
@@ -299,7 +279,7 @@ RunResult interpret_ec(const Multigraph& g, EcAlgorithm& alg,
     result.message_bytes += round_bytes;
     if (diag) diag->per_round.push_back({round_messages, round_bytes, live});
     check_message_budget(options.budget, result.messages, alg.name());
-    for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+    for_each_node(g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       nodes[static_cast<std::size_t>(v)]->receive(
           round, inbox[static_cast<std::size_t>(v)]);
@@ -313,7 +293,7 @@ RunResult interpret_ec(const Multigraph& g, EcAlgorithm& alg,
   // Assemble and cross-check the output.
   std::vector<std::map<Color, Rational>> outputs(
       static_cast<std::size_t>(g.node_count()));
-  for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+  for_each_node(g.node_count(), cancel, [&](NodeId v) {
     auto& out = outputs[static_cast<std::size_t>(v)];
     out = nodes[static_cast<std::size_t>(v)]->output();
     if (hooks) hooks->on_output_ec(v, out);
@@ -416,13 +396,10 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
   RunDiagnostics* diag = options.diagnostics;
   CancellationToken* cancel = options.cancel;
   if (diag) diag->reset(g.node_count());
-  const bool par = alg.parallel_safe() &&
-                   (hooks == nullptr || hooks->parallel_safe()) &&
-                   global_pool().size() > 1;
 
   std::vector<std::unique_ptr<PoNodeState>> nodes(
       static_cast<std::size_t>(g.node_count()));
-  for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+  for_each_node(g.node_count(), cancel, [&](NodeId v) {
     PoNodeContext ctx;
     for (EdgeId a : g.out_arcs(v)) ctx.out_colors.push_back(g.arc(a).color);
     for (EdgeId a : g.in_arcs(v)) ctx.in_colors.push_back(g.arc(a).color);
@@ -482,7 +459,7 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
     }
     std::vector<std::map<PoEnd, Message>> outbox(
         static_cast<std::size_t>(g.node_count()));
-    for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+    for_each_node(g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       auto& out = outbox[static_cast<std::size_t>(v)];
       out = nodes[static_cast<std::size_t>(v)]->send(round);
@@ -529,7 +506,7 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
     result.message_bytes += round_bytes;
     if (diag) diag->per_round.push_back({round_messages, round_bytes, live});
     check_message_budget(options.budget, result.messages, alg.name());
-    for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+    for_each_node(g.node_count(), cancel, [&](NodeId v) {
       if (done(v)) return;
       nodes[static_cast<std::size_t>(v)]->receive(
           round, inbox[static_cast<std::size_t>(v)]);
@@ -542,7 +519,7 @@ RunResult run_po(const Digraph& g, PoAlgorithm& alg,
 
   std::vector<std::map<PoEnd, Rational>> outputs(
       static_cast<std::size_t>(g.node_count()));
-  for_each_node(par, g.node_count(), cancel, [&](NodeId v) {
+  for_each_node(g.node_count(), cancel, [&](NodeId v) {
     auto& out = outputs[static_cast<std::size_t>(v)];
     out = nodes[static_cast<std::size_t>(v)]->output();
     if (hooks) hooks->on_output_po(v, out);

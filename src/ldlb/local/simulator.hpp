@@ -70,9 +70,9 @@ struct RunOptions {
   RunHooks* hooks = nullptr;             ///< not owned; may be null
   RunDiagnostics* diagnostics = nullptr;  ///< not owned; may be null
   /// Cooperative cancellation (not owned; may be null). The executor polls
-  /// the token at every round boundary, between parallel chunks, and every
-  /// few thousand message deliveries, and aborts the run by throwing
-  /// Cancelled. Diagnostics collected up to that point stay valid.
+  /// the token at every round boundary, every few nodes of a per-node pass
+  /// and every few thousand message deliveries, and aborts the run by
+  /// throwing Cancelled. Diagnostics collected up to that point stay valid.
   CancellationToken* cancel = nullptr;
 };
 

@@ -46,7 +46,6 @@ class ProposalPacking : public PoAlgorithm {
   ProposalPacking() = default;
   std::unique_ptr<PoNodeState> make_node(const PoNodeContext& ctx) override;
   [[nodiscard]] std::string name() const override { return "ProposalPacking"; }
-  [[nodiscard]] bool parallel_safe() const override { return true; }
 
   // The protocol is a fixed offer/grant/SAT exchange over paired arc ends,
   // so the run has a closed form: one flat loop per round over the open

@@ -12,7 +12,7 @@ namespace ldlb {
 namespace {
 
 // Set while a thread is inside ThreadPool::worker_loop; lets reentrant
-// parallel_* calls detect that they are already on a worker and run inline.
+// parallel_for calls detect that they are already on a worker and run inline.
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 constexpr int kMaxThreads = 64;
@@ -97,67 +97,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::run_batch(std::vector<std::function<void()>>& tasks,
-                           CancellationToken* cancel) {
-  const std::size_t n = tasks.size();
-  if (n == 0) return;
-  std::vector<std::exception_ptr> errors(n);
-
-  // Wraps task i with the pre-task cancellation poll; a pending cancel
-  // surfaces as the task's error, so the lowest-index rule applies to
-  // cancellation exactly as to any other failure.
-  auto run_one = [&tasks, &errors, cancel](std::size_t i) {
-    try {
-      if (cancel != nullptr) cancel->check();
-      tasks[i]();
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-
-  if (threads_ <= 1 || g_forked_child || on_worker_thread() || n == 1) {
-    // Inline: run every task (as the parallel path would), then report the
-    // lowest-index failure.
-    for (std::size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    struct Join {
-      std::mutex m;
-      std::condition_variable cv;
-      std::size_t done = 0;  // ldlb: guarded_by(join.m)
-    } join;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      for (std::size_t i = 0; i < n; ++i) {
-        queue_.push_back(Task{[&run_one, &join, i] {
-          run_one(i);
-          // Notify under the lock: the waiter destroys `join` as soon as it
-          // observes done == n, so signalling after unlock would race with
-          // the condition variable's destruction.
-          std::lock_guard<std::mutex> g(join.m);
-          ++join.done;
-          join.cv.notify_one();
-        }});
-      }
-    }
-    wake_.notify_all();
-    // The issuing thread drains the queue alongside the workers.
-    for (;;) {
-      std::unique_lock<std::mutex> lk(mutex_);
-      if (queue_.empty()) break;
-      Task task = std::move(queue_.back());
-      queue_.pop_back();
-      lk.unlock();
-      task.run();
-    }
-    std::unique_lock<std::mutex> lk(join.m);
-    join.cv.wait(lk, [&join, n] { return join.done == n; });
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
-  }
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn,
                               CancellationToken* cancel) {
@@ -174,25 +113,56 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   // Contiguous chunks: the lowest failing chunk's first failure is exactly
   // the lowest failing index, preserving serial exception order.
-  const std::size_t chunks =
+  const std::size_t max_chunks =
       std::min(n, static_cast<std::size_t>(threads_) * 4);
-  const std::size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * per;
-    const std::size_t hi = std::min(n, lo + per);
-    if (lo >= hi) break;
-    tasks.push_back([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
+  const std::size_t per = (n + max_chunks - 1) / max_chunks;
+  const std::size_t chunks = (n + per - 1) / per;
+  std::vector<std::exception_ptr> errors(chunks);
+  struct Join {
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t done = 0;  // ldlb: guarded_by(join.m)
+  } join;
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      queue_.push_back(Task{[&, c] {
+        // A pending cancel surfaces as the chunk's error, so the
+        // lowest-index rule applies to cancellation as to any failure.
+        try {
+          if (cancel != nullptr) cancel->check();
+          for (std::size_t i = c * per; i < std::min(n, (c + 1) * per); ++i) {
+            fn(i);
+          }
+        } catch (...) {
+          errors[c] = std::current_exception();
+        }
+        // Notify under the lock: the waiter destroys `join` as soon as it
+        // observes done == chunks, so signalling after unlock would race
+        // with the condition variable's destruction.
+        std::lock_guard<std::mutex> g(join.m);
+        ++join.done;
+        join.cv.notify_one();
+      }});
+    }
   }
-  run_batch(tasks, cancel);
-}
-
-void ThreadPool::parallel_invoke(std::vector<std::function<void()>> thunks,
-                                 CancellationToken* cancel) {
-  run_batch(thunks, cancel);
+  wake_.notify_all();
+  // The issuing thread drains the queue alongside the workers.
+  for (;;) {
+    std::unique_lock<std::mutex> lk(mutex_);
+    if (queue_.empty()) break;
+    Task task = std::move(queue_.back());
+    queue_.pop_back();
+    lk.unlock();
+    task.run();
+  }
+  {
+    std::unique_lock<std::mutex> lk(join.m);
+    join.cv.wait(lk, [&join, chunks] { return join.done == chunks; });
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 ThreadPool& ThreadPool::global() {

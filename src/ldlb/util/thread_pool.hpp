@@ -1,27 +1,27 @@
-// Deterministic task pool for the parallel execution layer.
+// Deterministic task pool for per-level certificate validation.
 //
-// The adversary, the simulator, and the certificate validator fan
-// independent pieces of exact-arithmetic work out to a small fixed pool of
-// worker threads. Two properties make this safe for a system whose output
-// is a *byte-identical* certificate (the crash/resume contract of
-// recover/):
+// The certificate validator (core/certificate.cpp) checks the levels of a
+// chain independently, so it fans them out to a small fixed pool of worker
+// threads; adversary steps and simulated runs execute on the calling
+// thread. Two properties make this safe for a system whose output is a
+// *byte-identical* certificate and an identical verdict:
 //
-//   * Deterministic join: `parallel_for` and `parallel_invoke` return only
-//     after every task finished, results are written into caller-owned
-//     index slots, and a task's exception is rethrown in task order — the
-//     lowest-index failure wins, exactly as in a serial left-to-right loop.
-//     Scheduling order can vary between runs; observable behaviour cannot.
+//   * Deterministic join: `parallel_for` returns only after every task
+//     finished, results are written into caller-owned index slots, and a
+//     task's exception is rethrown in index order — the lowest-index
+//     failure wins, exactly as in a serial left-to-right loop. Scheduling
+//     order can vary between runs; observable behaviour cannot.
 //
-//   * Inline nesting: a `parallel_*` call made from inside a worker thread
-//     runs its tasks inline on that worker. Nested parallelism therefore
-//     cannot deadlock the fixed-size pool, and the serial fallback keeps the
-//     same code path as a 1-thread pool.
+//   * Inline nesting: a `parallel_for` call made from inside a worker
+//     thread runs its tasks inline on that worker. Nested parallelism
+//     therefore cannot deadlock the fixed-size pool, and the serial fallback
+//     keeps the same code path as a 1-thread pool.
 //
-// Cooperative cancellation: both entry points take an optional
-// CancellationToken (util/cancellation.hpp) and poll it between chunks /
-// thunks — on every participating thread — so a cancel request lands
-// within one chunk of work rather than one full batch. The resulting
-// Cancelled error is rethrown under the same lowest-index rule.
+// Cooperative cancellation: `parallel_for` takes an optional
+// CancellationToken (util/cancellation.hpp) and polls it between chunks —
+// on every participating thread — so a cancel request lands within one
+// chunk of work rather than one full batch. The resulting Cancelled error
+// is rethrown under the same lowest-index rule.
 //
 // The pool size comes from the LDLB_THREADS environment variable (default:
 // hardware concurrency), clamped to [1, 64]. `set_global_threads` rebuilds
@@ -74,12 +74,6 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     CancellationToken* cancel = nullptr);
 
-  /// Runs the given thunks concurrently and waits for all of them; the
-  /// first thunk's exception wins. Reentrant calls run inline. `cancel`, if
-  /// given, is polled before each thunk starts.
-  void parallel_invoke(std::vector<std::function<void()>> thunks,
-                       CancellationToken* cancel = nullptr);
-
   /// The process-wide pool. First use sizes it from LDLB_THREADS (default:
   /// hardware concurrency, clamped to [1, 64]).
   static ThreadPool& global();
@@ -92,7 +86,7 @@ class ThreadPool {
 
   /// Marks this process as a fork(2) child of a (possibly multithreaded)
   /// parent: the parent's pool workers do not exist here, so every
-  /// parallel_* call runs inline from now on and global() hands out a
+  /// parallel_for call runs inline from now on and global() hands out a
   /// private serial pool instead of the inherited (broken) one. Called by
   /// ipc::spawn_worker immediately after fork, before any other library
   /// call; irreversible for the life of the process.
@@ -107,11 +101,6 @@ class ThreadPool {
   };
 
   void worker_loop();
-  /// Runs `tasks` across the pool (or inline), then rethrows the
-  /// lowest-index exception, if any. Polls `cancel` before each task on
-  /// every participating thread.
-  void run_batch(std::vector<std::function<void()>>& tasks,
-                 CancellationToken* cancel);
 
   int threads_;
   std::string construction_error_;

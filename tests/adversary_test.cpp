@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "ldlb/core/base_case.hpp"
 #include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/graph/generators.hpp"
@@ -13,6 +17,7 @@
 #include "ldlb/matching/checker.hpp"
 #include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/error.hpp"
 #include "ldlb/view/ball.hpp"
 #include "ldlb/view/isomorphism.hpp"
@@ -174,6 +179,44 @@ TEST(Adversary, AlgorithmOutputsStayMaximalOnAllLevels) {
   }
 }
 
+// Theorem 1 tripwire. A valid level i certifies that A is not i-local, so A
+// needs more than i rounds on G_i or on H_i. A level where both round
+// counts are at most i means the validator or the simulator is unsound.
+// Only po's case can trip: its round count tracks the level (i+2 or i+3
+// at level i). The colour sweeps pass trivially, since every level graph
+// keeps G_0's Δ colours at every node: seq runs Δ rounds and two 2Δ on
+// every level, above any i ≤ Δ−2.
+void expect_rounds_exceed_levels(EcAlgorithm& alg, int delta) {
+  const std::string at = alg.name() + " Δ=" + std::to_string(delta);
+  const int budget = 40000;
+  AdversaryOptions opts;
+  opts.max_rounds = budget;
+  const LowerBoundCertificate cert = run_adversary(alg, delta, opts);
+  ASSERT_EQ(cert.certified_radius(), delta - 2) << at;
+  ASSERT_TRUE(certificate_is_valid(cert, alg)) << at;
+  for (const CertificateLevel& lv : cert.levels) {
+    const int rounds = std::max(run_ec(lv.g, alg, budget).rounds,
+                                run_ec(lv.h, alg, budget).rounds);
+    EXPECT_GT(rounds, lv.level) << at << " level " << lv.level;
+  }
+}
+
+TEST(TheoremOneTripwire, SeqTwoPoDelta3To9) {
+  for (int delta = 3; delta <= 9; ++delta) {
+    SeqColorPacking seq{delta};
+    expect_rounds_exceed_levels(seq, delta);
+    TwoPhasePacking two{delta};
+    expect_rounds_exceed_levels(two, delta);
+    ProposalPacking inner;
+    EcFromPo po{inner};
+    expect_rounds_exceed_levels(po, delta);
+  }
+}
+
+TEST(TheoremOneTripwire, SeqDelta14) {
+  SeqColorPacking seq{14};
+  expect_rounds_exceed_levels(seq, 14);
+}
 
 TEST(Adversary, ScalesToDelta12) {
   // Larger-scale smoke: at Δ = 12 the final pair has 2^10 = 1024 nodes.

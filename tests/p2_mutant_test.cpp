@@ -1,6 +1,8 @@
 // Property (P2), (Δ-1-i)-loopiness, as the validators decide it: the P2
-// clause of the validator mutation corpus, and beside it the improperly
-// coloured graph, which the validators must report rather than throw on.
+// clause of the validator mutation corpus, and beside it the graph outside
+// the algorithm's domain — improperly coloured, or coloured outside
+// [0, Δ) — which the validators must report rather than throw on. The
+// subjects are seq, two and po.
 //
 //   * A mutant leaves one node of a level-i graph one loop short: at every
 //     level it removes loops other than the witness loop from a node of
@@ -38,6 +40,7 @@
 #include "ldlb/fault/fleet.hpp"
 #include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
+#include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/util/atomic_file.hpp"
 #include "ldlb/util/ipc.hpp"
@@ -62,6 +65,11 @@ AlgorithmFactory factory_for(const std::string& kind, int delta) {
   if (kind == "seq") {
     return [delta]() -> std::unique_ptr<EcAlgorithm> {
       return std::make_unique<SeqColorPacking>(delta);
+    };
+  }
+  if (kind == "two") {
+    return [delta]() -> std::unique_ptr<EcAlgorithm> {
+      return std::make_unique<TwoPhasePacking>(delta);
     };
   }
   // EcFromPo borrows its PO algorithm; this subject owns one.
@@ -243,13 +251,31 @@ bool recolour_to_clash(Multigraph& g, EdgeId e) {
   return false;
 }
 
-// An improperly coloured stored graph is outside the algorithm's domain
-// (run_ec requires a proper colouring), so the validators report it —
-// degree_ok, loopy_ok, outputs_differ and weights_match_stored false —
-// instead of throwing, and agree field for field. One mutant clashes one
-// level-2 G edge with a neighbour, as a mis-written colour in a stored log
-// would; the others clash one edge other than the witness loop at every
-// level, on either side.
+// One colour mutant: the level it hits (-1 for every level), the side, and
+// whether the edge clashes with a neighbour or leaves the range [0, Δ).
+struct ColourMutant {
+  const char* name;
+  int level;
+  bool h_side;
+  bool out_of_range;
+};
+
+constexpr ColourMutant kColourMutants[] = {
+    {"level-2 G clash", 2, false, false},
+    {"every G clash", -1, false, false},
+    {"every H clash", -1, true, false},
+    {"level-0 G loop out of range", 0, false, true},
+    {"level-2 G edge out of range", 2, false, true},
+};
+
+// A graph outside the algorithm's domain — run_ec requires a proper
+// colouring, and the subjects are built for the colours 0..Δ-1 — makes the
+// validators report the level instead of throwing, and agree field for
+// field: degree_ok, outputs_differ and weights_match_stored false. A clash
+// also loses loopy_ok (loopiness needs a proper colouring); a colour of
+// 1000 keeps the colouring proper and the loop count, so loopy_ok holds.
+// Each mutant recolours one edge other than the witness loop, as a
+// mis-written colour in a stored log would.
 void check_colour_clash(const std::string& kind, int delta) {
   const AlgorithmFactory factory = factory_for(kind, delta);
   const std::unique_ptr<EcAlgorithm> alg = factory();
@@ -258,20 +284,24 @@ void check_colour_clash(const std::string& kind, int delta) {
   const LowerBoundCertificate cert = run_adversary(*alg, delta, opts);
   ASSERT_EQ(cert.certified_radius(), delta - 2);
 
-  for (int mode = 0; mode < 3; ++mode) {
-    const std::string kind_at = kind + " Δ=" + std::to_string(delta) +
-                                (mode == 0   ? " level-2 G"
-                                 : mode == 1 ? " every G"
-                                             : " every H");
+  for (const ColourMutant& m : kColourMutants) {
+    const std::string kind_at =
+        kind + " Δ=" + std::to_string(delta) + " " + m.name;
     LowerBoundCertificate mutant = cert;
-    std::vector<bool> clashed(mutant.levels.size(), false);
+    std::vector<bool> hit(mutant.levels.size(), false);
     for (CertificateLevel& lv : mutant.levels) {
-      if (mode == 0 && lv.level != 2) continue;
-      Multigraph& g = mode == 2 ? lv.h : lv.g;
-      const EdgeId witness = mode == 2 ? lv.h_loop : lv.g_loop;
+      if (m.level >= 0 && lv.level != m.level) continue;
+      Multigraph& g = m.h_side ? lv.h : lv.g;
+      const EdgeId witness = m.h_side ? lv.h_loop : lv.g_loop;
       const EdgeId e = witness == g.edge_count() - 1 ? 0 : g.edge_count() - 1;
-      clashed[static_cast<std::size_t>(lv.level)] = recolour_to_clash(g, e);
-      EXPECT_TRUE(clashed[static_cast<std::size_t>(lv.level)])
+      if (m.out_of_range) {
+        EXPECT_TRUE(m.level != 0 || g.edge(e).is_loop()) << kind_at;
+        g.set_color(e, 1000);
+        hit[static_cast<std::size_t>(lv.level)] = true;
+      } else {
+        hit[static_cast<std::size_t>(lv.level)] = recolour_to_clash(g, e);
+      }
+      EXPECT_TRUE(hit[static_cast<std::size_t>(lv.level)])
           << kind_at << " level " << lv.level;
     }
     std::vector<LevelValidation> resident;
@@ -286,12 +316,12 @@ void check_colour_clash(const std::string& kind, int delta) {
       const std::string at = kind_at + " level " + std::to_string(i);
       expect_same_fields(resident[i], streamed[i], at);
       EXPECT_EQ(fleet[i], resident[i].ok()) << at;
-      if (!clashed[i]) {
+      if (!hit[i]) {
         EXPECT_TRUE(resident[i].ok()) << at;
         continue;
       }
       EXPECT_FALSE(resident[i].degree_ok) << at;
-      EXPECT_FALSE(resident[i].loopy_ok) << at;
+      EXPECT_EQ(resident[i].loopy_ok, m.out_of_range) << at;
       EXPECT_TRUE(resident[i].shape_ok) << at;
       EXPECT_TRUE(resident[i].witness_loops_ok) << at;
       EXPECT_FALSE(resident[i].outputs_differ) << at;
@@ -305,6 +335,10 @@ TEST(ColourClash, SeqDelta5IsReportedNotThrown) {
   check_colour_clash("seq", 5);
 }
 
+TEST(ColourClash, TwoDelta5IsReportedNotThrown) {
+  check_colour_clash("two", 5);
+}
+
 TEST(ColourClash, PoDelta5IsReportedNotThrown) {
   check_colour_clash("po", 5);
 }
@@ -312,6 +346,8 @@ TEST(ColourClash, PoDelta5IsReportedNotThrown) {
 TEST(P2OneLoopShort, SeqDelta8) { check_one_loop_short("seq", 8); }
 
 TEST(P2OneLoopShort, SeqDelta14) { check_one_loop_short("seq", 14); }
+
+TEST(P2OneLoopShort, TwoDelta8) { check_one_loop_short("two", 8); }
 
 TEST(P2OneLoopShort, PoDelta8) { check_one_loop_short("po", 8); }
 

@@ -1,14 +1,19 @@
 // The parallel engine's contract (docs/PERFORMANCE.md): running the
-// adversary or the validator on any number of threads produces *byte
-// identical* certificates and *identical* accept/reject decisions to the
-// serial path. These tests pin that contract down — including for
-// deliberately broken algorithms, which must keep failing in exactly the
-// same way when a thread pool is available.
+// adversary or the validator with any number of pool threads produces
+// *byte identical* certificates and *identical* accept/reject decisions to
+// the serial path. Adversary steps and simulated runs execute on the
+// calling thread; only per-level validation uses the pool. These tests pin
+// that contract down — including for deliberately broken algorithms, which
+// must keep failing in exactly the same way when a thread pool is
+// available.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "ldlb/core/adversary.hpp"
@@ -16,6 +21,7 @@
 #include "ldlb/core/certificate_io.hpp"
 #include "ldlb/fault/budget_hooks.hpp"
 #include "ldlb/fault/guarded_run.hpp"
+#include "ldlb/local/simulator.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/matching/two_phase_packing.hpp"
 #include "ldlb/util/error.hpp"
@@ -67,17 +73,6 @@ TEST(ThreadPool, RethrowsLowestIndexFailureLikeSerial) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "fail at 3");
   }
-}
-
-TEST(ThreadPool, ParallelInvokeRunsAllThunks) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  std::vector<std::function<void()>> thunks;
-  for (int i = 1; i <= 5; ++i) {
-    thunks.emplace_back([&sum, i] { sum += i; });
-  }
-  pool.parallel_invoke(std::move(thunks));
-  EXPECT_EQ(sum.load(), 15);
 }
 
 TEST(ThreadPool, NestedParallelismRunsInline) {
@@ -165,9 +160,9 @@ TEST(ParallelDeterminism, ValidatorRejectsTamperedCertificateIdentically) {
 
 // Stateful impostor: make_node hands out a global serial number, which is
 // both illegal (non-local information) and racy if run concurrently. Its
-// parallel_safe() stays at the default false, so the simulator keeps it on
-// the exact serial path and the adversary catches it identically with a big
-// pool configured.
+// parallel_safe() stays at the default false, so the validator keeps it on
+// the serial loop; the adversary runs it on the calling thread and catches
+// it identically with a big pool configured.
 class CountingImpostor : public EcAlgorithm {
  public:
   class Node : public EcNodeState {
@@ -239,8 +234,8 @@ class AllZero : public EcAlgorithm {
     return std::make_unique<Node>(ctx.incident_colors);
   }
   [[nodiscard]] std::string name() const override { return "AllZero"; }
-  // Stateless, so it is safe to opt in — exercising the parallel simulator
-  // path for a *failing* run.
+  // Stateless, so it opts in; its failing runs must surface the same way on
+  // every pool width.
   [[nodiscard]] bool parallel_safe() const override { return true; }
 };
 
@@ -252,9 +247,8 @@ TEST(ParallelDeterminism, NonSaturatingAlgorithmRejectedOnAnyThreadCount) {
   }
 }
 
-// The lifted gate: BudgetHooks declares parallel_safe(), so installing it
-// must keep the parallel fan-out *and* the byte-identity contract. Before
-// this gate existed, any hooks forced the serial path.
+// BudgetHooks only count and poll, so installing them keeps the
+// byte-identity contract on every pool width.
 TEST(ParallelDeterminism, BudgetHooksKeepCertificatesByteIdentical) {
   const int delta = 6;
   const std::string bare = run_and_serialize(delta, 1);
@@ -277,10 +271,8 @@ TEST(ParallelDeterminism, TrippedBudgetClassifiesIdenticallyAcrossThreads) {
   for (int threads : {1, 2, 8}) {
     PoolOverride pool(threads);
     SeqColorPacking alg{delta};
-    // A 1-message cumulative cap trips on the first delivery of the first
-    // adversary step, in every schedule; under speculation each branch
-    // crosses the already-exceeded cap on its own next delivery, and the
-    // deterministic lowest-index rethrow surfaces the GH branch's error.
+    // A 1-message cumulative cap trips inside the first adversary step's
+    // GH run, whatever the pool width.
     BudgetHooks hooks({.max_total_messages = 1, .deadline = {}});
     AdversaryOptions opts;
     opts.hooks = &hooks;
@@ -307,6 +299,64 @@ TEST(ParallelDeterminism, BudgetHooksDeadlineCancelsRun) {
   opts.hooks = &hooks;
   GuardedOutcome outcome = guarded_run_adversary(alg, 8, opts);
   EXPECT_EQ(outcome.status, RunStatus::kCancelled);
+}
+
+// Records the thread of every make_node and evaluate_direct call.
+class ThreadRecordingSeq : public SeqColorPacking {
+ public:
+  using SeqColorPacking::SeqColorPacking;
+
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext& ctx) override {
+    note();
+    return SeqColorPacking::make_node(ctx);
+  }
+  [[nodiscard]] std::optional<EcDirectRun> evaluate_direct(
+      const Multigraph& g) const override {
+    note();
+    return SeqColorPacking::evaluate_direct(g);
+  }
+
+  [[nodiscard]] std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return threads_;
+  }
+  [[nodiscard]] long long calls() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    return calls_;
+  }
+
+ private:
+  void note() const {
+    std::lock_guard<std::mutex> lk(mutex_);
+    threads_.insert(std::this_thread::get_id());
+    ++calls_;
+  }
+
+  mutable std::mutex mutex_;
+  mutable std::set<std::thread::id> threads_;
+  mutable long long calls_ = 0;
+};
+
+// Every adversary step and every simulated run executes on the calling
+// thread, whatever the pool width: the closed form (diagnostics off) and
+// the interpreter (diagnostics on) alike. The pool serves per-level
+// validation alone.
+TEST(ParallelDeterminism, AdversaryRunsOnTheCallingThread) {
+  PoolOverride pool(8);
+  const int delta = 8;
+  const std::set<std::thread::id> caller{std::this_thread::get_id()};
+  for (bool interpreted : {false, true}) {
+    const std::string mode = interpreted ? "interpreter" : "closed form";
+    ThreadRecordingSeq alg{delta};
+    RunDiagnostics diagnostics;
+    AdversaryOptions opts;
+    if (interpreted) opts.diagnostics = &diagnostics;
+    EXPECT_EQ(run_adversary(alg, delta, opts).certified_radius(), delta - 2)
+        << mode;
+    EXPECT_GT(alg.calls(), 0) << mode;
+    EXPECT_EQ(alg.threads(), caller)
+        << mode << ": " << alg.threads().size() << " threads";
+  }
 }
 
 }  // namespace
