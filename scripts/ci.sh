@@ -311,11 +311,12 @@ LDLB_CANCEL_LATENCY_MS="${LDLB_CANCEL_LATENCY_MS:-2000}" \
 run_chaos build-asan 10
 
 # ThreadSanitizer stage: the suites that exercise the thread pool (the
-# concurrent per-level validator, the pool's cancellation polls, and the
-# byte-identity tests across pool widths, which also pin that adversary
-# runs stay on the calling thread), run with LDLB_THREADS=8 so races are
-# reachable even on single-core CI machines. TSan and ASan cannot be
-# combined, hence the separate build tree.
+# concurrent per-level validator and the byte-identity tests across pool
+# widths, which also pin that adversary runs stay on the calling thread)
+# and cancellation_test, whose cancel reaches a running adversary chain
+# from another thread, run with LDLB_THREADS=8 so races are reachable even
+# on single-core CI machines. TSan and ASan cannot be combined, hence the
+# separate build tree.
 echo "== thread sanitizer build =="
 cmake -B build-tsan -S . "-DLDLB_SANITIZE=thread"
 cmake --build build-tsan -j "$jobs"

@@ -9,7 +9,7 @@
 // checkpoint path in the repo goes through write_file_atomic, arming a plan
 // turns any adversary run into a crash-safety experiment: the env-fault
 // tests and the chaos harness prove that after *any* injected fault the
-// snapshot directory still loads to a valid prefix and the resumed run
+// certificate log still loads to a valid prefix and the resumed run
 // reproduces the clean run's certificate byte for byte.
 //
 // Allocation failure is injected separately through

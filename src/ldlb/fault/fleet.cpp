@@ -129,8 +129,8 @@ std::optional<Reply> parse_reply(const std::string& payload,
 }
 
 // Re-raises a worker-reported error in the coordinator as the typed
-// exception the in-process engine would have thrown, so the supervision
-// layer above classifies fleet and in-process failures identically.
+// exception the in-process engine would have thrown, so a fleet run fails
+// where and how an in-process run fails.
 [[noreturn]] void rethrow_reply(const Reply& reply, int rounds) {
   switch (reply.status) {
     case RunStatus::kBudgetExceeded:
@@ -159,9 +159,9 @@ std::optional<Reply> parse_reply(const std::string& payload,
 // Worker side.
 // ---------------------------------------------------------------------------
 
-// Serves one request; never throws — every failure becomes an "error"
-// reply carrying the classified RunStatus, so the coordinator's retry
-// policy sees worker-side failures exactly as it would in-process ones.
+// Serves one request; every classified failure becomes an "error" reply
+// carrying its RunStatus, so the coordinator re-raises worker-side failures
+// exactly as they would have surfaced in-process.
 std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
                            bool& shutdown) {
   const auto nl = payload.find('\n');
@@ -180,15 +180,14 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
   }
   long long id = -1;
   hs >> id;
-  try {
+  const auto serve = [&]() -> std::string {
     if (verb == "run") {
       long long rounds = 0;
       if (!(hs >> rounds) || rounds <= 0) {
         throw ContractViolation("malformed run request header: " + header);
       }
       // Unobserved, so run_ec takes the algorithm's closed form where it
-      // has one, as the in-process adversary does; failures reach the
-      // catch ladder below.
+      // has one, as the in-process adversary does.
       const Multigraph g = multigraph_from_string(body);
       return detail::run_reply(
           id, run_ec(g, algorithm, static_cast<int>(rounds)).matching);
@@ -212,21 +211,11 @@ std::string handle_request(EcAlgorithm& algorithm, const std::string& payload,
       return os.str();
     }
     throw ContractViolation("unknown fleet request verb '" + verb + "'");
-  } catch (const BudgetExceeded& e) {
-    return error_reply(id, RunStatus::kBudgetExceeded, 0, e.what());
-  } catch (const ModelViolation& e) {
-    return error_reply(id, RunStatus::kModelViolation, 0, e.what());
-  } catch (const FaultInjected& e) {
-    return error_reply(id, RunStatus::kFaultInjected, 0, e.what());
-  } catch (const Cancelled& e) {
-    return error_reply(id, RunStatus::kCancelled, 0, e.what());
-  } catch (const IoError& e) {
-    return error_reply(id, RunStatus::kEnvFault, e.error_code(), e.what());
-  } catch (const Error& e) {
-    return error_reply(id, RunStatus::kContractViolation, 0, e.what());
-  } catch (const std::bad_alloc& e) {
-    return error_reply(id, RunStatus::kEnvFault, 0, e.what());
-  }
+  };
+  return classify_failure(
+      serve, [id](RunStatus status, const char* what, int env_errno) {
+        return error_reply(id, status, env_errno, what);
+      });
 }
 
 }  // namespace
@@ -334,8 +323,9 @@ class Fleet {
   /// plan in-process, ship GH alone, and ship the unfolding its mix weight
   /// selects only when combine_adversary_step fetches it. Two requests a
   /// level, one in flight at a time, on consecutive slots.
-  CertificateLevel step(int delta, const CertificateLevel& prev, int rounds,
+  CertificateLevel step(int delta, const CertificateLevel& prev,
                         const std::string& algorithm_name) {
+    const int rounds = adversary_round_budget(delta, options_.adversary);
     AdversaryStepPlan plan = plan_adversary_step(prev);
     const int level = prev.level + 1;
     if (options_.on_level) options_.on_level(level, pids());
@@ -615,44 +605,6 @@ class Fleet {
   int incidents_this_level_ = 0;
 };
 
-// Catch ladder recording the terminating error's classification in the
-// report before rethrowing — a fleet failure is observable even when the
-// caller only catches Error.
-template <typename Body>
-LowerBoundCertificate classify_into_report(FleetReport& report, Body&& body) {
-  const auto fail = [&report](RunStatus status, const char* what) {
-    report.status = status;
-    report.error = what;
-  };
-  try {
-    return body();
-  } catch (const BudgetExceeded& e) {
-    fail(RunStatus::kBudgetExceeded, e.what());
-    throw;
-  } catch (const ModelViolation& e) {
-    fail(RunStatus::kModelViolation, e.what());
-    throw;
-  } catch (const FaultInjected& e) {
-    fail(RunStatus::kFaultInjected, e.what());
-    throw;
-  } catch (const Cancelled& e) {
-    fail(RunStatus::kCancelled, e.what());
-    throw;
-  } catch (const IoError& e) {
-    fail(RunStatus::kEnvFault, e.what());
-    throw;
-  } catch (const WorkerLost& e) {
-    fail(RunStatus::kWorkerLost, e.what());
-    throw;
-  } catch (const Error& e) {
-    fail(RunStatus::kContractViolation, e.what());
-    throw;
-  } catch (const std::bad_alloc& e) {
-    fail(RunStatus::kEnvFault, e.what());
-    throw;
-  }
-}
-
 }  // namespace
 
 std::string WorkerIncident::to_string() const {
@@ -703,7 +655,6 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
 
   ResumeOptions resume_options;
   resume_options.adversary = options.adversary;
-  resume_options.retry = options.retry;
   resume_options.revalidate = options.revalidate;
   resume_options.on_checkpoint = options.on_checkpoint;
 
@@ -716,7 +667,7 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
                                    &rep.resume);
   };
 
-  return classify_into_report(rep, [&]() -> LowerBoundCertificate {
+  const auto run = [&]() -> LowerBoundCertificate {
     if (options.workers == 0) return run_in_process("");
 
     rep.transport = "pipe";
@@ -740,13 +691,21 @@ LowerBoundCertificate run_adversary_fleet(const AlgorithmFactory& factory,
     workers.revalidate = [&fleet](const LowerBoundCertificate& chain) {
       return fleet.revalidate(chain);
     };
-    workers.step = [&](const CertificateLevel& prev, int rounds) {
-      return fleet.step(delta, prev, rounds, algorithm->name());
+    workers.step = [&](const CertificateLevel& prev) {
+      return fleet.step(delta, prev, algorithm->name());
     };
     LowerBoundCertificate chain = resume_chain(
         *algorithm, delta, log, resume_options, workers, rep.resume);
     fleet.shutdown();
     return chain;
+  };
+  // A failure is recorded in the report and then re-raised, so it is
+  // observable even when the caller only catches Error.
+  return classify_failure(run, [&rep](RunStatus status, const char* what,
+                                      int) -> LowerBoundCertificate {
+    rep.status = status;
+    rep.error = what;
+    throw;
   });
 }
 

@@ -34,11 +34,13 @@
 //
 // The chain itself runs on the resumable engine's loop (resume_chain in
 // recover/resumable_adversary.hpp): load, job check, re-validation, base
-// case, per-level retry and checkpoint are the in-process engine's own, and
-// the fleet supplies only the step and the sharded re-validation. A host
-// that cannot fork degrades to the in-process resumable engine, mirroring
-// ThreadPool::construction_error(); both produce the byte-identical
-// certificate. Set `degrade = false` to fail fast instead.
+// case and checkpoint are the in-process engine's own, and the fleet
+// supplies only the step and the sharded re-validation. Respawn-and-replay
+// is the fleet's one retry: a worker's error reply (a budget trip, say) is
+// re-raised in the coordinator and fails the run, as it would in-process.
+// A host that cannot fork degrades to the in-process resumable engine,
+// mirroring ThreadPool::construction_error(); both produce the
+// byte-identical certificate. Set `degrade = false` to fail fast instead.
 //
 // Determinism: workers only ever *simulate* — every decision (case choice,
 // propagation, verification) happens in the coordinator, and the simulator
@@ -67,7 +69,6 @@
 #include "ldlb/matching/fractional_matching.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
-#include "ldlb/recover/supervisor.hpp"
 
 namespace ldlb {
 
@@ -84,10 +85,6 @@ struct FleetOptions {
   /// Forwarded into every adversary step the coordinator performs. See the
   /// header comment for the hooks/diagnostics caveat.
   AdversaryOptions adversary;
-  /// Per-level supervision: a transient *error reply* (budget-exceeded, a
-  /// retryable env-fault) retries the level with an escalated round budget,
-  /// exactly as the in-process engine would.
-  RetryPolicy retry;
   /// Worker incidents tolerated per level before the run fails permanently
   /// with WorkerLost.
   int max_respawns_per_level = 3;
@@ -143,7 +140,7 @@ struct FleetReport {
   bool degraded_in_process = false;  ///< fork refused; in-process engine ran
   std::string degrade_reason;        ///< why ("" unless degraded)
   std::vector<WorkerIncident> incidents;
-  ResumeInfo resume;  ///< log recovery + per-level supervision log
+  ResumeInfo resume;  ///< what the resume loop loaded, trusted and built
   /// Final classification: kOk, or the status of the terminating error
   /// (kWorkerLost when the respawn budget ran out).
   RunStatus status = RunStatus::kOk;

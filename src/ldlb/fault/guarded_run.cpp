@@ -1,50 +1,23 @@
 #include "ldlb/fault/guarded_run.hpp"
 
-#include <new>
-
 namespace ldlb {
 
 namespace {
 
-// Shared catch ladder: run `body` and classify how it ended. The most
-// specific exception types come first; ContractViolation last, as the
-// catch-all for broken preconditions inside the algorithm or the library.
-// std::bad_alloc sits outside the Error hierarchy but is still an
-// environment failure, not a bug in the run, so it classifies as kEnvFault.
+// Runs `body` and records how it ended, through the one failure ladder.
 template <typename Body>
 GuardedOutcome classify(Body&& body) {
   GuardedOutcome outcome;
-  try {
-    outcome.run = body(outcome);
-  } catch (const BudgetExceeded& e) {
-    outcome.status = RunStatus::kBudgetExceeded;
-    outcome.error = e.what();
-  } catch (const ModelViolation& e) {
-    outcome.status = RunStatus::kModelViolation;
-    outcome.error = e.what();
-  } catch (const FaultInjected& e) {
-    outcome.status = RunStatus::kFaultInjected;
-    outcome.error = e.what();
-  } catch (const Cancelled& e) {
-    outcome.status = RunStatus::kCancelled;
-    outcome.error = e.what();
-  } catch (const IoError& e) {
-    outcome.status = RunStatus::kEnvFault;
-    outcome.error = e.what();
-    outcome.env_errno = e.error_code();
-  } catch (const WorkerLost& e) {
-    outcome.status = RunStatus::kWorkerLost;
-    outcome.error = e.what();
-  } catch (const Error& e) {
-    outcome.status = RunStatus::kContractViolation;
-    outcome.error = e.what();
-  } catch (const std::bad_alloc& e) {
-    outcome.status = RunStatus::kEnvFault;
-    outcome.error = e.what();
-  }
-  if (!outcome.error.empty()) {
-    outcome.diagnostics.first_violation = outcome.error;
-  }
+  outcome.run = classify_failure(
+      [&]() -> std::optional<RunResult> { return body(outcome); },
+      [&outcome](RunStatus status, const char* what,
+                 int env_errno) -> std::optional<RunResult> {
+        outcome.status = status;
+        outcome.error = what;
+        outcome.env_errno = env_errno;
+        outcome.diagnostics.first_violation = outcome.error;
+        return std::nullopt;
+      });
   return outcome;
 }
 

@@ -19,6 +19,7 @@
 // diagnostics of the last simulated run all survive.
 #pragma once
 
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -28,6 +29,7 @@
 #include "ldlb/local/simulator.hpp"
 #include "ldlb/matching/checker.hpp"
 #include "ldlb/util/cancellation.hpp"
+#include "ldlb/util/error.hpp"
 
 namespace ldlb {
 
@@ -51,6 +53,38 @@ enum class RunStatus {
 /// coordinator). Returns false on an unknown token, leaving `out` alone.
 [[nodiscard]] bool run_status_from_string(std::string_view token,
                                           RunStatus& out);
+
+/// The one map from a failure to its RunStatus. Returns `body()`; when it
+/// throws a classified failure, returns `on_failure(status, what,
+/// env_errno)` instead, called inside the handler so that it may `throw;`.
+/// The most specific types come first and Error last, as the catch-all for
+/// broken preconditions. std::bad_alloc sits outside the Error hierarchy
+/// but is an environment failure, not a bug in the run, so it maps to
+/// kEnvFault. `env_errno` is the IoError's errno, and 0 for every other
+/// failure. Anything else propagates untouched.
+template <typename Body, typename OnFailure>
+auto classify_failure(Body&& body, OnFailure&& on_failure)
+    -> decltype(body()) {
+  try {
+    return body();
+  } catch (const BudgetExceeded& e) {
+    return on_failure(RunStatus::kBudgetExceeded, e.what(), 0);
+  } catch (const ModelViolation& e) {
+    return on_failure(RunStatus::kModelViolation, e.what(), 0);
+  } catch (const FaultInjected& e) {
+    return on_failure(RunStatus::kFaultInjected, e.what(), 0);
+  } catch (const Cancelled& e) {
+    return on_failure(RunStatus::kCancelled, e.what(), 0);
+  } catch (const IoError& e) {
+    return on_failure(RunStatus::kEnvFault, e.what(), e.error_code());
+  } catch (const WorkerLost& e) {
+    return on_failure(RunStatus::kWorkerLost, e.what(), 0);
+  } catch (const Error& e) {
+    return on_failure(RunStatus::kContractViolation, e.what(), 0);
+  } catch (const std::bad_alloc& e) {
+    return on_failure(RunStatus::kEnvFault, e.what(), 0);
+  }
+}
 
 struct GuardedRunOptions {
   RunBudget budget;

@@ -83,7 +83,6 @@ void RunDiagnostics::reset(NodeId nodes) {
   dropped_messages = 0;
   corrupted_messages = 0;
   first_violation.clear();
-  supervision.clear();
 }
 
 namespace {

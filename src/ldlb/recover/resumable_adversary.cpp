@@ -1,86 +1,12 @@
 #include "ldlb/recover/resumable_adversary.hpp"
 
 #include <sstream>
-#include <utility>
 
 #include "ldlb/core/base_case.hpp"
+#include "ldlb/util/cancellation.hpp"
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
-
-namespace {
-
-// Builds one level under the retry policy: transient failures retry with an
-// escalated round budget, permanent ones rethrow immediately (WorkerLost
-// included — the fleet has spent its respawn budget by the time it
-// surfaces). Every attempt is appended to `log`.
-template <typename Build>
-CertificateLevel supervised_level(const RetryPolicy& policy, int base_rounds,
-                                  SupervisionLog& log, Build&& build) {
-  for (int attempt = 1;; ++attempt) {
-    RunBudget base;
-    base.max_rounds = base_rounds;
-    const int rounds = policy.escalated(base, attempt).max_rounds;
-    SupervisionAttempt record;
-    record.attempt = attempt;
-    record.max_rounds = rounds;
-    try {
-      CertificateLevel lv = build(rounds);
-      record.status = RunStatus::kOk;
-      log.attempts.push_back(std::move(record));
-      return lv;
-    } catch (const BudgetExceeded& e) {
-      record.status = RunStatus::kBudgetExceeded;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const FaultInjected& e) {
-      record.status = RunStatus::kFaultInjected;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.retry_fault_injected) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const Cancelled& e) {
-      // Cancellation is a request to stop, never a failure to retry.
-      record.status = RunStatus::kCancelled;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const IoError& e) {
-      record.status = RunStatus::kEnvFault;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      if (!policy.transient(RunStatus::kEnvFault, e.error_code())) throw;
-      if (attempt >= policy.max_attempts) {
-        log.exhausted = true;
-        throw;
-      }
-    } catch (const WorkerLost& e) {
-      record.status = RunStatus::kWorkerLost;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const ModelViolation& e) {
-      record.status = RunStatus::kModelViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    } catch (const Error& e) {
-      record.status = RunStatus::kContractViolation;
-      record.error = e.what();
-      log.attempts.push_back(std::move(record));
-      throw;
-    }
-  }
-}
-
-}  // namespace
 
 LowerBoundCertificate resume_chain(EcAlgorithm& algorithm, int delta,
                                    CertificateLog& log,
@@ -121,7 +47,6 @@ LowerBoundCertificate resume_chain(EcAlgorithm& algorithm, int delta,
   chain.delta = delta;
   chain.algorithm_name = algorithm.name();
 
-  const int base_rounds = adversary_round_budget(delta, options.adversary);
   const auto checkpoint = [&](const CertificateLevel& lv) {
     log.checkpoint(chain);
     ++info.computed_levels;
@@ -132,22 +57,14 @@ LowerBoundCertificate resume_chain(EcAlgorithm& algorithm, int delta,
 
   if (chain.levels.empty()) {
     // The base case is one node with Δ loops: always built in-process.
-    CertificateLevel base =
-        supervised_level(options.retry, base_rounds, info.supervision,
-                         [&](int rounds) {
-                           return build_base_case(algorithm, delta, rounds);
-                         });
-    chain.levels.push_back(std::move(base));
+    chain.levels.push_back(build_base_case(
+        algorithm, delta, adversary_round_budget(delta, options.adversary)));
     checkpoint(chain.levels.back());
   }
 
   while (chain.certified_radius() < delta - 2) {
     if (options.adversary.cancel) options.adversary.cancel->check();
-    CertificateLevel next = supervised_level(
-        options.retry, base_rounds, info.supervision, [&](int rounds) {
-          return executor.step(chain.levels.back(), rounds);
-        });
-    chain.levels.push_back(std::move(next));
+    chain.levels.push_back(executor.step(chain.levels.back()));
     checkpoint(chain.levels.back());
   }
 
@@ -180,10 +97,8 @@ LowerBoundCertificate run_adversary_resumable(EcAlgorithm& algorithm,
     }
     return keep;
   };
-  in_process.step = [&](const CertificateLevel& prev, int rounds) {
-    AdversaryOptions step_options = options.adversary;
-    step_options.max_rounds = rounds;
-    return adversary_step(algorithm, delta, prev, step_options);
+  in_process.step = [&](const CertificateLevel& prev) {
+    return adversary_step(algorithm, delta, prev, options.adversary);
   };
   return resume_chain(algorithm, delta, log, options, in_process,
                       info != nullptr ? *info : local_info);

@@ -2,7 +2,7 @@
 // the longest trusted prefix.
 //
 // run_adversary_resumable is run_adversary (core/adversary.hpp) wrapped in
-// durability and supervision:
+// durability:
 //
 //   * after each CertificateLevel is certified it is checkpointed into the
 //     CertificateLog (recover/cert_log.hpp) — append + fsync, with
@@ -14,10 +14,11 @@
 //     algorithm, wrong Δ, forged weights) is discarded instead of being
 //     trusted into the chain; construction continues from the first
 //     missing level;
-//   * each level build runs under the RetryPolicy of recover/supervisor.hpp:
-//     a BudgetExceeded trip retries with an escalated round budget, while
-//     ModelViolation / ContractViolation / WorkerLost fail fast; every
-//     attempt lands in the SupervisionLog of the ResumeInfo.
+//   * each level is built once, under run_adversary's round budget
+//     (adversary_round_budget): a level build is never retried, so a run
+//     fails where and how run_adversary fails. Under the default budget,
+//     which is the validator's own, no run certifies what the validator's
+//     re-run of the algorithm would reject.
 //
 // That loop is written once, in resume_chain. run_adversary_resumable runs
 // it with in-process steps; the fleet (fault/fleet.hpp) runs the same loop
@@ -36,14 +37,12 @@
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/recover/cert_log.hpp"
-#include "ldlb/recover/supervisor.hpp"
 
 namespace ldlb {
 
 /// Options for a resumable run.
 struct ResumeOptions {
   AdversaryOptions adversary;  ///< forwarded to every adversary step
-  RetryPolicy retry;           ///< per-level supervision (budget escalation)
   /// Re-validate the loaded prefix against the algorithm, (P2) included,
   /// before trusting it; levels from the first invalid one onward are
   /// recomputed.
@@ -62,7 +61,6 @@ struct ResumeInfo {
   int computed_levels = 0;   ///< levels built (or rebuilt) this run
   std::string discard_reason;  ///< why loaded levels were rejected ("" if
                                ///< none were)
-  SupervisionLog supervision;  ///< every level-build attempt this run
 };
 
 /// Runs the full adversary against `algorithm` at maximum degree `delta`,
@@ -79,16 +77,15 @@ struct ChainExecutor {
   /// How many leading levels of the loaded `chain` re-validate against the
   /// algorithm, (P2) included.
   std::function<std::size_t(const LowerBoundCertificate& chain)> revalidate;
-  /// Builds level prev.level + 1, granting each simulation `rounds` rounds.
-  std::function<CertificateLevel(const CertificateLevel& prev, int rounds)>
-      step;
+  /// Builds level prev.level + 1, granting each simulation
+  /// adversary_round_budget rounds.
+  std::function<CertificateLevel(const CertificateLevel& prev)> step;
 };
 
 /// The resumable loop itself: load `log` → discard a chain for another job
 /// → re-validate through `executor` → build the base case with `algorithm`
-/// → build each missing level through `executor.step` under the retry
-/// policy → checkpoint. Fills `info` as it goes, so it is accurate on a
-/// throw too.
+/// → build each missing level through `executor.step` → checkpoint. Fills
+/// `info` as it goes, so it is accurate on a throw too.
 LowerBoundCertificate resume_chain(EcAlgorithm& algorithm, int delta,
                                    CertificateLog& log,
                                    const ResumeOptions& options,

@@ -11,8 +11,9 @@
 // flushing the directory a crash can lose the rename itself, resurrecting
 // the old file.
 //
-// All certificate-to-file paths in the repo (the snapshot store,
-// `write_certificate_file`, the certificate tool) go through this helper.
+// All certificate-to-file paths in the repo (`write_certificate_file`, the
+// certificate tool, and the certificate log whenever it writes a whole
+// file) go through this helper.
 // The append-only certificate log (recover/cert_log.hpp) has a different
 // durability shape — records accrete, they are not replaced — so this file
 // also provides its two primitives: `append_file_durable` (append + fsync,

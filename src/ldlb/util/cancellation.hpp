@@ -2,11 +2,11 @@
 //
 // A CancellationToken is a thread-safe cancel flag plus an optional
 // monotonic-clock Deadline and a structured reason. Any thread may call
-// request_cancel(); the execution layers (ThreadPool::parallel_for between
-// chunks, the simulator's round loop, per-node passes and delivery loop,
-// the adversary between phases, the resumable adversary between levels)
-// poll the token via check(), which throws the typed Cancelled
-// error. The guarded layer (fault/guarded_run.hpp) classifies that throw as
+// request_cancel(); the execution layers (the simulator's round loop,
+// per-node passes and delivery loop, the adversary between phases, the
+// resumable adversary between levels, the fleet between exchanges and in
+// its respawn backoff) poll the token via check(), which throws the typed
+// Cancelled error. The guarded layer (fault/guarded_run.hpp) classifies that throw as
 // RunStatus::kCancelled with whatever partial RunDiagnostics the run had
 // accumulated — a cancelled run is a *classified outcome*, not a torn one.
 //

@@ -65,12 +65,12 @@ class ParseError : public Error {
   std::string token_;
 };
 
-/// Thrown by the file helpers (util/atomic_file, the snapshot store) when a
-/// filesystem operation fails — for real, or injected through the
-/// fault/env_fault seam. Carries the path involved and the errno value, so
-/// the supervision layer can classify transient (ENOSPC, EAGAIN, EINTR)
-/// against permanent (EIO, ...) environment failures; the what() text
-/// includes the failing operation and the errno description.
+/// Thrown by the file helpers (util/atomic_file, the certificate log) and
+/// the fleet's pipes (util/ipc) when an operation fails — for real, or
+/// injected through the fault/env_fault seam. Carries the path involved and
+/// the errno value, which the guarded layer reports as
+/// GuardedOutcome::env_errno; the what() text includes the failing
+/// operation and the errno description.
 class IoError : public Error {
  public:
   IoError(const std::string& what, std::string path, int error_code = 0)
@@ -168,7 +168,7 @@ class FaultInjected : public Error {
 };
 
 /// Thrown by the fleet coordinator (fault/fleet.hpp) when worker processes
-/// keep failing after the supervised respawn budget is exhausted, or when a
+/// keep failing after the per-level respawn budget is exhausted, or when a
 /// single incident is configured as fatal. Carries the incident kind
 /// (WorkerIncident::kind: "exit", "signal", "hang", "write-hang", ...) and
 /// the worker slot involved; a *single* lost worker is normally transient

@@ -11,10 +11,6 @@ namespace ldlb {
 
 namespace {
 
-// Set while a thread is inside ThreadPool::worker_loop; lets reentrant
-// parallel_for calls detect that they are already on a worker and run inline.
-thread_local const ThreadPool* tls_worker_pool = nullptr;
-
 constexpr int kMaxThreads = 64;
 
 int default_threads() {
@@ -78,10 +74,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::on_worker_thread() const { return tls_worker_pool == this; }
-
 void ThreadPool::worker_loop() {
-  tls_worker_pool = this;
   std::unique_lock<std::mutex> lk(mutex_);
   for (;;) {
     wake_.wait(lk, [this] { return stop_ || !queue_.empty(); });
@@ -98,17 +91,10 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn,
-                              CancellationToken* cancel) {
+                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (threads_ <= 1 || g_forked_child || on_worker_thread() || n == 1) {
-    // Poll with the same chunk granularity the parallel path would use, so
-    // cancellation latency does not depend on the thread count.
-    constexpr std::size_t kSerialPollStride = 32;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && i % kSerialPollStride == 0) cancel->check();
-      fn(i);
-    }
+  if (threads_ <= 1 || g_forked_child || n == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   // Contiguous chunks: the lowest failing chunk's first failure is exactly
@@ -127,10 +113,7 @@ void ThreadPool::parallel_for(std::size_t n,
     std::lock_guard<std::mutex> lk(mutex_);
     for (std::size_t c = 0; c < chunks; ++c) {
       queue_.push_back(Task{[&, c] {
-        // A pending cancel surfaces as the chunk's error, so the
-        // lowest-index rule applies to cancellation as to any failure.
         try {
-          if (cancel != nullptr) cancel->check();
           for (std::size_t i = c * per; i < std::min(n, (c + 1) * per); ++i) {
             fn(i);
           }

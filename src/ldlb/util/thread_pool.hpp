@@ -12,16 +12,12 @@
 //     failure wins, exactly as in a serial left-to-right loop. Scheduling
 //     order can vary between runs; observable behaviour cannot.
 //
-//   * Inline nesting: a `parallel_for` call made from inside a worker
-//     thread runs its tasks inline on that worker. Nested parallelism
-//     therefore cannot deadlock the fixed-size pool, and the serial fallback
-//     keeps the same code path as a 1-thread pool.
+//   * One code path at any width: a 1-thread pool, a pool that could not
+//     spawn its workers and a pool inherited across fork(2) all run the
+//     tasks inline, in index order.
 //
-// Cooperative cancellation: `parallel_for` takes an optional
-// CancellationToken (util/cancellation.hpp) and polls it between chunks —
-// on every participating thread — so a cancel request lands within one
-// chunk of work rather than one full batch. The resulting Cancelled error
-// is rethrown under the same lowest-index rule.
+// The validator's per-level loop never re-enters the pool, and no caller
+// cancels it: a cancelled run stops in the simulator or between levels.
 //
 // The pool size comes from the LDLB_THREADS environment variable (default:
 // hardware concurrency), clamped to [1, 64]. `set_global_threads` rebuilds
@@ -39,8 +35,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "ldlb/util/cancellation.hpp"
 
 namespace ldlb {
 
@@ -68,11 +62,8 @@ class ThreadPool {
 
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for all of
   /// them. Exceptions are rethrown in index order (the lowest failing index
-  /// wins), matching a serial loop. Reentrant calls from worker threads run
-  /// inline. When `cancel` is given it is polled between chunks; a pending
-  /// cancellation surfaces as Cancelled under the same lowest-index rule.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                    CancellationToken* cancel = nullptr);
+  /// wins), matching a serial loop. Must not be called from inside `fn`.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// The process-wide pool. First use sizes it from LDLB_THREADS (default:
   /// hardware concurrency, clamped to [1, 64]).
@@ -91,9 +82,6 @@ class ThreadPool {
   /// ipc::spawn_worker immediately after fork, before any other library
   /// call; irreversible for the life of the process.
   static void note_forked_child();
-
-  /// True when the calling thread is one of this pool's workers.
-  [[nodiscard]] bool on_worker_thread() const;
 
  private:
   struct Task {

@@ -186,51 +186,37 @@ TEST(CrashResume, CheckpointHookSeesOnlyFreshLevels) {
   store.remove();
 }
 
-// The supervision log records every level build, and the retry policy
-// rescues a run whose configured round budget is too small.
-TEST(CrashResume, RetryPolicyEscalatesTightRoundBudgets) {
+// A level build is never retried: a round budget the subject outgrows
+// fails the resumable run exactly where and how it fails run_adversary, so
+// neither certifies a run the validator's re-run would reject.
+TEST(CrashResume, RoundBudgetTripFailsLikeRunAdversary) {
   const int delta = 4;
-  CertificateLog store{temp_path("retry.ldcl")};
-  store.remove();
-  SeqColorPacking alg{delta};
-  ResumeOptions options;
-  options.adversary.max_rounds = 1;  // SeqColorPacking needs delta+1 rounds
-  options.retry.max_attempts = 6;
-  options.retry.budget_factor = 2.0;
-  ResumeInfo info;
-  LowerBoundCertificate cert =
-      run_adversary_resumable(alg, delta, store, options, &info);
-  EXPECT_EQ(cert.certified_radius(), delta - 2);
-  // At least one attempt tripped the budget before escalation rescued it.
-  bool saw_budget_trip = false;
-  for (const auto& at : info.supervision.attempts) {
-    if (at.status == RunStatus::kBudgetExceeded) saw_budget_trip = true;
+  AdversaryOptions adversary;
+  adversary.max_rounds = 1;  // SeqColorPacking needs more on the base case
+  std::string expected;
+  {
+    SeqColorPacking alg{delta};
+    try {
+      (void)run_adversary(alg, delta, adversary);
+      FAIL() << "run_adversary certified under a 1-round budget";
+    } catch (const BudgetExceeded& e) {
+      expected = e.what();
+    }
   }
-  EXPECT_TRUE(saw_budget_trip);
-  EXPECT_FALSE(info.supervision.exhausted);
-  EXPECT_GT(info.supervision.attempts.size(),
-            static_cast<std::size_t>(delta - 1));
-  store.remove();
-}
 
-TEST(CrashResume, PermanentFailuresAreNotRetried) {
-  // An impostor that breaks the output contract must fail fast: exactly one
-  // attempt per policy, kModelViolation recorded... but SeqColorPacking is
-  // correct, so use a hostile budget of attempts=1 to check the exhausted
-  // path instead.
-  const int delta = 4;
-  CertificateLog store{temp_path("exhausted.ldcl")};
+  CertificateLog store{temp_path("budget_trip.ldcl")};
   store.remove();
   SeqColorPacking alg{delta};
   ResumeOptions options;
-  options.adversary.max_rounds = 1;
-  options.retry.max_attempts = 1;  // no escalation allowed
+  options.adversary = adversary;
   ResumeInfo info;
-  EXPECT_THROW(run_adversary_resumable(alg, delta, store, options, &info),
-               BudgetExceeded);
-  ASSERT_EQ(info.supervision.attempts.size(), 1u);
-  EXPECT_EQ(info.supervision.attempts[0].status, RunStatus::kBudgetExceeded);
-  EXPECT_TRUE(info.supervision.exhausted);
+  try {
+    (void)run_adversary_resumable(alg, delta, store, options, &info);
+    FAIL() << "run_adversary_resumable certified under a 1-round budget";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  EXPECT_EQ(info.computed_levels, 0);
   store.remove();
 }
 

@@ -184,8 +184,7 @@ TEST(EnvFaultSweep, CheckpointedRunSurvivesEveryFaultPoint) {
           plan.arm(op, mode, nth);
           SeqColorPacking alg{delta};
           CertificateLog log(path);
-          // The checkpoint sits outside per-level supervision, so an
-          // injected IoError surfaces whatever the retry policy says.
+          // A failed checkpoint is never retried: the IoError surfaces.
           bool threw = false;
           try {
             (void)run_adversary_resumable(alg, delta, log, {});
@@ -244,21 +243,6 @@ TEST(EnvFaultSweep, TornTailRepairSurvivesAFailedTruncate) {
 
   expect_clean_resume(path, delta, certificate_bytes(chain));
   fs::remove(path);
-}
-
-// A fault the retry policy deems transient (ENOSPC) and that then clears
-// must be retried and absorbed by the per-level supervision, not surfaced.
-// Note the checkpoint save itself sits outside supervised_level, so the
-// transient fault is injected into a *simulated run* via the allocation
-// path instead — covered below — while ENOSPC on the checkpoint write is
-// exercised here only for classification.
-TEST(EnvFault, EnospcCheckpointFaultIsClassifiedTransient) {
-  RetryPolicy policy;
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, ENOSPC));
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, EAGAIN));
-  EXPECT_TRUE(policy.transient(RunStatus::kEnvFault, EINTR));
-  EXPECT_FALSE(policy.transient(RunStatus::kEnvFault, EIO));
-  EXPECT_FALSE(policy.transient(RunStatus::kEnvFault, 0));
 }
 
 TEST(AllocGuard, BudgetExhaustionThrowsBadAlloc) {

@@ -4,7 +4,8 @@
 // when fork(2) refuses and the run degrades in-process; exhausting a
 // respawn budget fails permanently as WorkerLost / RunStatus::kWorkerLost
 // carrying the right incident kind. A resume through the fleet reports the
-// same ResumeInfo as the in-process engine, because both run the same loop.
+// same ResumeInfo as the in-process engine, because both run the same loop,
+// and a round-budget trip stops all three engines at the same level.
 // At the sizes the bench runs (Δ 13–16) a fleet run finishes under a
 // wall-clock bound with two requests a level, and a worker that stops
 // reading is exactly one write-hang incident.
@@ -16,14 +17,17 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ldlb/core/adversary.hpp"
 #include "ldlb/core/certificate_io.hpp"
+#include "ldlb/core/sim_ec_po.hpp"
 #include "ldlb/fault/fleet.hpp"
 #include "ldlb/graph/graph_io.hpp"
+#include "ldlb/matching/proposal_packing.hpp"
 #include "ldlb/matching/seq_color_packing.hpp"
 #include "ldlb/recover/cert_log.hpp"
 #include "ldlb/recover/resumable_adversary.hpp"
@@ -178,12 +182,82 @@ TEST(FleetDeterminism, RespawnBudgetExhaustionIsWorkerLost) {
   ASSERT_FALSE(report.incidents.empty());
   EXPECT_FALSE(report.incidents.back().respawned)
       << report.incidents.back().to_string();
-  // The per-level supervision saw the loss as permanent: one attempt,
-  // classified, never retried.
-  ASSERT_FALSE(report.resume.supervision.attempts.empty());
-  EXPECT_EQ(report.resume.supervision.attempts.back().status,
-            RunStatus::kWorkerLost);
   log.remove();
+}
+
+// Fresh EcFromPo(ProposalPacking) instances; EcFromPo borrows its PO
+// algorithm, so this subject owns one.
+AlgorithmFactory po_factory() {
+  struct OwnedEcFromPo : EcFromPo {
+    explicit OwnedEcFromPo(std::unique_ptr<ProposalPacking> p)
+        : EcFromPo(*p), inner(std::move(p)) {}
+    std::unique_ptr<ProposalPacking> inner;
+  };
+  return []() -> std::unique_ptr<EcAlgorithm> {
+    return std::make_unique<OwnedEcFromPo>(
+        std::make_unique<ProposalPacking>());
+  };
+}
+
+// po's round count tracks the level, so at Δ=6 a 4-round budget trips
+// while level 3 is built. A level build is never retried: run_adversary,
+// the resumable engine and the fleet all throw the same BudgetExceeded
+// there, and both logs keep the same three levels.
+TEST(FleetDeterminism, RoundBudgetTripStopsEveryEngineAtTheSameLevel) {
+  const int delta = 6;
+  AdversaryOptions adversary;
+  adversary.max_rounds = 4;
+  std::string expected;
+  try {
+    (void)run_adversary(*po_factory()(), delta, adversary);
+    FAIL() << "run_adversary certified under a 4-round budget";
+  } catch (const BudgetExceeded& e) {
+    expected = e.what();
+  }
+
+  CertificateLog in_log{temp_path("budget_trip_in.ldcl")};
+  in_log.remove();
+  ResumeOptions resume;
+  resume.adversary = adversary;
+  ResumeInfo in;
+  try {
+    (void)run_adversary_resumable(*po_factory()(), delta, in_log, resume,
+                                  &in);
+    FAIL() << "the resumable engine certified under a 4-round budget";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  EXPECT_EQ(in.computed_levels, 3);
+
+  CertificateLog fleet_log{temp_path("budget_trip_fleet.ldcl")};
+  fleet_log.remove();
+  FleetOptions options;
+  options.workers = 2;
+  options.adversary = adversary;
+  int last_level = -1;
+  options.on_level = [&last_level](int level, const std::vector<pid_t>&) {
+    last_level = level;
+  };
+  FleetReport report;
+  try {
+    (void)run_adversary_fleet(po_factory(), delta, fleet_log, options,
+                              &report);
+    FAIL() << "the fleet certified under a 4-round budget";
+  } catch (const BudgetExceeded& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+  EXPECT_EQ(report.status, RunStatus::kBudgetExceeded) << report.to_string();
+  EXPECT_EQ(report.error, expected);
+  // A worker's error reply while level 3 was built, not a lost worker.
+  EXPECT_EQ(report.transport, "pipe");
+  EXPECT_EQ(last_level, 3);
+  EXPECT_TRUE(report.incidents.empty()) << report.to_string();
+  EXPECT_EQ(report.resume.computed_levels, 3);
+
+  EXPECT_EQ(in_log.load().levels.size(), 3u);
+  EXPECT_EQ(read_file(fleet_log.path()), read_file(in_log.path()));
+  in_log.remove();
+  fleet_log.remove();
 }
 
 // Every worker is SIGKILLed at every level past the base case, and every
@@ -252,7 +326,6 @@ void expect_one_resume_contract(int delta, const std::string& source,
   EXPECT_EQ(fleet.recovery.levels_loaded, in.recovery.levels_loaded);
   EXPECT_EQ(fleet.recovery.drop_reason, in.recovery.drop_reason);
   EXPECT_EQ(fleet.recovery.drop_line, in.recovery.drop_line);
-  EXPECT_EQ(fleet.supervision.attempts.size(), in.supervision.attempts.size());
   in_log.remove();
   fleet_log.remove();
 }

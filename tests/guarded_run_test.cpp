@@ -1,11 +1,16 @@
 // Tests for the guarded execution wrapper: budget enforcement, typed
-// classification of failures, and checker integration.
+// classification of failures (the one ladder, classify_failure), and
+// checker integration.
 #include "ldlb/fault/guarded_run.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <functional>
 #include <iterator>
+#include <new>
 #include <set>
+#include <stdexcept>
 
 #include "ldlb/graph/edge_coloring.hpp"
 #include "ldlb/graph/generators.hpp"
@@ -192,7 +197,7 @@ TEST(GuardedRun, ChecksOutputAndReportsViolationSite) {
 
 TEST(GuardedRun, RunStatusToStringCoversEveryValueDistinctly) {
   // The error taxonomy is machine-readable only if every status renders to
-  // its own stable, non-null token — supervision logs, CI triage and the
+  // its own stable, non-null token — fleet error replies, CI triage and the
   // demos all key on these strings.
   const RunStatus all[] = {
       RunStatus::kOk, RunStatus::kBudgetExceeded, RunStatus::kModelViolation,
@@ -207,6 +212,101 @@ TEST(GuardedRun, RunStatusToStringCoversEveryValueDistinctly) {
     seen.insert(text);
   }
   EXPECT_EQ(seen.size(), std::size(all));
+}
+
+// Dies in make_node with an IoError carrying `io_errno`, as an algorithm
+// whose environment fails would.
+class IoFailing : public SeqColorPacking {
+ public:
+  IoFailing(int delta, int io_errno)
+      : SeqColorPacking(delta), io_errno_(io_errno) {}
+  std::unique_ptr<EcNodeState> make_node(const EcNodeContext&) override {
+    throw IoError("injected I/O failure", "/dev/flaky", io_errno_);
+  }
+  [[nodiscard]] std::string name() const override { return "IoFailing"; }
+
+ private:
+  int io_errno_;
+};
+
+TEST(GuardedRun, AlgorithmIoErrorReportsItsErrno) {
+  Multigraph g = greedy_edge_coloring(make_cycle(6));
+  IoFailing alg{num_colors(g), EIO};
+  GuardedRunOptions options;
+  options.budget.max_rounds = num_colors(g) + 1;
+  GuardedOutcome outcome = guarded_run_ec(g, alg, options);
+  EXPECT_EQ(outcome.status, RunStatus::kEnvFault);
+  EXPECT_EQ(outcome.classification(), "env-fault");
+  EXPECT_EQ(outcome.env_errno, EIO);
+  EXPECT_NE(outcome.error.find("injected I/O failure"), std::string::npos);
+  EXPECT_EQ(outcome.diagnostics.first_violation, outcome.error);
+  EXPECT_FALSE(outcome.run.has_value());
+}
+
+// The one failure ladder: every Error subtype and std::bad_alloc maps to
+// its status, and only IoError carries its errno.
+TEST(ClassifyFailure, MapsEveryFailureToItsStatus) {
+  struct Case {
+    std::function<void()> raise;
+    RunStatus status;
+    int env_errno;
+  };
+  const Case cases[] = {
+      {[] { throw BudgetExceeded("b", BudgetExceeded::Kind::kRounds, 4, 5); },
+       RunStatus::kBudgetExceeded, 0},
+      {[] { throw ModelViolation("m"); }, RunStatus::kModelViolation, 0},
+      {[] { throw FaultInjected("f", "crash-stop"); },
+       RunStatus::kFaultInjected, 0},
+      {[] { throw Cancelled("c"); }, RunStatus::kCancelled, 0},
+      {[] { throw IoError("i", "/dev/null", ENOSPC); }, RunStatus::kEnvFault,
+       ENOSPC},
+      {[] { throw WorkerLost("w", "signal"); }, RunStatus::kWorkerLost, 0},
+      {[] { throw ContractViolation("cv"); }, RunStatus::kContractViolation,
+       0},
+      {[] { throw ParseError("p", 3, "tok"); }, RunStatus::kContractViolation,
+       0},
+      {[] { throw Error("e"); }, RunStatus::kContractViolation, 0},
+      {[] { throw std::bad_alloc(); }, RunStatus::kEnvFault, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(to_string(c.status));
+    RunStatus status = RunStatus::kOk;
+    int env_errno = -1;
+    const int got = classify_failure(
+        [&c] {
+          c.raise();
+          return 1;
+        },
+        [&](RunStatus s, const char*, int e) {
+          status = s;
+          env_errno = e;
+          return 2;
+        });
+    EXPECT_EQ(got, 2);
+    EXPECT_EQ(status, c.status);
+    EXPECT_EQ(env_errno, c.env_errno);
+  }
+}
+
+TEST(ClassifyFailure, CleanBodiesAndForeignExceptionsPassThrough) {
+  int calls = 0;
+  const auto count = [&calls](RunStatus, const char*, int) { return ++calls; };
+  EXPECT_EQ(classify_failure([] { return 7; }, count), 7);
+  EXPECT_THROW(classify_failure(
+                   []() -> int { throw std::runtime_error("not ours"); },
+                   count),
+               std::runtime_error);
+  EXPECT_EQ(calls, 0);
+  // The callback runs inside the handler, so `throw;` re-raises the
+  // original typed exception after recording its status.
+  RunStatus seen = RunStatus::kOk;
+  EXPECT_THROW(classify_failure([]() -> int { throw Cancelled("stop"); },
+                                [&seen](RunStatus s, const char*, int) -> int {
+                                  seen = s;
+                                  throw;
+                                }),
+               Cancelled);
+  EXPECT_EQ(seen, RunStatus::kCancelled);
 }
 
 TEST(GuardedRun, CheckCanBeDisabled) {

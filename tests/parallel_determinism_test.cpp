@@ -8,7 +8,6 @@
 // available.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
@@ -73,17 +72,6 @@ TEST(ThreadPool, RethrowsLowestIndexFailureLikeSerial) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "fail at 3");
   }
-}
-
-TEST(ThreadPool, NestedParallelismRunsInline) {
-  // A parallel_for issued from inside a worker must not deadlock waiting for
-  // pool slots it occupies itself.
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.parallel_for(4, [&](std::size_t) {
-    pool.parallel_for(4, [&](std::size_t) { count += 1; });
-  });
-  EXPECT_EQ(count.load(), 16);
 }
 
 TEST(ParallelDeterminism, CertificatesByteIdenticalAcrossThreadCounts) {

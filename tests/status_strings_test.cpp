@@ -11,7 +11,6 @@
 
 #include "ldlb/fault/env_fault.hpp"
 #include "ldlb/fault/guarded_run.hpp"
-#include "ldlb/recover/supervisor.hpp"
 #include "ldlb/util/error.hpp"
 
 namespace ldlb {
@@ -154,20 +153,6 @@ TEST(StatusStrings, ClassificationUsesTheStatusVocabulary) {
     GuardedOutcome outcome;
     outcome.status = status;
     EXPECT_EQ(outcome.classification(), expected_name(status));
-  }
-}
-
-// The retry policy must take a position on every status — this switch-free
-// sweep fails if a new status silently falls into the "false" default of
-// RetryPolicy::transient without anyone deciding whether it should retry.
-TEST(StatusStrings, RetryPolicyCoversEveryStatus) {
-  RetryPolicy policy;
-  const std::set<RunStatus> transient_without_errno = {
-      RunStatus::kBudgetExceeded, RunStatus::kWorkerLost};
-  for (RunStatus status : kAllRunStatuses) {
-    EXPECT_EQ(policy.transient(status),
-              transient_without_errno.count(status) > 0)
-        << to_string(status);
   }
 }
 
